@@ -223,8 +223,11 @@ def cmd_branch(args, cfg) -> int:
 def cmd_geometry(args, cfg) -> int:
     rows = []
     if args.geo_op == "verify-integral":
+        if args.samples is not None and args.samples < 1:
+            sys.stderr.write("--samples must be >= 1\n")
+            return EXIT_USAGE
         res = geo.mc_verify_integral(args.s, args.p, args.n,
-                                     args.samples or cfg.mc_samples,
+                                     cfg.mc_samples if args.samples is None else args.samples,
                                      args.seed if args.seed is not None else cfg.seed,
                                      batches=cfg.mc_batches)
         res["provenance"] = "computed"

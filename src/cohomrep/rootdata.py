@@ -9,13 +9,16 @@ for O(p,q).  The fixed positive compact systems are
       when p resp. q is odd,
 
 so dominance means x descending and y *ascending in index*.  All arithmetic
-is exact (integers and Fractions); only signs and zero tests of the Dirac
-bound are meaningful, not its absolute normalization.
+is exact (integers and Fractions).  The Dirac bound builds its chambers once
+per (kind, p, q) and evaluates them in doubled int64 coordinates; only its
+signs and zero tests are meaningful, not its absolute normalization.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -52,14 +55,18 @@ class Weight:
         return Weight(tuple(Fraction(v) for v in xs), tuple(Fraction(v) for v in ys), conv)
 
     def __add__(self, other: "Weight") -> "Weight":
-        assert self.conv == other.conv
+        self._check_conv(other)
         return Weight(tuple(a + b for a, b in zip(self.xs, other.xs)),
                       tuple(a + b for a, b in zip(self.ys, other.ys)), self.conv)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        assert self.conv == other.conv
+        self._check_conv(other)
         return Weight(tuple(a - b for a, b in zip(self.xs, other.xs)),
                       tuple(a - b for a, b in zip(self.ys, other.ys)), self.conv)
+
+    def _check_conv(self, other: "Weight") -> None:
+        if self.conv != other.conv:
+            raise ValueError(f"weights in different coordinates: {self.conv} and {other.conv}")
 
     def norm2(self) -> Fraction:
         return sum(v * v for v in self.xs) + sum(v * v for v in self.ys)
@@ -227,7 +234,8 @@ def degree_O(orth: OrthoPartition) -> int:
     p0q0 = orth.central[0] * orth.central[1] if orth.central else 0
     levi_form = Fraction(p * q - ab - p0q0, 2)
     r = weight(orth.lam)
-    assert levi_form == r, (orth.lam, p, q, levi_form, r)
+    if levi_form != r:
+        raise ValueError(f"Levi identity fails for {orth.lam} in ({p}, {q}): {levi_form} != {r}")
     return r
 
 
@@ -317,15 +325,21 @@ def _std_order_vector(p: int, q: int) -> tuple[Fraction, ...]:
 
 
 def _half_sum(pairs, v0, p, q) -> Weight:
-    m = len(v0)
-    total = [Fraction(0)] * m
+    return _split_xy_O([Fraction(c, 2) for c in _positive_root_sum(pairs, v0)], p, q)
+
+
+def _positive_root_sum(pairs, v) -> list[int]:
+    """Twice the half-sum of the roots made positive by the generic vector v,
+    one root per +- pair in `pairs`."""
+    total = [0] * len(v)
     for vec, mult in pairs:
-        d = sum(a * b for a, b in zip(vec, v0))
-        assert d != 0, f"positivity vector not generic for root {vec}"
+        d = sum(a * b for a, b in zip(vec, v))
+        if d == 0:
+            raise ValueError(f"positivity vector {tuple(v)} not generic for root {vec}")
         sgn = 1 if d > 0 else -1
-        for k in range(m):
-            total[k] += Fraction(mult * sgn * vec[k], 2)
-    return _split_xy_O(total, p, q)
+        for k, c in enumerate(vec):
+            total[k] += mult * sgn * c
+    return total
 
 
 def root_system(kind: str, p: int, q: int) -> RootSystemData:
@@ -361,44 +375,97 @@ def root_system(kind: str, p: int, q: int) -> RootSystemData:
 
 # ---------------------------------------------------------------------------
 # Parthasarathy / Dirac bound
+#
+# A chamber is a positive system of g containing the fixed compact one.  All
+# chamber data is kept doubled, so it is integral: the rows 2*rho_n^w, the
+# vector 2*rho_c and 4*||rho||^2 (the same for every chamber).
+
+_INT64_MAX = 2**63 - 1
 
 
-def _dominant_sort_U(w: Weight) -> Weight:
-    return Weight(tuple(sorted(w.xs, reverse=True)), tuple(sorted(w.ys)), "U")
+@functools.lru_cache(maxsize=None)
+def _chambers(kind: str, p: int, q: int):
+    """(rho_n2, rho_c2, rho4, reach) for (kind, p, q): the int64 matrix whose
+    rows are 2*rho_n^w over the chambers, the int64 vector 2*rho_c, the int
+    4*||rho||^2, and the largest |entry| of rho_n2 plus that of rho_c2."""
+    import numpy as np
+
+    if kind == "U":
+        n = p + q
+        rho_c2 = [p + 1 - 2 * i for i in range(1, p + 1)] + [2 * j - q - 1 for j in range(1, q + 1)]
+        rho4 = sum((n - 1 - 2 * k) ** 2 for k in range(n))
+        rows = []
+        # one chamber per interleaving of the chain x_1..x_p with y_q..y_1;
+        # chain position k gets n-1-2k
+        for xpos in itertools.combinations(range(n), p):
+            ypos = [k for k in range(n) if k not in xpos]
+            rho2 = [n - 1 - 2 * k for k in xpos] + [n - 1 - 2 * k for k in reversed(ypos)]
+            rows.append([a - c for a, c in zip(rho2, rho_c2)])
+    else:
+        r, s = p // 2, q // 2
+        m, compact, noncompact = _o_root_vectors(p, q)
+        v0 = _std_order_vector(p, q)
+        rho_c2 = _positive_root_sum(compact, v0)
+        rho4 = sum((a + b) ** 2 for a, b in zip(rho_c2, _positive_root_sum(noncompact, v0)))
+        # A generic v makes the compact system positive iff |v| descends along
+        # x_1..x_r and ascends along y_1..y_s, with every x and y entry
+        # positive except x_r (p even) and y_1 (q even), whose signs are free.
+        # Only the order of the magnitudes 1..m matters for the root signs.
+        x_signs = (1, -1) if p % 2 == 0 and r else (1,)
+        y_signs = (1, -1) if q % 2 == 0 and s else (1,)
+        seen = {}
+        for xmags in itertools.combinations(range(m, 0, -1), r):
+            ymags = sorted(set(range(1, m + 1)).difference(xmags))
+            for sx, sy in itertools.product(x_signs, y_signs):
+                v = list(xmags) + ymags
+                if r:
+                    v[r - 1] *= sx
+                if s:
+                    v[r] *= sy
+                seen.setdefault(tuple(_positive_root_sum(noncompact, v)), None)
+        rows = list(seen)
+    rho_n2 = np.array(rows, dtype=np.int64).reshape(len(rows), len(rho_c2))
+    rho_c2 = np.array(rho_c2, dtype=np.int64)
+    rho_n2.flags.writeable = rho_c2.flags.writeable = False
+    reach = int(np.abs(rho_n2).max(initial=0)) + int(np.abs(rho_c2).max(initial=0))
+    return rho_n2, rho_c2, rho4, reach
 
 
-def _dominant_sort_O(w: Weight, p: int, q: int) -> Weight:
-    def dom_desc(vals, odd):
-        a = sorted((abs(v) for v in vals), reverse=True)
-        if not odd and sum(1 for v in vals if v < 0) % 2 == 1 and a and a[-1] != 0:
-            a[-1] = -a[-1]
-        return tuple(a)
+def _abs_sorted(block, even: bool):
+    """Ascending |entries| of each row; for an even orthogonal factor the
+    smallest one carries the sign of the row's product of entries."""
+    import numpy as np
 
-    xs = dom_desc(w.xs, p % 2 == 1)
-    ys = dom_desc(w.ys, q % 2 == 1)
-    return Weight(xs, tuple(reversed(ys)), w.conv)
-
-
-def _u_positive_systems(p: int, q: int):
-    """rho of every positive system of U(p,q) containing the fixed compact one:
-    one per interleaving of the x-chain with the reversed y-chain."""
-    n = p + q
-    for xpos in itertools.combinations(range(n), p):
-        xs = [Fraction(0)] * p
-        ys = [Fraction(0)] * q
-        ypos = [k for k in range(n) if k not in xpos]
-        for i, k in enumerate(xpos):
-            xs[i] = Fraction(n - 1 - 2 * k, 2)
-        for jj, k in enumerate(ypos):
-            # y's are met in descending index order y_q, ..., y_1
-            ys[q - 1 - jj] = Fraction(n - 1 - 2 * k, 2)
-        yield Weight.make(xs, ys, "U")
+    out = np.sort(np.abs(block), axis=1)
+    if even and out.shape[1]:
+        odd = (block < 0).sum(axis=1) % 2 == 1
+        out[:, 0] = np.where(odd, -out[:, 0], out[:, 0])
+    return out
 
 
-def _signed_perms(m: int):
-    for perm in itertools.permutations(range(m)):
-        for signs in itertools.product((1, -1), repeat=m):
-            yield perm, signs
+def _dirac_max(kind: str, p: int, q: int, chi: Weight) -> Fraction:
+    """max over chambers w of ||rho||^2 - ||dom(chi - rho_n^w) + rho_c||^2,
+    evaluated exactly in int64 with chi scaled by 2L, L the lcm of its
+    denominators."""
+    import numpy as np
+
+    rho_n2, rho_c2, rho4, reach = _chambers(kind, p, q)
+    vals = chi.xs + chi.ys
+    L = math.lcm(*(v.denominator for v in vals))
+    chi2 = [v.numerator * (2 * L // v.denominator) for v in vals]
+    # bounds every entry of dom below; L itself enters the int64 arithmetic
+    bound = max(map(abs, chi2), default=0) + L * max(reach, 1)
+    if len(chi2) * bound * bound > _INT64_MAX:
+        raise ValueError("weight too large for an exact int64 Dirac bound")
+    rows = np.array(chi2, dtype=np.int64) - L * rho_n2
+    nx = len(chi.xs)
+    if kind == "U":
+        dom = np.concatenate([np.sort(rows[:, :nx], axis=1)[:, ::-1], np.sort(rows[:, nx:], axis=1)], axis=1)
+    else:
+        dom = np.concatenate([_abs_sorted(rows[:, :nx], p % 2 == 0)[:, ::-1],
+                              _abs_sorted(rows[:, nx:], q % 2 == 0)], axis=1)
+    dom += L * rho_c2
+    return Fraction(L * L * rho4 - int((dom * dom).sum(axis=1).min()), 4 * L * L)
 
 
 def dirac_bound(kind: str, p: int, q: int, chi: Weight) -> Fraction:
@@ -409,65 +476,25 @@ def dirac_bound(kind: str, p: int, q: int, chi: Weight) -> Fraction:
     systems is returned, each evaluated with w the compact Weyl element
     making w(chi - rho_n) dominant.  Nonpositive for unitarizable modules
     with vanishing Casimir; zero exactly at the lowest K-types 2rho(u cap p).
+    The chambers are built once per (kind, p, q); raises ValueError when chi
+    is too large to evaluate exactly in int64.
     """
     if kind == "U":
-        if _binom(p + q, p) > WEYL_CAP:
+        if math.comb(p + q, p) > WEYL_CAP:
             raise CapError(p, q)
-        _, rho_c, _ = _rho_U(p, q)
-        rho_norm = _rho_U(p, q)[0].norm2()
-        best = None
-        for rho_w in _u_positive_systems(p, q):
-            rho_n_w = rho_w - rho_c
-            cand = _dominant_sort_U(chi - rho_n_w) + rho_c
-            val = rho_norm - cand.norm2()
-            if best is None or val > best:
-                best = val
-        return best
-    if kind == "O":
-        r, s = p // 2, q // 2
-        m = r + s
-        if (2 ** m) * _fact(m) > WEYL_CAP:
+        conv, shape = "U", (p, q)
+    elif kind == "O":
+        m = p // 2 + q // 2
+        if 2**m * math.factorial(m) > WEYL_CAP:
             raise CapError(p, q)
-        _, compact, noncompact = _o_root_vectors(p, q)
-        v0 = _std_order_vector(p, q)
-        rho, rho_c, _ = _rho_O(p, q)
-        rho_norm = rho.norm2()
-        best = None
-        seen = set()
-        for perm, signs in _signed_perms(m):
-            v = [Fraction(0)] * m
-            for k in range(m):
-                v[k] = signs[k] * v0[perm[k]]
-            if any(sum(a * b for a, b in zip(vec, v)) <= 0 for vec, _ in compact
-                   if sum(c * d for c, d in zip(vec, v0)) > 0):
-                continue
-            rho_n_w = _half_sum(noncompact, tuple(v), p, q)
-            key = (rho_n_w.xs, rho_n_w.ys)
-            if key in seen:
-                continue
-            seen.add(key)
-            cand = _dominant_sort_O(chi - rho_n_w, p, q) + rho_c
-            val = rho_norm - cand.norm2()
-            if best is None or val > best:
-                best = val
-        return best
-    raise ValueError(f"unknown kind {kind!r}")
+        conv, shape = _conv_O(p, q), (p // 2, q // 2)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if chi.conv != conv or (len(chi.xs), len(chi.ys)) != shape:
+        raise ValueError(f"weight {chi.conv} of shape {(len(chi.xs), len(chi.ys))} does not fit {kind}({p},{q})")
+    return _dirac_max(kind, p, q, chi)
 
 
 class CapError(ValueError):
     def __init__(self, p, q):
         super().__init__(f"Weyl iteration cap exceeded for (p, q) = ({p}, {q})")
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

@@ -80,6 +80,13 @@ class TestGeometry:
         assert abs(row["estimate"] - 3.14159) < 0.05
         assert row["within_3sigma"]
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_integral_rejects_nonpositive_samples(self, samples):
+        proc = run("geometry", "verify-integral", "--s", "0", "--p", "2", "--n", "1",
+                   "--samples", samples, check=False)
+        assert proc.returncode == 64
+        assert proc.stdout == "" and proc.stderr == "--samples must be >= 1\n"
+
     def test_thresholds(self):
         out = json.loads(run("geometry", "thresholds", "--p", "2", "--q", "5",
                              "--r", "1").stdout)

@@ -1,8 +1,14 @@
 import itertools
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import _dirac_reference as ref
 from cohomrep import partitions as pt
 from cohomrep import rootdata as rd
 from cohomrep import vz_catalog as vz
@@ -115,17 +121,74 @@ class TestRG:
             rd.r_G("U", 0, 3)
 
 
+def _catalog_ktypes(boxes):
+    return [(kind, p, q, mod.label, mod.lowest_ktype)
+            for kind, p, q in boxes for mod in vz.catalog(kind, p, q)]
+
+
+SMALL_BOXES = [(kind, p, q) for p, q in itertools.product(range(1, 7), repeat=2)
+               if p + q <= 7 for kind in ("U", "O")]
+
+
+@pytest.fixture(scope="module")
+def small_catalog_ktypes():
+    return _catalog_ktypes(SMALL_BOXES)
+
+
+def _random_half_integer_weight(rng, kind, p, q):
+    nx, ny = (p, q) if kind == "U" else (p // 2, q // 2)
+    entry = lambda: Fraction(rng.randint(-12, 12), 2)
+    return rd.Weight.make([entry() for _ in range(nx)], [entry() for _ in range(ny)],
+                          "U" if kind == "U" else rd._conv_O(p, q))
+
+
 class TestDirac:
-    def test_zero_at_catalog_ktypes(self):
-        checked = 0
-        for p, q in itertools.product(range(1, 7), repeat=2):
-            if p + q > 7:
+    def test_zero_at_catalog_ktypes(self, small_catalog_ktypes):
+        large = _catalog_ktypes([("U", 5, 5), ("O", 6, 6)])
+        for kind, p, q, label, chi in small_catalog_ktypes + large:
+            assert rd.dirac_bound(kind, p, q, chi) == 0, label
+        assert len(small_catalog_ktypes) == 1573 and len(large) == 6090 + 354
+
+    def test_matches_reference_on_catalog(self, small_catalog_ktypes):
+        for kind, p, q, label, chi in small_catalog_ktypes:
+            assert rd.dirac_bound(kind, p, q, chi) == ref.dirac_bound(kind, p, q, chi), label
+
+    def test_matches_reference_on_random_weights(self):
+        rng = random.Random(20)
+        for p, q in itertools.product(range(1, 8), repeat=2):
+            if p + q > 8:
                 continue
             for kind in ("U", "O"):
-                for mod in vz.catalog(kind, p, q):
-                    assert rd.dirac_bound(kind, p, q, mod.lowest_ktype) == 0, mod.label
-                    checked += 1
-        assert checked > 1000
+                for _ in range(6):
+                    chi = _random_half_integer_weight(rng, kind, p, q)
+                    assert rd.dirac_bound(kind, p, q, chi) == ref.dirac_bound(kind, p, q, chi), (kind, p, q, chi)
+        thirds = [("U", 2, 3, rd.Weight.make([Fraction(1, 3), Fraction(-5, 3)], [Fraction(2, 3), 0, 1], "U")),
+                  ("O", 5, 4, rd.Weight.make([Fraction(4, 3), Fraction(-1, 3)], [Fraction(1, 3), 2], rd._conv_O(5, 4)))]
+        for kind, p, q, chi in thirds:
+            assert rd.dirac_bound(kind, p, q, chi) == ref.dirac_bound(kind, p, q, chi), (kind, chi)
+
+    def test_o_chambers_are_the_deduplicated_signed_permutations(self):
+        for p, q in itertools.product(range(1, 10), repeat=2):
+            if p + q > 10:
+                continue
+            rows = rd._chambers("O", p, q)[0]
+            got = [tuple(Fraction(int(c), 2) for c in row) for row in rows]
+            assert len(set(got)) == len(got)
+            assert set(got) == set(ref.o_chambers(p, q)), (p, q)
+
+    def test_int64_overflow_raises(self):
+        near = rd.Weight.make([2**28, -(2**28)], [3, 2**27], "U")
+        assert rd.dirac_bound("U", 2, 2, near) == ref.dirac_bound("U", 2, 2, near)
+        with pytest.raises(ValueError, match="int64"):
+            rd.dirac_bound("U", 2, 2, rd.Weight.make([2**30, 0], [0, 0], "U"))
+        with pytest.raises(ValueError, match="int64"):
+            rd.dirac_bound("U", 1, 1, rd.Weight.make([Fraction(1, 2**40)], [0], "U"))
+
+    def test_weight_must_fit_group(self):
+        with pytest.raises(ValueError):
+            rd.dirac_bound("U", 2, 2, rd.Weight.make([0], [0, 0], "U"))
+        with pytest.raises(ValueError):
+            rd.dirac_bound("O", 2, 2, rd.Weight.make([0], [0], "U"))
 
     def test_strictly_negative_off_catalog(self):
         # chi = 0 is not of the form 2rho(u cap p) for the discrete-series
@@ -142,3 +205,18 @@ class TestDirac:
     def test_cap(self):
         with pytest.raises(rd.CapError):
             rd.dirac_bound("U", 15, 15, rd.Weight.make([0] * 15, [0] * 15, "U"))
+
+
+class TestOptimizedMode:
+    def test_conv_mismatch_raises_under_O(self):
+        src = pathlib.Path(rd.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("from cohomrep.rootdata import Weight\n"
+                "Weight.make([1], [1], 'U') + Weight.make([1], [1], 'O-even-even')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "ValueError: weights in different coordinates" in proc.stderr
+
+    def test_nongeneric_positivity_vector_raises(self):
+        with pytest.raises(ValueError, match="not generic"):
+            rd._positive_root_sum([((1, -1), 1)], (2, 2))
