@@ -11,7 +11,7 @@ highest weights.
 
 from __future__ import annotations
 
-import threading
+import functools
 from collections import Counter
 from typing import Optional
 
@@ -32,9 +32,6 @@ from .partitions import (
 
 DIM_CAP = 10**6
 
-_lr_cache: dict[tuple[Partition, Partition, Partition], int] = {}
-_lr_lock = threading.Lock()
-
 
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson coefficients
@@ -47,18 +44,12 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition, use_cache: bool
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     if weight(lam) != weight(mu) + weight(nu) or not contains(lam, mu):
         return 0
-    key = (lam, mu, nu)
-    if use_cache:
-        got = _lr_cache.get(key)
-        if got is not None:
-            return got
-    val = _count_lr_tableaux(lam, mu, nu)
-    if use_cache:
-        with _lr_lock:
-            _lr_cache[key] = val
-    return val
+    # __wrapped__ is the undecorated counter, which bypasses the cache
+    count = _count_lr_tableaux if use_cache else _count_lr_tableaux.__wrapped__
+    return count(lam, mu, nu)
 
 
+@functools.lru_cache(maxsize=None)
 def _count_lr_tableaux(lam: Partition, mu: Partition, nu: Partition) -> int:
     rows = len(lam)
     lamp, mup = pad(lam, rows), pad(mu, rows)
@@ -374,16 +365,6 @@ def o_irrep_from_partition(nu: Partition, n: int):
             return ("o3", 1, 1)
         raise ValueError(f"O(3) label {nu} not implemented")
     raise ValueError(f"O({n}) oracle not implemented")
-
-
-def o_dim(irrep, n: int) -> int:
-    if n == 1:
-        return 1
-    if n == 2:
-        return 2 if irrep[0] == "rot" else 1
-    if n == 3:
-        return 2 * irrep[1] + 1
-    raise ValueError
 
 
 def o_restrict_step(irrep, n: int) -> Counter:

@@ -25,7 +25,7 @@ from . import lefschetz as lef
 from . import serialize as ser
 from . import vz_catalog as vz
 from .config import make_config
-from .partitions import BoxContext, CapExceededError, as_partition, compatible_pair, ortho_classify
+from .partitions import BoxContext, CapExceededError, as_partition, compatible_pair, contains, in_box, ortho_classify
 
 EXIT_OK = 0
 EXIT_CRITERION = 2
@@ -40,11 +40,30 @@ class Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+class UsageError(ValueError):
+    """Malformed command-line input; main reports it on one line and exits 64."""
+
+
 def parse_partition(text: str):
     text = (text or "").strip()
     if text in ("", "-", "()"):
         return ()
-    return as_partition(tuple(int(v) for v in text.split(",")))
+    try:
+        return as_partition(tuple(int(v) for v in text.split(",")))
+    except ValueError as exc:
+        raise UsageError(f"bad partition {text!r}: {exc}") from None
+
+
+def boxed(p: int, q: int, lam=(), mu=None) -> BoxContext:
+    """The p x q box, once p, q >= 1, lam (and mu) fit in it and lam <= mu."""
+    if p < 1 or q < 1:
+        raise UsageError(f"box {p}x{q}: p and q must be >= 1")
+    for name, part in (("lam", lam), ("mu", mu)):
+        if part is not None and not in_box(part, p, q):
+            raise UsageError(f"{name} {list(part)} does not fit in the {p}x{q} box")
+    if mu is not None and not contains(mu, lam):
+        raise UsageError(f"lam {list(lam)} is not contained in mu {list(mu)}")
+    return BoxContext(p, q)
 
 
 def render(rows: list[dict], fmt: str, **meta) -> str:
@@ -83,6 +102,7 @@ def _cell(v) -> str:
 
 def cmd_catalog(args, cfg) -> int:
     rows = []
+    boxed(args.p, args.q)
     for mod in vz.catalog(args.kind, args.p, args.q, cap=cfg.enum_cap):
         row = ser.module_to_json(mod)
         row["provenance"] = "computed"
@@ -96,17 +116,16 @@ def cmd_isolation(args, cfg) -> int:
     rows = []
     if args.lam is not None:
         lam = parse_partition(args.lam)
-        ctx = BoxContext(args.p, args.q)
         if args.kind == "U":
             mu = parse_partition(args.mu)
-            cp = compatible_pair(lam, mu, ctx)
+            cp = compatible_pair(lam, mu, boxed(args.p, args.q, lam, mu))
             if cp is None:
                 sys.stderr.write("not a compatible pair\n")
                 return EXIT_USAGE
             rows.append({"kind": "U", "lam": list(lam), "mu": list(mu),
                          "isolated": iso.is_isolated_U(cp), "provenance": "Prop Uisol"})
         else:
-            orth = ortho_classify(lam, ctx)
+            orth = ortho_classify(lam, boxed(args.p, args.q, lam))
             if orth is None:
                 sys.stderr.write("not an orthogonal partition\n")
                 return EXIT_USAGE
@@ -114,6 +133,7 @@ def cmd_isolation(args, cfg) -> int:
                          "isolated": iso.is_isolated_O(orth),
                          "degree": sum(lam), "provenance": "Prop Oisol"})
     else:
+        boxed(args.p, args.q)
         th = iso.min_degree_nonisolated(args.kind, args.p, args.q)
         row = {"kind": args.kind, "p": args.p, "q": args.q, "rank": th.rank,
                "bound": th.bound, "witness": list(th.witness) if th.witness else None,
@@ -136,9 +156,15 @@ def cmd_lefschetz(args, cfg) -> int:
         H = groups[0] if len(groups) == 1 else tuple(groups)
     component = None
     if args.component:
-        pieces = args.component.split(";")
-        component = parse_partition(pieces[0]) if len(pieces) == 1 else (
-            parse_partition(pieces[0]), parse_partition(pieces[1]))
+        pieces = [parse_partition(t) for t in args.component.split(";")]
+        if args.mode == "tensor":
+            if len(pieces) != 2:
+                raise UsageError("tensor mode needs two components, --component 'lam;lam'")
+            for lam in pieces:
+                boxed(G.p, G.q, lam)
+        else:
+            boxed(G.p, G.q, *pieces[:2])
+        component = pieces[0] if len(pieces) == 1 else (pieces[0], pieces[1])
     if args.mode == "restriction":
         v = lef.restriction_verdict(G, H, degree=args.degree, component=component,
                                     r=args.r, l2=args.l2)
@@ -150,11 +176,7 @@ def cmd_lefschetz(args, cfg) -> int:
             sys.stderr.write("tensor mode needs --degrees k,l\n")
             return EXIT_USAGE
         k, l = (int(x) for x in args.degrees.split(","))
-        comps = None
-        if args.component:
-            pieces = args.component.split(";")
-            comps = (parse_partition(pieces[0]), parse_partition(pieces[1]))
-        v = lef.cup_classes_verdict(G, k, l, components=comps)
+        v = lef.cup_classes_verdict(G, k, l, components=component)
     elif args.mode == "modular-symbol":
         v = lef.modular_symbol_verdict(G.kind, G.p, G.q, args.r or 1)
     else:
@@ -393,6 +415,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CAP
+    except UsageError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_USAGE
     parser.error("no command")
     return EXIT_USAGE
 

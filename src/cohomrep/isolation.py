@@ -21,8 +21,9 @@ from .partitions import (
     CompatiblePair,
     OrthoPartition,
     Partition,
+    _complement,
+    _level_word,
     as_partition,
-    complement,
     enumerate_orthogonal,
     pad,
 )
@@ -52,51 +53,25 @@ def _torus_chain(orth: OrthoPartition) -> list[tuple[int, str]]:
     descending list of (value, type) with type "x"/"y"; r + s entries, all
     >= 0, equal values marking the skew rectangles and the zero block.
 
-    Built by merging rows (top down) with columns (right to left) of the
-    pair (lam, complement(lam)), one level per free row/column and one level
-    per rectangle; the level sequence is centrally symmetric and the torus
-    values are the levels of the first r rows and first s columns."""
+    Read off the level word of the pair (lam, complement(lam)), a
+    palindrome: level k of L gets the value L - 1 - 2k, symmetric around 0,
+    and the torus values are the levels of the first r rows and first s
+    columns."""
     p, q = orth.ctx.p, orth.ctx.q
-    lam = pad(orth.lam, p)
-    lam_hat = pad(complement(orth.lam, p, q), p)
+    word = _level_word(orth.lam, _complement(orth.lam, p, q), p, q)
+    if word != word[::-1]:
+        raise ValueError(f"level word of {orth.lam} in {p}x{q} is not a palindrome: {word}")
     r, s = p // 2, q // 2
-    levels = []  # (rows consumed, cols consumed) per level, top down
-    i, j = 1, q
-    while i <= p or j >= 1:
-        if i > p:
-            levels.append((0, 1))
-            j -= 1
-        elif j < 1 or j <= lam[i - 1]:
-            levels.append((1, 0))
-            i += 1
-        elif j > lam_hat[i - 1]:
-            levels.append((0, 1))
-            j -= 1
-        else:
-            lo, hi = lam[i - 1], lam_hat[i - 1]
-            nr = nc = 0
-            while i <= p and (lam[i - 1], lam_hat[i - 1]) == (lo, hi):
-                nr += 1
-                i += 1
-            while j > lo:
-                nc += 1
-                j -= 1
-            levels.append((nr, nc))
-    L = len(levels)
-    assert levels == levels[::-1], (orth.lam, p, q, levels)
     chain: list[tuple[int, str]] = []
     rows_seen = cols_seen = 0
-    for k, (nr, nc) in enumerate(levels):
-        value = L - 1 - 2 * k  # symmetric around 0
-        for _ in range(nr):
-            rows_seen += 1
-            if rows_seen <= r:
-                chain.append((value, "x"))
-        for _ in range(nc):
-            cols_seen += 1
-            if cols_seen <= s:
-                chain.append((value, "y"))
-    assert len(chain) == r + s and all(v >= 0 for v, _ in chain), (orth.lam, chain)
+    for k, (nr, nc) in enumerate(word):
+        value = len(word) - 1 - 2 * k
+        chain += [(value, "x")] * max(0, min(nr, r - rows_seen))
+        chain += [(value, "y")] * max(0, min(nc, s - cols_seen))
+        rows_seen += nr
+        cols_seen += nc
+    if len(chain) != r + s or any(v < 0 for v, _ in chain):
+        raise ValueError(f"torus chain of {orth.lam} in {p}x{q} is not r + s values >= 0: {chain}")
     chain.sort(key=lambda t: (-t[0], t[1]))
     return chain
 

@@ -7,11 +7,15 @@ whose skew diagram is a union of rectangles meeting only at corners -- and
 *orthogonal partitions*, those lambda for which (lambda, complement(lambda))
 is itself compatible.  Compatible pairs index the cohomological modules of
 U(p,q), orthogonal partitions those of O(p,q).
+
+A compatible pair is the comparison pattern of one dominant torus element,
+read as a *level word*: the merged chain of rows (top down) and columns
+(right to left), one level per free row (1, 0), free column (0, 1) or tie
+block (a, b), a, b >= 1, whose tie blocks are the skew rectangles.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -62,33 +66,42 @@ def pad(lam: Partition, rows: int) -> tuple[int, ...]:
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
-    inner = as_partition(inner)
-    outer = as_partition(outer)
-    if len(inner) > len(outer):
-        return False
-    return all(part(outer, i + 1) >= v for i, v in enumerate(inner))
+    return _contains(as_partition(outer), as_partition(inner))
 
 
 def in_box(lam: Partition, p: int, q: int) -> bool:
-    lam = as_partition(lam)
-    return len(lam) <= p and (not lam or lam[0] <= q)
+    return _in_box(as_partition(lam), p, q)
 
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram: (lam*)_j = #{i : lam_i >= j}."""
-    lam = as_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for v in lam if v >= j) for j in range(1, lam[0] + 1))
+    return _conjugate(as_partition(lam))
 
 
 def complement(lam: Partition, p: int, q: int) -> Partition:
     """180-degree rotated complement of lam inside the p x q rectangle."""
     lam = as_partition(lam)
-    if not in_box(lam, p, q):
+    if not _in_box(lam, p, q):
         raise ValueError(f"{lam} does not fit in a {p}x{q} box")
-    padded = pad(lam, p)
-    return as_partition(tuple(q - padded[p - 1 - i] for i in range(p)))
+    return _complement(lam, p, q)
+
+
+# the underscored twins take normalized partitions: internal callers use them,
+# so that as_partition runs only at public entry points
+def _contains(outer: Partition, inner: Partition) -> bool:
+    return len(inner) <= len(outer) and all(o >= i for o, i in zip(outer, inner))
+
+
+def _in_box(lam: Partition, p: int, q: int) -> bool:
+    return len(lam) <= p and (not lam or lam[0] <= q)
+
+
+def _conjugate(lam: Partition) -> Partition:
+    return tuple(sum(1 for v in lam if v >= j) for j in range(1, lam[0] + 1)) if lam else ()
+
+
+def _complement(lam: Partition, p: int, q: int) -> Partition:
+    return tuple(q - v for v in reversed(pad(lam, p)) if v < q)
 
 
 @dataclass(frozen=True)
@@ -101,16 +114,6 @@ class BoxContext:
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
             raise ValueError("box dimensions must be positive")
-
-
-@dataclass(frozen=True)
-class SkewShape:
-    inner: Partition
-    outer: Partition
-
-    def __post_init__(self):
-        if not contains(self.outer, self.inner):
-            raise ValueError(f"skew needs inner subset outer: {self.inner}/{self.outer}")
 
 
 @dataclass(frozen=True)
@@ -150,50 +153,91 @@ class OrthoPartition:
         return 2 * len(self.pairs) + (1 if self.central else 0)
 
 
-def _runs(lam: Partition, mu: Partition, p: int):
-    """Maximal runs of consecutive rows with identical (lam_i, mu_i)."""
-    lp, mp = pad(lam, p), pad(mu, p)
-    runs = []
-    i = 0
+Level = tuple[int, int]  # (rows, columns) at one level of the chain
+
+
+def _is_level(a: int, b: int) -> bool:
+    """A free row (1, 0), a free column (0, 1) or a tie block (a, b), a, b >= 1."""
+    return (a >= 1 and b >= 1) or a + b == 1
+
+
+def _level_word(lam: Partition, mu: Partition, p: int, q: int) -> tuple[Level, ...]:
+    """Level word of a nested pair lam <= mu in the p x q box: row i comes
+    next when column j lies inside lam_i, column j when it lies beyond mu_i,
+    else a tie block of the rows sharing (lam_i, mu_i) and the columns down
+    to lam_i + 1.  The pair is compatible iff `_pair_of_word` maps it back."""
+    lam, mu = pad(lam, p), pad(mu, p)
+    word: list[Level] = []
+    i, j = 0, q  # rows above i and columns right of j are placed
     while i < p:
-        j = i
-        while j + 1 < p and (lp[j + 1], mp[j + 1]) == (lp[i], mp[i]):
-            j += 1
-        runs.append((j - i + 1, lp[i], mp[i]))
-        i = j + 1
-    return runs
+        if j <= lam[i]:
+            word.append((1, 0))
+            i += 1
+        elif j > mu[i]:
+            word.append((0, 1))
+            j -= 1
+        else:
+            first = i
+            while i < p and (lam[i], mu[i]) == (lam[first], mu[first]):
+                i += 1
+            word.append((i - first, j - lam[first]))
+            j = lam[first]
+    return tuple(word) + ((0, 1),) * j
+
+
+def _pair_of_word(word: Sequence[Level], q: int) -> tuple[Partition, Partition]:
+    """(lam, mu) of a level word: the rows of a level with b columns, below
+    levels holding c columns, have lam_i = q - c - b and mu_i = q - c."""
+    lam: list[int] = []
+    mu: list[int] = []
+    top = q
+    for a, b in word:
+        # parts weakly decrease, so skipping zero parts strips trailing zeros
+        if top > b:
+            lam += [top - b] * a
+        if top:
+            mu += [top] * a
+        top -= b
+    return tuple(lam), tuple(mu)
+
+
+def _rects(word: Sequence[Level]) -> tuple[Level, ...]:
+    """The skew rectangles of a pair, top down: the tie blocks of its word."""
+    return tuple((a, b) for a, b in word if a and b)
+
+
+def _level_words(p: int, q: int) -> Iterator[tuple[Level, ...]]:
+    """Every level word with p rows and q columns, each once.  Each maps to a
+    distinct compatible pair of the p x q box, and each pair arises."""
+    if not p and not q:
+        yield ()
+        return
+    for a in range(p + 1):
+        for b in range(q + 1):
+            if _is_level(a, b):
+                for rest in _level_words(p - a, q - b):
+                    yield ((a, b),) + rest
 
 
 def skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[tuple[tuple[int, int], ...]]:
     """Rectangle decomposition of mu/lam, or None when the skew is not a
-    corner-disjoint union of rectangles.
-
-    Scanning rows top-down, each maximal run of rows with identical
-    (lam_i, mu_i) and lam_i < mu_i contributes one rectangle; two nonempty
-    runs that are vertically adjacent must satisfy mu(below) <= lam(above),
-    otherwise the rectangles would share an edge.  lam == mu yields ().
+    corner-disjoint union of rectangles: the tie blocks of the pair's level
+    word, top down, when that word maps back to (lam, mu).  lam == mu yields ().
     """
-    lam, mu = as_partition(lam), as_partition(mu)
-    if not (contains(mu, lam) and in_box(mu, ctx.p, ctx.q)):
+    return _skew_decompose(as_partition(lam), as_partition(mu), ctx)
+
+
+def _skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[tuple[Level, ...]]:
+    if not (_contains(mu, lam) and _in_box(mu, ctx.p, ctx.q)):
         raise ValueError(f"need lam <= mu <= {ctx.p}x{ctx.q}: {lam}, {mu}")
-    rects = []
-    prev_nonempty = None  # (lam_i of the run) if the run directly above was nonempty
-    for rows, lo, hi in _runs(lam, mu, ctx.p):
-        if lo == hi:
-            prev_nonempty = None
-            continue
-        if prev_nonempty is not None and hi > prev_nonempty:
-            return None
-        rects.append((rows, hi - lo))
-        prev_nonempty = lo
-    return tuple(rects)
+    word = _level_word(lam, mu, ctx.p, ctx.q)
+    return _rects(word) if _pair_of_word(word, ctx.q) == (lam, mu) else None
 
 
 def compatible_pair(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[CompatiblePair]:
-    rects = skew_decompose(lam, mu, ctx)
-    if rects is None:
-        return None
-    return CompatiblePair(as_partition(lam), as_partition(mu), ctx, rects)
+    lam, mu = as_partition(lam), as_partition(mu)
+    rects = _skew_decompose(lam, mu, ctx)
+    return None if rects is None else CompatiblePair(lam, mu, ctx, rects)
 
 
 def is_compatible(lam: Partition, mu: Partition, ctx: BoxContext) -> bool:
@@ -205,37 +249,16 @@ def build_witness_X(cp: CompatiblePair) -> tuple[tuple[int, ...], tuple[int, ...
     whose strict/weak comparison pattern realizes (lam, mu):
     x_i > y_j exactly on lam, x_i >= y_j exactly on mu.
 
-    Rows (x, descending) and columns (y, descending from j = q) are merged
-    into a common chain of levels; every rectangle of the skew becomes one
-    tie block whose rows and columns all share a level.
+    Level k of the pair's word, counted from 0 at the top, gives its rows
+    and columns the value p + q - k.
     """
     p, q = cp.ctx.p, cp.ctx.q
-    lam, mu = pad(cp.lam, p), pad(cp.mu, p)
-    xs, ys = [0] * p, [0] * q
-    level = p + q
-    i, j = 1, q
-    while i <= p or j >= 1:
-        if i > p:
-            ys[j - 1] = level
-            j -= 1
-        elif j < 1 or j <= lam[i - 1]:
-            xs[i - 1] = level
-            i += 1
-        elif j > mu[i - 1]:
-            ys[j - 1] = level
-            j -= 1
-        else:
-            # tie block: the run of rows sharing (lam_i, mu_i) and the columns
-            # lam_i < j' <= mu_i all receive the current level
-            lo, hi = lam[i - 1], mu[i - 1]
-            while i <= p and (lam[i - 1], mu[i - 1]) == (lo, hi):
-                xs[i - 1] = level
-                i += 1
-            while j > lo:
-                ys[j - 1] = level
-                j -= 1
-        level -= 1
-    return tuple(xs), tuple(ys)
+    xs: list[int] = []
+    ys: list[int] = []  # y_q first
+    for k, (a, b) in enumerate(_level_word(cp.lam, cp.mu, p, q)):
+        xs += [p + q - k] * a
+        ys += [p + q - k] * b
+    return tuple(xs), tuple(reversed(ys))
 
 
 def partitions_of_witness(xs: Sequence[int], ys: Sequence[int], ctx: BoxContext) -> tuple[Partition, Partition]:
@@ -251,23 +274,17 @@ def inscribes(r: int, lam: Partition, mu: Partition, p: int) -> bool:
     mu - (r^p) is a partition containing lam.
 
     For a compatible pair with rectangles (p_i x q_i) this is equivalent to
-    sum(p_i) == p and r <= q_i for all i; both forms are evaluated and must
-    agree whenever the rectangle decomposition exists.
+    sum(p_i) == p and r <= q_i for all i.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     if r == 0:
         return True
     lam, mu = as_partition(lam), as_partition(mu)
-    if not contains(mu, lam):
+    if not _contains(mu, lam):
         raise ValueError(f"need lam <= mu: {lam}, {mu}")
     mup = pad(mu, p)
-    componentwise = all(mup[i] - r >= part(lam, i + 1) for i in range(p))
-    rects = skew_decompose(lam, mu, BoxContext(p, max(1, mup[0])))
-    if rects is not None:
-        rect_form = sum(rows for rows, _ in rects) == p and all(cols >= r for _, cols in rects)
-        assert rect_form == componentwise, (r, lam, mu, p, rects)
-    return componentwise
+    return all(mup[i] - r >= part(lam, i + 1) for i in range(p))
 
 
 def subtract_rows(mu: Partition, r: int, p: int) -> Partition:
@@ -283,34 +300,32 @@ def ortho_classify(lam: Partition, ctx: BoxContext) -> Optional[OrthoPartition]:
     """Classify lam as an orthogonal partition of the box, or None.
 
     The skew complement(lam)/lam of an orthogonal partition is centrally
-    symmetric, so its rectangle list is a palindrome
+    symmetric, so the level word of (lam, complement(lam)) is a palindrome
+    and its rectangle list reads
     (a_1 x b_1) * ... * (p_0 x q_0) * ... * (a_1 x b_1); parity is odd when
     the total rectangle count is odd.  Even-parity partitions carry a type
     in {1, 2, 3} governing how many sign labels the module catalog attaches.
     """
     lam = as_partition(lam)
     p, q = ctx.p, ctx.q
-    if not in_box(lam, p, q):
+    if not _in_box(lam, p, q):
         raise ValueError(f"{lam} does not fit in {p}x{q}")
-    lam_hat = complement(lam, p, q)
-    if not contains(lam_hat, lam):
+    lam_hat = _complement(lam, p, q)
+    word = _level_word(lam, lam_hat, p, q)
+    if _pair_of_word(word, q) != (lam, lam_hat):
         return None
-    rects = skew_decompose(lam, lam_hat, ctx)
-    if rects is None:
-        return None
+    if word != word[::-1]:
+        raise ValueError(f"level word of {lam} in {p}x{q} is not a palindrome: {word}")
+    return _orthogonal(lam, word, ctx)
+
+
+def _orthogonal(lam: Partition, word: tuple[Level, ...], ctx: BoxContext) -> OrthoPartition:
+    """The orthogonal partition lam with palindromic level word `word`."""
+    rects = _rects(word)
     m = len(rects)
-    assert rects == tuple(reversed(rects)), f"skew of {lam} in {p}x{q} is not palindromic"
     if m % 2 == 1:
-        pairs = rects[: m // 2]
-        central = rects[m // 2]
-        parity = "odd"
-        even_type = None
-    else:
-        pairs = rects[: m // 2]
-        central = None
-        parity = "even"
-        even_type = _even_type(lam, p, q)
-    return OrthoPartition(lam, ctx, tuple(pairs), central, parity, even_type)
+        return OrthoPartition(lam, ctx, rects[: m // 2], rects[m // 2], "odd", None)
+    return OrthoPartition(lam, ctx, rects[: m // 2], None, "even", _even_type(lam, ctx.p, ctx.q))
 
 
 def _even_type(lam: Partition, p: int, q: int) -> int:
@@ -324,13 +339,14 @@ def _even_type(lam: Partition, p: int, q: int) -> int:
       type 3: p, q even with both strict.
     Both p and q odd never happens: those boxes only carry odd partitions.
     """
-    assert p % 2 == 0 or q % 2 == 0, "even orthogonal partition in an odd x odd box"
+    if p % 2 == 1 and q % 2 == 1:
+        raise ValueError(f"even orthogonal partition {lam} in the odd x odd box {p}x{q}")
     if p % 2 == 0 and q % 2 == 1:
         return 1
     if p % 2 == 1 and q % 2 == 0:
         return 2
     r, s = p // 2, q // 2
-    conj = conjugate(lam)
+    conj = _conjugate(lam)
     row_strict = part(lam, r) > part(lam, r + 1)
     col_strict = part(conj, s) > part(conj, s + 1)
     if row_strict and col_strict:
@@ -353,41 +369,42 @@ def partitions_in_box(p: int, q: int) -> Iterator[Partition]:
     """All partitions inside p x q, in lexicographic order of the padded tuple."""
 
     def gen(rows: int, maxpart: int):
-        if rows == 0:
-            yield ()
-            return
-        for first in range(maxpart + 1):
-            for rest in gen(rows - 1, first):
-                yield (first,) + rest
+        yield ()  # every remaining row empty
+        if rows:
+            for first in range(1, maxpart + 1):
+                for rest in gen(rows - 1, first):
+                    yield (first,) + rest
 
-    seen = set()
-    for padded in gen(p, q):
-        lam = as_partition(padded)
-        if lam not in seen:
-            seen.add(lam)
-            yield lam
+    return gen(p, q)
 
 
 def enumerate_compatible(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[CompatiblePair]:
-    """All compatible pairs in the box, ordered by (|lam|, lam, mu)."""
+    """All compatible pairs in the box, one per level word, ordered by
+    (|lam|, lam, mu)."""
     if ctx.p * ctx.q > cap:
         raise CapExceededError("enumeration box area p*q", ctx.p * ctx.q, cap)
-    out = []
-    parts = sorted(partitions_in_box(ctx.p, ctx.q))
-    for lam, mu in itertools.product(parts, parts):
-        if not contains(mu, lam):
-            continue
-        cp = compatible_pair(lam, mu, ctx)
-        if cp is not None:
-            out.append(cp)
+    out = [CompatiblePair(*_pair_of_word(word, ctx.q), ctx, _rects(word))
+           for word in _level_words(ctx.p, ctx.q)]
     out.sort(key=lambda c: (weight(c.lam), c.lam, c.mu))
     return out
 
 
 def enumerate_orthogonal(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[OrthoPartition]:
-    """All orthogonal partitions in the box, ordered by (|lam|, lam)."""
-    if ctx.p * ctx.q > cap:
-        raise CapExceededError("enumeration box area p*q", ctx.p * ctx.q, cap)
-    out = [o for lam in partitions_in_box(ctx.p, ctx.q) for o in [ortho_classify(lam, ctx)] if o is not None]
+    """All orthogonal partitions in the box, one per palindromic level word
+    (a half word, its mirror image and between them at most one central
+    level), ordered by (|lam|, lam)."""
+    p, q = ctx.p, ctx.q
+    if p * q > cap:
+        raise CapExceededError("enumeration box area p*q", p * q, cap)
+    out = []
+    for a in range(p // 2 + 1):
+        for b in range(q // 2 + 1):
+            centre = (p - 2 * a, q - 2 * b)
+            if centre != (0, 0) and not _is_level(*centre):
+                continue
+            mid = (centre,) if centre != (0, 0) else ()
+            for half in _level_words(a, b):
+                word = half + mid + half[::-1]
+                out.append(_orthogonal(_pair_of_word(word, q)[0], word, ctx))
     out.sort(key=lambda o: (weight(o.lam), o.lam))
     return out

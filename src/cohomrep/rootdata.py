@@ -28,9 +28,9 @@ from .partitions import (
     CompatiblePair,
     OrthoPartition,
     Partition,
+    _conjugate,
     as_partition,
     complement,
-    conjugate,
     part,
     weight,
 )
@@ -126,7 +126,7 @@ def ktype_weight_U(lam: Partition, mu: Partition, ctx: BoxContext) -> Weight:
     """
     p, q = ctx.p, ctx.q
     lam, mu = as_partition(lam), as_partition(mu)
-    lc, mc = conjugate(lam), conjugate(mu)
+    lc, mc = _conjugate(lam), _conjugate(mu)
     xs = [part(lam, i) + part(mu, i) - q for i in range(1, p + 1)]
     ys = [p - part(lc, j) - part(mc, j) for j in range(1, q + 1)]
     return Weight.make(xs, ys, "U")
@@ -223,8 +223,8 @@ def _check_signs(orth: OrthoPartition, sign1, sign2):
 
 
 def degree_U(cp: CompatiblePair) -> int:
-    """R = |lam| + |complement(mu)| = dim(u cap p)."""
-    return weight(cp.lam) + weight(complement(cp.mu, cp.ctx.p, cp.ctx.q))
+    """R = |lam| + |complement(mu)| = |lam| + pq - |mu| = dim(u cap p)."""
+    return weight(cp.lam) + cp.ctx.p * cp.ctx.q - weight(cp.mu)
 
 
 def degree_O(orth: OrthoPartition) -> int:

@@ -74,7 +74,7 @@ def module_from_pair(cp: CompatiblePair) -> VZModule:
         degree=rd.degree_U(cp), levi=levi_of_pair(cp),
         lowest_ktype=rd.ktype_weight_U(cp.lam, cp.mu, cp.ctx),
         discrete_series=cp.is_discrete_series,
-        holomorphic=(cp.mu == pt.as_partition((q,) * p)),
+        holomorphic=(cp.mu == (q,) * p),
         o_group_extension=False,
     )
 

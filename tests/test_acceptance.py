@@ -68,8 +68,11 @@ def test_criterion_2_compatibility_equivalence():
             xs, ys = pt.build_witness_X(cp)
             assert pt.partitions_of_witness(xs, ys, ctx) == (cp.lam, cp.mu)
             seen.add((cp.lam, cp.mu))
+            full_height = sum(a for a, _ in cp.rects) == p
             for r in range(0, q + 1):
-                pt.inscribes(r, cp.lam, cp.mu, p)  # asserts form agreement inside
+                # componentwise form (inscribes) == rectangle form
+                rect_form = r == 0 or (full_height and all(b >= r for _, b in cp.rects))
+                assert pt.inscribes(r, cp.lam, cp.mu, p) == rect_form, (p, q, cp, r)
         # decompose-fails iff no witness exists (checked by recapturing all
         # realizable pairs from dominant vectors on a small grid)
         if p * q <= 9:

@@ -59,6 +59,32 @@ class TestLefschetz:
         assert proc.returncode == 64
 
 
+class TestPartitionArguments:
+    # malformed partitions, nesting and boxes are rejected before any
+    # computation; compatibility is not checked here (cup rows may name
+    # incompatible pairs)
+    @pytest.mark.parametrize("args", [
+        ["isolation", "--kind", "O", "--p", "3", "--q", "4", "--lam", "1,2"],
+        ["isolation", "--kind", "O", "--p", "3", "--q", "4", "--lam", "a"],
+        ["isolation", "--kind", "O", "--p", "2", "--q", "2", "--lam", "5"],
+        ["isolation", "--kind", "U", "--p", "2", "--q", "2", "--lam", "1", "--mu", "3"],
+        ["catalog", "--kind", "U", "--p", "0", "--q", "2"],
+        ["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--H", "O:3,3", "--component", "9"],
+        ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "2;1"],
+        ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "1;9,1"],
+    ])
+    def test_rejected_with_usage_exit(self, args):
+        proc = run(*args, check=False)
+        assert proc.returncode == 64, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+    def test_incompatible_cup_component_still_answers(self):
+        out = json.loads(run("lefschetz", "--mode", "cup", "--G", "U:2,4", "--H", "U:2,2",
+                             "--component", "1;2,2").stdout)
+        assert out["data"][0]["criterion_value"] is False
+
+
 class TestBranch:
     def test_lr(self):
         out = json.loads(run("branch", "--op", "lr", "--lam", "2,1", "--mu", "1",

@@ -1,10 +1,16 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohomrep import partitions as pt
 from cohomrep.partitions import BoxContext
+
+from _partitions_reference import all_pairs_compatible, skew_rects
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -99,6 +105,16 @@ class TestSkewDecompose:
                 expected = (lam, mu) in realizable
                 assert pt.is_compatible(lam, mu, ctx) == expected, (p, q, lam, mu)
 
+    def test_matches_row_run_reference(self):
+        # every nested pair, compatible or not: the level-word round trip
+        # agrees with the row-run decomposition
+        for p, q in itertools.product(range(1, 6), repeat=2):
+            ctx = BoxContext(p, q)
+            parts = list(pt.partitions_in_box(p, q))
+            for lam, mu in itertools.product(parts, parts):
+                if pt.contains(mu, lam):
+                    assert pt.skew_decompose(lam, mu, ctx) == skew_rects(lam, mu, p), (p, q, lam, mu)
+
 
 class TestWitness:
     def test_round_trip_everywhere(self, compatible_by_box):
@@ -127,11 +143,14 @@ class TestInscribes:
             pt.inscribes(-1, (), (1,), 1)
 
     def test_forms_agree_exhaustively(self, compatible_by_box):
-        # the componentwise and rectangle forms are compared inside inscribes
+        # inscribes evaluates the componentwise form; the rectangle form
+        # sum(p_i) == p and r <= q_i must agree on every compatible pair
         for (p, q), pairs in compatible_by_box.items():
             for cp in pairs:
+                full_height = sum(a for a, _ in cp.rects) == p
                 for r in range(0, q + 1):
-                    pt.inscribes(r, cp.lam, cp.mu, p)
+                    rect_form = r == 0 or (full_height and all(b >= r for _, b in cp.rects))
+                    assert pt.inscribes(r, cp.lam, cp.mu, p) == rect_form, (p, q, cp, r)
 
 
 class TestOrtho:
@@ -143,6 +162,13 @@ class TestOrtho:
         o = pt.ortho_classify((2, 1), BoxContext(2, 3))
         assert o is not None and o.parity == "even" and o.rect_count == 0
         assert pt.ortho_classify((1,), BoxContext(2, 3)) is None
+
+    def test_enumeration_matches_classify_scan(self, orthogonal_by_box):
+        for (p, q), orths in orthogonal_by_box.items():
+            ctx = BoxContext(p, q)
+            scan = [o for lam in pt.partitions_in_box(p, q) for o in [pt.ortho_classify(lam, ctx)] if o]
+            scan.sort(key=lambda o: (pt.weight(o.lam), o.lam))
+            assert orths == scan, (p, q)
 
     def test_box_1x1(self):
         # (1) is not orthogonal in 1x1: its complement () does not contain it
@@ -185,6 +211,10 @@ class TestEnumeration:
         with pytest.raises(pt.CapExceededError):
             pt.enumerate_compatible(BoxContext(7, 7))
 
+    def test_matches_all_pairs_scan(self, compatible_by_box):
+        for (p, q), pairs in compatible_by_box.items():
+            assert pairs == all_pairs_compatible(BoxContext(p, q)), (p, q)
+
     def test_rectangle_fact(self, compatible_by_box):
         # decompositions with sum(p_i) <= p-1 or some q_i < r have strictly
         # deficient area: sum p_i q_i < pq - q + r
@@ -196,3 +226,22 @@ class TestEnumeration:
                 for r in range(1, q + 1):
                     if rows <= p - 1 or any(b < r for _, b in cp.rects):
                         assert area < p * q - q + r, (p, q, cp.lam, cp.mu, r)
+
+
+class TestOptimizedMode:
+    def test_invariant_checks_survive_O(self):
+        # python -O strips bare asserts; the partition-path invariants raise
+        src = pathlib.Path(pt.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("from cohomrep import isolation as iso, partitions as pt\n"
+                "fake = pt.OrthoPartition((1,), pt.BoxContext(2, 3), (), None, 'even', 1)\n"
+                "for call in (lambda: pt._even_type((), 3, 3), lambda: iso._torus_chain(fake)):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        assert "odd x odd" in lines[0] and "not a palindrome" in lines[1]
