@@ -113,8 +113,8 @@ def gl_to_o_mult(lam: Partition, mu: Partition, n: int) -> Optional[int]:
     for delta in even_row_partitions(weight(lam) - weight(mu), len(lam)):
         if weight(mu) + weight(delta) == weight(lam):
             total += lr_coefficient(lam, mu, delta)
-    if lam == mu:
-        assert total == 1, (lam, n, total)
+    if lam == mu and total != 1:
+        raise RuntimeError(f"Littlewood's rule gives {total} != 1 for lam = mu = {lam}, n = {n}")
     return total
 
 
@@ -142,8 +142,8 @@ def restrict_O(lam: Partition, ctx: BoxContext, r: int) -> dict:
         raise ValueError(f"{lam} is not orthogonal in {ctx.p}x{ctx.q}")
     lam_hat = complement(lam, ctx.p, ctx.q)
     ok = inscribes(r, lam, lam_hat, ctx.p)
-    if ok:
-        assert ortho_classify(lam, BoxContext(ctx.p, ctx.q - r)) is not None
+    if ok and ortho_classify(lam, BoxContext(ctx.p, ctx.q - r)) is None:
+        raise RuntimeError(f"{lam} fits (r^p) but is not orthogonal in {ctx.p}x{ctx.q - r}")
     return {"contains": ok, "multiplicity": 1 if ok else 0}
 
 
@@ -185,7 +185,8 @@ def kobayashi_admissible(kind: str, p: int, q: int, r: int, lam: Partition, mu: 
         raise ValueError("need 2r <= q")
     lam = as_partition(lam)
     if kind == "U":
-        assert mu is not None
+        if mu is None:
+            raise ValueError("U needs mu")
         mu = as_partition(mu)
         return all(part(lam, i) * (q - part(mu, i)) == 0 for i in range(1, p + 1))
     if kind == "O":
@@ -277,8 +278,10 @@ def gl_decompose(char: FormalCharacter, cap_iters: int = 10**5) -> Counter:
             raise RuntimeError("decomposition did not terminate")
         top = max(work)
         mult = work[top]
-        assert mult > 0, (top, mult)
-        assert all(top[i] >= top[i + 1] for i in range(n - 1)), f"non-dominant leading weight {top}"
+        if mult <= 0:
+            raise ValueError(f"virtual character: leading weight {top} has multiplicity {mult}")
+        if any(top[i] < top[i + 1] for i in range(n - 1)):
+            raise ValueError(f"non-dominant leading weight {top}")
         out[top] += mult
         for w, m in gl_character(top, n).items():
             work[w] -= mult * m

@@ -148,12 +148,16 @@ def cmd_isolation(args, cfg) -> int:
 
 
 def cmd_lefschetz(args, cfg) -> int:
-    G = lef.parse_group(args.G)
+    try:
+        G = lef.parse_group(args.G)
+        groups = [lef.parse_group(t) for t in args.H.split("+")] if args.H else []
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     H = None
-    if args.H:
-        parts = args.H.split("+")
-        groups = [lef.parse_group(t) for t in parts]
-        H = groups[0] if len(groups) == 1 else tuple(groups)
+    if len(groups) == 1:
+        H = groups[0]
+    elif groups:
+        H = tuple(groups)
     component = None
     if args.component:
         pieces = [parse_partition(t) for t in args.component.split(";")]
@@ -164,6 +168,14 @@ def cmd_lefschetz(args, cfg) -> int:
                 boxed(G.p, G.q, lam)
         else:
             boxed(G.p, G.q, *pieces[:2])
+        if args.mode == "cup":
+            if len(pieces) != (2 if G.kind == "U" else 1):
+                raise UsageError("cup mode needs --component 'lam;mu' for U and 'lam' for O")
+            try:
+                _, q_H = lef.cup_box(G, H, args.r)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
+            boxed(G.p, q_H, *pieces[:2])
         component = pieces[0] if len(pieces) == 1 else (pieces[0], pieces[1])
     if args.mode == "restriction":
         v = lef.restriction_verdict(G, H, degree=args.degree, component=component,
@@ -225,6 +237,8 @@ def cmd_branch(args, cfg) -> int:
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
                      "provenance": "computed"})
     elif args.op == "kobayashi":
+        if args.kind == "U" and args.mu is None:
+            raise UsageError("kobayashi --kind U needs --mu")
         mu = parse_partition(args.mu) if args.mu else None
         ok = br.kobayashi_admissible(args.kind, args.p, args.q, args.r, lam, mu)
         rows.append({"op": "kobayashi", "kind": args.kind, "lam": list(lam),

@@ -1,4 +1,4 @@
-"""Runtime configuration for the CLI: caps, samples, seeds, tolerances.
+"""Runtime configuration for the CLI: caps, samples, seeds, step sizes.
 
 An optional config file holds flat ``key = value`` lines (# comments
 allowed); command-line flags override file values.
@@ -15,15 +15,12 @@ class Config:
     mc_samples: int = 1_000_000
     mc_batches: int = 16
     seed: int = 0
-    tolerance: float = 0.02
     fd_step: float = 1e-4
     format: str = "json"  # json | csv | md
 
     def validate(self):
         if self.enum_cap <= 0 or self.mc_samples <= 0 or self.mc_batches <= 0:
             raise ValueError("caps and sample counts must be positive")
-        if not (0.0 < self.tolerance < 1.0):
-            raise ValueError("tolerance must lie in (0, 1)")
         if self.format not in ("json", "csv", "md"):
             raise ValueError(f"unknown format {self.format!r}")
         return self

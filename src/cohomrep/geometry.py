@@ -197,7 +197,8 @@ def distance_origin(Z: np.ndarray) -> dict:
     upper = neg_log_A / 2.0 + m * math.log(2.0)
     if m == 1:
         exact_r1 = math.acosh(math.exp(neg_log_A / 2.0))
-        assert abs(exact_r1 - exact) < 1e-9
+        if abs(exact_r1 - exact) >= 1e-9:
+            raise ArithmeticError(f"rank-one distance {exact_r1} disagrees with {exact}")
     return {"exact": exact, "rank": m, "lower": lower, "upper": upper}
 
 
@@ -213,7 +214,8 @@ def ba_ratio(Z: np.ndarray, q: int) -> dict:
     Z2 = Z[q:]
     K = Z2 @ np.linalg.inv(np.eye(p) - Z.T @ Z) @ Z2.T
     alt = np.linalg.slogdet(np.eye(r) + K)
-    assert alt[0] > 0
+    if alt[0] <= 0:
+        raise ArithmeticError("det(1 + Z2 (1 - tZ Z)^{-1} tZ2) is not positive")
     log_ratio = log_B - log_A
     if r:
         lhs = 1.0 + np.trace(K) / r
@@ -285,7 +287,8 @@ def jacobi_spectrum(M: np.ndarray, p: int, q: int, r: int) -> dict:
     min(r, p) >= 2 (see lemma_jacobi_multiset for the printed variant)."""
     sv = np.linalg.svd(np.asarray(M, float), compute_uv=False)
     lam = list(sv) + [0.0] * (max(r, p) - len(sv))
-    assert abs(sum(v * v for v in lam) - 1.0) < 1e-9, "Y must be a unit vector"
+    if abs(sum(v * v for v in lam) - 1.0) >= 1e-9:
+        raise ValueError("Y must be a unit vector")
     return exact_jacobi_multiset(lam, p, q, r)
 
 
@@ -507,7 +510,8 @@ def hessian_numeric_check(Z: np.ndarray, q: int, h: float = 1e-4) -> dict:
     distance to X_V against the closed profile; returns the max deviation."""
     Z = np.asarray(Z, float)
     n, p = Z.shape
-    assert n - q == 1, "distance profile is exact for r = 1 only"
+    if n - q != 1:
+        raise ValueError("distance profile is exact for r = 1 only")
     F = distance_to_XV(Z, q)
     got = np.sort(hessian_eigenvalues(lambda W: distance_to_XV(W, q), Z, h))
     want = np.array(hessian_profile_distance(F, p, q))

@@ -80,8 +80,10 @@ class Verdict:
     criterion_value: Optional[bool] = None  # for iff-criteria and conjectures
 
     def __post_init__(self):
-        assert self.anchor in CITATIONS or self.status == NOT_COVERED, self.anchor
-        assert self.status in (GUARANTEED, CONJECTURED, NOT_COVERED, FAILS)
+        if self.anchor not in CITATIONS and self.status != NOT_COVERED:
+            raise ValueError(f"unknown anchor {self.anchor!r}")
+        if self.status not in (GUARANTEED, CONJECTURED, NOT_COVERED, FAILS):
+            raise ValueError(f"unknown status {self.status!r}")
 
     @property
     def citation(self) -> str:
@@ -99,11 +101,15 @@ class Group:
 
 
 def parse_group(text: str) -> Group:
-    kind, rest = text.split(":")
-    p, q = (int(v) for v in rest.split(","))
-    if kind not in ("U", "O"):
-        raise ValueError(f"unknown group kind {kind!r}")
-    return Group(kind, p, q)
+    """'U:p,q' or 'O:p,q' with p, q >= 1."""
+    try:
+        kind, rest = text.split(":")
+        p, q = (int(v) for v in rest.split(","))
+        if kind in ("U", "O") and p >= 1 and q >= 1:
+            return Group(kind, p, q)
+    except ValueError:
+        pass
+    raise ValueError(f"bad group {text!r}: expected U:p,q or O:p,q with p, q >= 1")
 
 
 def _hyperplane_pair(G: Group, H) -> bool:
@@ -300,12 +306,9 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
                        "no theorem covers this cup query")
     if component is None:
         raise ValueError("need a degree or a component")
+    rr, qq = cup_box(G, H, r)
     if G.kind == "O":
         lam = as_partition(component)
-        rr = r if r is not None else (q - H.q if isinstance(H, Group) else None)
-        if rr is None:
-            raise ValueError("need r for component cup queries")
-        qq = H.q if isinstance(H, Group) else q - rr
         ok = (ortho_classify(lam, BoxContext(p, qq)) is not None
               and inscribes(rr, lam, complement(lam, p, qq), p))
         anchor = "Conj conjl2O" if l2 else "Conj C100"
@@ -313,13 +316,24 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
                        target_component=_lam_plus_rp(lam, rr, p) if ok else None,
                        criterion_value=ok, qualifier="L2 cohomology" if l2 else None)
     lam, mu = as_partition(component[0]), as_partition(component[1])
-    rr = r if r is not None else (q - H.q if isinstance(H, Group) else None)
-    qq = H.q if isinstance(H, Group) else q - rr
     ok = is_compatible(lam, mu, BoxContext(p, qq)) and inscribes(rr, lam, mu, p)
     anchor = "Conj conjl2" if l2 else "Conj conj2"
     return Verdict(CONJECTURED, anchor, f"criterion (r^p) fits in mu/lam: {ok}",
                    target_component=(_lam_plus_rp(lam, rr, p), mu) if ok else None,
                    criterion_value=ok, qualifier="L2 cohomology" if l2 else None)
+
+
+def cup_box(G: Group, H=None, r: Optional[int] = None) -> tuple[int, int]:
+    """(r, q') for a component cup query: the codimension r (given, or q - q'
+    from H) and H's box p x q' (q' = q - r without H) that holds the
+    component.  Raises ValueError without H and r, or when r is outside
+    1..q-1."""
+    rr = r if r is not None else (G.q - H.q if isinstance(H, Group) else None)
+    if rr is None:
+        raise ValueError("a component cup query needs H or r")
+    if not 1 <= rr <= G.q - 1:
+        raise ValueError(f"r = {rr} is outside 1..{G.q - 1} for {G}")
+    return rr, H.q if isinstance(H, Group) else G.q - rr
 
 
 def _lam_plus_rp(lam: Partition, r: int, p: int) -> Partition:

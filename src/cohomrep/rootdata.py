@@ -8,10 +8,12 @@ for O(p,q).  The fixed positive compact systems are
   O:  x_i +- x_j (i < j), y_j +- y_i (i < j), plus the short roots x_i / y_i
       when p resp. q is odd,
 
-so dominance means x descending and y *ascending in index*.  All arithmetic
-is exact (integers and Fractions).  The Dirac bound builds its chambers once
-per (kind, p, q) and evaluates them in doubled int64 coordinates; only its
-signs and zero tests are meaningful, not its absolute normalization.
+so dominance means x descending and y *ascending in index*.  Weights are
+integer vectors: the lowest K-types 2rho(u cap p) are sums of roots.  rho is
+the only half-integral vector, so it is kept doubled (2rho, 2rho_c, 2rho_n).
+The Dirac bound builds its chambers once per (kind, p, q) and evaluates them
+on the doubled weight in int64; only its signs and zero tests are
+meaningful, not its absolute normalization.
 """
 
 from __future__ import annotations
@@ -44,15 +46,17 @@ def _conv_O(p: int, q: int) -> str:
 
 @dataclass(frozen=True)
 class Weight:
-    """Integer or half-integer vector in the fixed torus coordinates."""
+    """Integer vector in the fixed torus coordinates."""
 
-    xs: tuple[Fraction, ...]
-    ys: tuple[Fraction, ...]
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
     conv: str  # "U" | "O-even-even" | "O-even-odd" | "O-odd-even" | "O-odd-odd"
 
     @staticmethod
     def make(xs: Sequence, ys: Sequence, conv: str) -> "Weight":
-        return Weight(tuple(Fraction(v) for v in xs), tuple(Fraction(v) for v in ys), conv)
+        """The weight with integer entries xs, ys; raises ValueError on an
+        entry that is not an integer."""
+        return Weight(_integers(xs), _integers(ys), conv)
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check_conv(other)
@@ -67,9 +71,6 @@ class Weight:
     def _check_conv(self, other: "Weight") -> None:
         if self.conv != other.conv:
             raise ValueError(f"weights in different coordinates: {self.conv} and {other.conv}")
-
-    def norm2(self) -> Fraction:
-        return sum(v * v for v in self.xs) + sum(v * v for v in self.ys)
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.xs) and all(v == 0 for v in self.ys)
@@ -95,16 +96,24 @@ class Weight:
         return x_ok and y_ok
 
 
+def _integers(vals: Sequence) -> tuple[int, ...]:
+    out = tuple(int(v) for v in vals)
+    for v, n in zip(vals, out):
+        if v != n:
+            raise ValueError(f"weight entry {v} is not an integer")
+    return out
+
+
 @dataclass(frozen=True)
 class RootSystemData:
     kind: str
     p: int
     q: int
-    pos_compact: tuple[tuple[tuple[Fraction, ...], int], ...]  # (coordinate vector, multiplicity)
-    noncompact_pairs: tuple[tuple[tuple[Fraction, ...], int], ...]  # one per +- pair
-    rho: Weight
-    rho_c: Weight
-    rho_n: Weight
+    pos_compact: tuple[tuple[tuple[int, ...], int], ...]  # (coordinate vector, multiplicity)
+    noncompact_pairs: tuple[tuple[tuple[int, ...], int], ...]  # one per +- pair
+    rho2: Weight  # 2rho = rho_c2 + rho_n2
+    rho_c2: Weight
+    rho_n2: Weight
 
 
 def r_G(kind: str, p: int, q: int) -> int:
@@ -228,14 +237,13 @@ def degree_U(cp: CompatiblePair) -> int:
 
 
 def degree_O(orth: OrthoPartition) -> int:
-    """R = |lam|; the Levi identity R = (pq - 2*sum a_j b_j - p0 q0)/2 must agree."""
+    """R = |lam|; the Levi identity 2R = pq - 2*sum a_j b_j - p0 q0 must agree."""
     p, q = orth.ctx.p, orth.ctx.q
     ab = 2 * sum(a * b for a, b in orth.pairs)
     p0q0 = orth.central[0] * orth.central[1] if orth.central else 0
-    levi_form = Fraction(p * q - ab - p0q0, 2)
     r = weight(orth.lam)
-    if levi_form != r:
-        raise ValueError(f"Levi identity fails for {orth.lam} in ({p}, {q}): {levi_form} != {r}")
+    if p * q - ab - p0q0 != 2 * r:
+        raise ValueError(f"Levi identity fails for {orth.lam} in ({p}, {q}): {p * q - ab - p0q0} != 2*{r}")
     return r
 
 
@@ -245,87 +253,67 @@ def holomorphic_degree(r: int, s: int, p: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rho vectors for the standard positive systems
+# root data and rho vectors for the fixed positive systems
 
 
-def _rho_U(p: int, q: int) -> tuple[Weight, Weight, Weight]:
-    n = p + q
-    # chain order (x_1, ..., x_p, y_q, ..., y_1); position k gets (n-1-2k)/2
-    xs = [Fraction(n + 1 - 2 * i, 2) for i in range(1, p + 1)]
-    ys = [Fraction(2 * j - 1 - n, 2) for j in range(1, q + 1)]
-    rho = Weight.make(xs, ys, "U")
-    rho_c = Weight.make([Fraction(p + 1 - 2 * i, 2) for i in range(1, p + 1)],
-                        [Fraction(2 * j - q - 1, 2) for j in range(1, q + 1)], "U")
-    rho_n = rho - rho_c
-    return rho, rho_c, rho_n
+def _shape(kind: str, p: int, q: int) -> tuple[int, int]:
+    """(r, s): the numbers of x and y coordinates of the torus."""
+    if kind == "U":
+        return p, q
+    if kind == "O":
+        return p // 2, q // 2
+    raise ValueError(f"unknown kind {kind!r}")
 
 
-def _o_root_vectors(p: int, q: int):
-    """Root data of O(p,q) on the rank r+s torus.
+def _root_vectors(kind: str, p: int, q: int):
+    """(compact, noncompact) roots of (kind, p, q) on the rank r+s torus, one
+    root per +- pair as (vector over the r+s coordinates, multiplicity).
 
-    Returns (m, compact_pairs, noncompact_pairs) where each entry is
-    (vector over the m = r+s coordinates, multiplicity) listing one root per
-    +- pair.  Short x-roots are compact iff p is odd and noncompact iff q is
-    odd (symmetrically for y)."""
-    r, s = p // 2, q // 2
-    m = r + s
+    The compact ones are the fixed positive system.  For O, the short x-roots
+    are compact iff p is odd and noncompact iff q is odd (symmetrically for
+    y)."""
+    r, s = _shape(kind, p, q)
 
     def vec(*pairs):
-        v = [0] * m
+        v = [0] * (r + s)
         for idx, c in pairs:
             v[idx] += c
-        return tuple(v)
+        return tuple(v), 1
 
-    compact = []
-    for i, j in itertools.combinations(range(r), 2):
-        compact.append((vec((i, 1), (j, -1)), 1))
-        compact.append((vec((i, 1), (j, 1)), 1))
-    for i, j in itertools.combinations(range(s), 2):
-        compact.append((vec((r + j, 1), (r + i, -1)), 1))
-        compact.append((vec((r + j, 1), (r + i, 1)), 1))
-    if p % 2 == 1:
-        compact += [(vec((i, 1)), 1) for i in range(r)]
-    if q % 2 == 1:
-        compact += [(vec((r + j, 1)), 1) for j in range(s)]
-    noncompact = []
-    for i in range(r):
-        for j in range(s):
-            noncompact.append((vec((i, 1), (r + j, -1)), 1))
-            noncompact.append((vec((i, 1), (r + j, 1)), 1))
-    if q % 2 == 1:
-        noncompact += [(vec((i, 1)), 1) for i in range(r)]
-    if p % 2 == 1:
-        noncompact += [(vec((r + j, 1)), 1) for j in range(s)]
-    return m, compact, noncompact
+    signs = (-1, 1) if kind == "O" else (-1,)  # x_i - x_j, and for O also x_i + x_j
+    compact = [vec((i, 1), (j, c)) for i, j in itertools.combinations(range(r), 2) for c in signs]
+    compact += [vec((r + j, 1), (r + i, c)) for i, j in itertools.combinations(range(s), 2) for c in signs]
+    noncompact = [vec((i, 1), (r + j, c)) for i in range(r) for j in range(s) for c in signs]
+    if kind == "O":
+        x_short = [vec((i, 1)) for i in range(r)]
+        y_short = [vec((r + j, 1)) for j in range(s)]
+        compact += (x_short if p % 2 else []) + (y_short if q % 2 else [])
+        noncompact += (x_short if q % 2 else []) + (y_short if p % 2 else [])
+    return compact, noncompact
 
 
-def _split_xy_O(v: Sequence[Fraction], p: int, q: int) -> Weight:
-    r = p // 2
-    return Weight.make(v[:r], v[r:], _conv_O(p, q))
+def _chamber_orders(kind: str, p: int, q: int):
+    """One generic vector per chamber: a positive system of g containing the
+    fixed compact one.
 
-
-def _rho_O(p: int, q: int) -> tuple[Weight, Weight, Weight]:
-    m, compact, noncompact = _o_root_vectors(p, q)
-    # standard positivity: generic vector with x_1 > ... > x_r > y_s > ... > y_1 > 0
-    v0 = _std_order_vector(p, q)
-    rho_c = _half_sum(compact, v0, p, q)
-    rho_n = _half_sum(noncompact, v0, p, q)
-    return rho_c + rho_n, rho_c, rho_n
-
-
-def _std_order_vector(p: int, q: int) -> tuple[Fraction, ...]:
-    r, s = p // 2, q // 2
+    A generic v makes the compact system positive iff |v| descends along
+    x_1..x_r and ascends along y_1..y_s, with every x and y entry positive
+    except, for O, x_r (p even) and y_1 (q even), whose signs are free.  Only
+    the order of the magnitudes 1..r+s matters for the root signs.  The first
+    vector is the standard order x_1 > ... > x_r > y_s > ... > y_1 > 0."""
+    r, s = _shape(kind, p, q)
     m = r + s
-    v = [Fraction(0)] * m
-    for i in range(r):
-        v[i] = Fraction(2 ** (m - i))
-    for j in range(s):
-        v[r + j] = Fraction(2 ** (j + 1))
-    return tuple(v)
-
-
-def _half_sum(pairs, v0, p, q) -> Weight:
-    return _split_xy_O([Fraction(c, 2) for c in _positive_root_sum(pairs, v0)], p, q)
+    x_signs = (1, -1) if kind == "O" and p % 2 == 0 and r else (1,)
+    y_signs = (1, -1) if kind == "O" and q % 2 == 0 and s else (1,)
+    for xmags in itertools.combinations(range(m, 0, -1), r):
+        ymags = sorted(set(range(1, m + 1)).difference(xmags))
+        for sx, sy in itertools.product(x_signs, y_signs):
+            v = list(xmags) + ymags
+            if r:
+                v[r - 1] *= sx
+            if s:
+                v[r] *= sy
+            yield v
 
 
 def _positive_root_sum(pairs, v) -> list[int]:
@@ -343,34 +331,19 @@ def _positive_root_sum(pairs, v) -> list[int]:
 
 
 def root_system(kind: str, p: int, q: int) -> RootSystemData:
-    """Root data with the fixed positive systems; rho = rho_c + rho_n."""
-    if kind == "U":
-        rho, rho_c, rho_n = _rho_U(p, q)
-        pc = []
-        for i, j in itertools.combinations(range(p), 2):
-            v = [Fraction(0)] * (p + q)
-            v[i], v[j] = Fraction(1), Fraction(-1)
-            pc.append((tuple(v), 1))
-        for i, j in itertools.combinations(range(q), 2):
-            v = [Fraction(0)] * (p + q)
-            v[p + j], v[p + i] = Fraction(1), Fraction(-1)
-            pc.append((tuple(v), 1))
-        nc = []
-        for i in range(p):
-            for j in range(q):
-                v = [Fraction(0)] * (p + q)
-                v[i], v[p + j] = Fraction(1), Fraction(-1)
-                nc.append((tuple(v), 1))
-        return RootSystemData("U", p, q, tuple(pc), tuple(nc), rho, rho_c, rho_n)
-    if kind == "O":
-        rho, rho_c, rho_n = _rho_O(p, q)
-        m, compact, noncompact = _o_root_vectors(p, q)
-        v0 = _std_order_vector(p, q)
-        pos = lambda vec: sum(a * b for a, b in zip(vec, v0)) > 0
-        pc = tuple((tuple(Fraction(c) for c in vec), mult) for vec, mult in compact if pos(vec))
-        nc = tuple((tuple(Fraction(c) for c in vec), mult) for vec, mult in noncompact)
-        return RootSystemData("O", p, q, pc, nc, rho, rho_c, rho_n)
-    raise ValueError(f"unknown kind {kind!r}")
+    """Root data with the fixed positive systems; 2rho = 2rho_c + 2rho_n, read
+    at the standard order."""
+    compact, noncompact = _root_vectors(kind, p, q)
+    r, _ = _shape(kind, p, q)
+    conv = "U" if kind == "U" else _conv_O(p, q)
+    v0 = next(_chamber_orders(kind, p, q))
+
+    def half_sum2(pairs) -> Weight:
+        v = _positive_root_sum(pairs, v0)
+        return Weight.make(v[:r], v[r:], conv)
+
+    rho_c2, rho_n2 = half_sum2(compact), half_sum2(noncompact)
+    return RootSystemData(kind, p, q, tuple(compact), tuple(noncompact), rho_c2 + rho_n2, rho_c2, rho_n2)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +351,8 @@ def root_system(kind: str, p: int, q: int) -> RootSystemData:
 #
 # A chamber is a positive system of g containing the fixed compact one.  All
 # chamber data is kept doubled, so it is integral: the rows 2*rho_n^w, the
-# vector 2*rho_c and 4*||rho||^2 (the same for every chamber).
+# vector 2*rho_c and 4*||rho||^2 (the same for every chamber).  A weight is
+# doubled as it stands.
 
 _INT64_MAX = 2**63 - 1
 
@@ -390,40 +364,12 @@ def _chambers(kind: str, p: int, q: int):
     4*||rho||^2, and the largest |entry| of rho_n2 plus that of rho_c2."""
     import numpy as np
 
-    if kind == "U":
-        n = p + q
-        rho_c2 = [p + 1 - 2 * i for i in range(1, p + 1)] + [2 * j - q - 1 for j in range(1, q + 1)]
-        rho4 = sum((n - 1 - 2 * k) ** 2 for k in range(n))
-        rows = []
-        # one chamber per interleaving of the chain x_1..x_p with y_q..y_1;
-        # chain position k gets n-1-2k
-        for xpos in itertools.combinations(range(n), p):
-            ypos = [k for k in range(n) if k not in xpos]
-            rho2 = [n - 1 - 2 * k for k in xpos] + [n - 1 - 2 * k for k in reversed(ypos)]
-            rows.append([a - c for a, c in zip(rho2, rho_c2)])
-    else:
-        r, s = p // 2, q // 2
-        m, compact, noncompact = _o_root_vectors(p, q)
-        v0 = _std_order_vector(p, q)
-        rho_c2 = _positive_root_sum(compact, v0)
-        rho4 = sum((a + b) ** 2 for a, b in zip(rho_c2, _positive_root_sum(noncompact, v0)))
-        # A generic v makes the compact system positive iff |v| descends along
-        # x_1..x_r and ascends along y_1..y_s, with every x and y entry
-        # positive except x_r (p even) and y_1 (q even), whose signs are free.
-        # Only the order of the magnitudes 1..m matters for the root signs.
-        x_signs = (1, -1) if p % 2 == 0 and r else (1,)
-        y_signs = (1, -1) if q % 2 == 0 and s else (1,)
-        seen = {}
-        for xmags in itertools.combinations(range(m, 0, -1), r):
-            ymags = sorted(set(range(1, m + 1)).difference(xmags))
-            for sx, sy in itertools.product(x_signs, y_signs):
-                v = list(xmags) + ymags
-                if r:
-                    v[r - 1] *= sx
-                if s:
-                    v[r] *= sy
-                seen.setdefault(tuple(_positive_root_sum(noncompact, v)), None)
-        rows = list(seen)
+    rs = root_system(kind, p, q)
+    rho_c2 = rs.rho_c2.xs + rs.rho_c2.ys
+    rho4 = sum(v * v for v in rs.rho2.xs + rs.rho2.ys)
+    # distinct orders can give the same chamber (O), so deduplicate
+    rows = list(dict.fromkeys(tuple(_positive_root_sum(rs.noncompact_pairs, v))
+                              for v in _chamber_orders(kind, p, q)))
     rho_n2 = np.array(rows, dtype=np.int64).reshape(len(rows), len(rho_c2))
     rho_c2 = np.array(rho_c2, dtype=np.int64)
     rho_n2.flags.writeable = rho_c2.flags.writeable = False
@@ -445,27 +391,24 @@ def _abs_sorted(block, even: bool):
 
 def _dirac_max(kind: str, p: int, q: int, chi: Weight) -> Fraction:
     """max over chambers w of ||rho||^2 - ||dom(chi - rho_n^w) + rho_c||^2,
-    evaluated exactly in int64 with chi scaled by 2L, L the lcm of its
-    denominators."""
+    evaluated exactly in int64 on the doubled weight 2*chi."""
     import numpy as np
 
     rho_n2, rho_c2, rho4, reach = _chambers(kind, p, q)
-    vals = chi.xs + chi.ys
-    L = math.lcm(*(v.denominator for v in vals))
-    chi2 = [v.numerator * (2 * L // v.denominator) for v in vals]
-    # bounds every entry of dom below; L itself enters the int64 arithmetic
-    bound = max(map(abs, chi2), default=0) + L * max(reach, 1)
+    chi2 = [2 * v for v in chi.xs + chi.ys]
+    # bounds every entry of dom below
+    bound = max(map(abs, chi2), default=0) + reach
     if len(chi2) * bound * bound > _INT64_MAX:
         raise ValueError("weight too large for an exact int64 Dirac bound")
-    rows = np.array(chi2, dtype=np.int64) - L * rho_n2
+    rows = np.array(chi2, dtype=np.int64) - rho_n2
     nx = len(chi.xs)
     if kind == "U":
         dom = np.concatenate([np.sort(rows[:, :nx], axis=1)[:, ::-1], np.sort(rows[:, nx:], axis=1)], axis=1)
     else:
         dom = np.concatenate([_abs_sorted(rows[:, :nx], p % 2 == 0)[:, ::-1],
                               _abs_sorted(rows[:, nx:], q % 2 == 0)], axis=1)
-    dom += L * rho_c2
-    return Fraction(L * L * rho4 - int((dom * dom).sum(axis=1).min()), 4 * L * L)
+    dom += rho_c2
+    return Fraction(rho4 - int((dom * dom).sum(axis=1).min()), 4)
 
 
 def dirac_bound(kind: str, p: int, q: int, chi: Weight) -> Fraction:
@@ -479,18 +422,14 @@ def dirac_bound(kind: str, p: int, q: int, chi: Weight) -> Fraction:
     The chambers are built once per (kind, p, q); raises ValueError when chi
     is too large to evaluate exactly in int64.
     """
+    r, s = _shape(kind, p, q)
     if kind == "U":
         if math.comb(p + q, p) > WEYL_CAP:
             raise CapError(p, q)
-        conv, shape = "U", (p, q)
-    elif kind == "O":
-        m = p // 2 + q // 2
-        if 2**m * math.factorial(m) > WEYL_CAP:
-            raise CapError(p, q)
-        conv, shape = _conv_O(p, q), (p // 2, q // 2)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if chi.conv != conv or (len(chi.xs), len(chi.ys)) != shape:
+    elif 2 ** (r + s) * math.factorial(r + s) > WEYL_CAP:
+        raise CapError(p, q)
+    conv = "U" if kind == "U" else _conv_O(p, q)
+    if chi.conv != conv or (len(chi.xs), len(chi.ys)) != (r, s):
         raise ValueError(f"weight {chi.conv} of shape {(len(chi.xs), len(chi.ys))} does not fit {kind}({p},{q})")
     return _dirac_max(kind, p, q, chi)
 

@@ -1,15 +1,13 @@
 """JSON serialization, schema version "v1".
 
 Partitions are integer arrays, rectangle decompositions arrays of [a, b]
-pairs, weights {"xs": [...], "ys": [...], "conv": ...} with exact
-half-integers rendered as "n/2" strings.  Every top-level document carries
-{"schema": "v1"}.
+pairs, weights {"xs": [...], "ys": [...], "conv": ...} with integer arrays.
+Every top-level document carries {"schema": "v1"}.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .lefschetz import Verdict
 from .partitions import CompatiblePair, OrthoPartition
@@ -19,14 +17,8 @@ from .vz_catalog import VZModule
 SCHEMA = "v1"
 
 
-def frac_to_json(v: Fraction):
-    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def weight_to_json(w: Weight) -> dict:
-    return {"xs": [frac_to_json(v) for v in w.xs],
-            "ys": [frac_to_json(v) for v in w.ys],
-            "conv": w.conv}
+    return {"xs": list(w.xs), "ys": list(w.ys), "conv": w.conv}
 
 
 def pair_to_json(cp: CompatiblePair) -> dict:

@@ -132,9 +132,11 @@ def holomorphic_param(r: int, s: int, p: int, q: int) -> VZModule:
     lam = pt.as_partition((q,) * r + (s,) * (p - r))
     mu = pt.as_partition((q,) * p)
     cp = pt.compatible_pair(lam, mu, BoxContext(p, q))
-    assert cp is not None
+    if cp is None:
+        raise RuntimeError(f"holomorphic pair {lam}, {mu} is not compatible")
     mod = module_from_pair(cp)
-    assert mod.degree == rd.holomorphic_degree(r, s, p, q)
+    if mod.degree != rd.holomorphic_degree(r, s, p, q):
+        raise RuntimeError(f"degree {mod.degree} of {mod.label} is not rq + s(p-r)")
     return mod
 
 

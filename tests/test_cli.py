@@ -72,6 +72,17 @@ class TestPartitionArguments:
         ["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--H", "O:3,3", "--component", "9"],
         ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "2;1"],
         ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "1;9,1"],
+        # cup components must fit H's box p x (q-r), with 1 <= r <= q-1 from --H or --r
+        ["lefschetz", "--mode", "cup", "--G", "O:3,6", "--H", "O:3,5", "--component", "6", "--r", "1"],
+        ["lefschetz", "--mode", "cup", "--G", "U:2,4", "--H", "U:2,3", "--component", "1;4,4"],
+        ["lefschetz", "--mode", "cup", "--G", "O:3,4", "--component", "1", "--r", "4"],
+        ["lefschetz", "--mode", "cup", "--G", "U:2,4", "--component", "1;2,2"],
+        ["lefschetz", "--mode", "cup", "--G", "U:2,4", "--H", "U:2,3", "--component", "1"],
+        # malformed group text
+        ["lefschetz", "--mode", "restriction", "--G", "X:3,4", "--degree", "1"],
+        ["lefschetz", "--mode", "restriction", "--G", "O:3", "--degree", "1"],
+        ["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--H", "O:a,b", "--degree", "1"],
+        ["branch", "--op", "kobayashi", "--kind", "U", "--p", "2", "--q", "4", "--r", "1", "--lam", "1"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)
@@ -147,6 +158,13 @@ class TestConfig:
         out = run("catalog", "--kind", "U", "--p", "1", "--q", "1",
                   "--config", str(cfg), "--format", "json").stdout
         assert out.lstrip().startswith("{")  # flag wins
+
+    def test_removed_tolerance_key(self, tmp_path):
+        cfg = tmp_path / "old.conf"
+        cfg.write_text("tolerance = 0.02\n")
+        proc = run("catalog", "--kind", "U", "--p", "1", "--q", "1",
+                   "--config", str(cfg), check=False)
+        assert proc.returncode == 64 and "unknown key 'tolerance'" in proc.stderr
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "bad.conf"

@@ -129,8 +129,24 @@ class TestVerdictHygiene:
                 assert v.criterion_value is True
 
     def test_unknown_anchor_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="unknown anchor"):
             lef.Verdict(lef.GUARANTEED, "Thm bogus", "x")
+
+    @pytest.mark.parametrize("G, H, component, r, match", [
+        ("O:3,6", "O:3,5", (6,), 1, "does not fit in 3x5"),
+        ("U:2,4", "U:2,3", ((1,), (4, 4)), None, "2x3"),
+        ("O:3,4", None, (1,), 4, "outside 1..3"),
+        ("U:2,4", None, ((1,), (2, 2)), None, "needs H or r"),
+    ])
+    def test_cup_component_outside_h_box_raises(self, G, H, component, r, match):
+        G, H = lef.parse_group(G), lef.parse_group(H) if H else None
+        with pytest.raises(ValueError, match=match):
+            lef.cup_verdict(G, H, component=component, r=r)
+
+    @pytest.mark.parametrize("text", ["X:3,4", "O:3", "O:a,b", "U:0,2", "U3,4"])
+    def test_bad_group_text_raises(self, text):
+        with pytest.raises(ValueError, match="bad group"):
+            lef.parse_group(text)
 
 
 class TestExplicitPairs:

@@ -22,13 +22,12 @@ class TestRho:
                 continue
             for kind in ("U", "O"):
                 rs = rd.root_system(kind, p, q)
-                total = rs.rho_c + rs.rho_n
-                assert total == rs.rho
+                total = rs.rho_c2 + rs.rho_n2
+                assert total == rs.rho2
 
     def test_rho_n_shape_U(self):
         rs = rd.root_system("U", 2, 3)
-        assert all(v == Fraction(3, 2) for v in rs.rho_n.xs)
-        assert all(v == Fraction(-1) for v in rs.rho_n.ys)
+        assert rs.rho_n2.xs == (3, 3) and rs.rho_n2.ys == (-2, -2, -2)
 
 
 class TestKtypeU:
@@ -135,9 +134,9 @@ def small_catalog_ktypes():
     return _catalog_ktypes(SMALL_BOXES)
 
 
-def _random_half_integer_weight(rng, kind, p, q):
+def _random_integer_weight(rng, kind, p, q):
     nx, ny = (p, q) if kind == "U" else (p // 2, q // 2)
-    entry = lambda: Fraction(rng.randint(-12, 12), 2)
+    entry = lambda: rng.randint(-6, 6)
     return rd.Weight.make([entry() for _ in range(nx)], [entry() for _ in range(ny)],
                           "U" if kind == "U" else rd._conv_O(p, q))
 
@@ -160,29 +159,37 @@ class TestDirac:
                 continue
             for kind in ("U", "O"):
                 for _ in range(6):
-                    chi = _random_half_integer_weight(rng, kind, p, q)
+                    chi = _random_integer_weight(rng, kind, p, q)
                     assert rd.dirac_bound(kind, p, q, chi) == ref.dirac_bound(kind, p, q, chi), (kind, p, q, chi)
-        thirds = [("U", 2, 3, rd.Weight.make([Fraction(1, 3), Fraction(-5, 3)], [Fraction(2, 3), 0, 1], "U")),
-                  ("O", 5, 4, rd.Weight.make([Fraction(4, 3), Fraction(-1, 3)], [Fraction(1, 3), 2], rd._conv_O(5, 4)))]
-        for kind, p, q, chi in thirds:
-            assert rd.dirac_bound(kind, p, q, chi) == ref.dirac_bound(kind, p, q, chi), (kind, chi)
+
+    def test_non_integral_weight_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            rd.Weight.make([Fraction(1, 3), Fraction(-5, 3)], [Fraction(2, 3), 0, 1], "U")
+        with pytest.raises(ValueError, match="not an integer"):
+            rd.Weight.make([Fraction(4, 3), Fraction(-1, 3)], [Fraction(1, 3), 2], rd._conv_O(5, 4))
 
     def test_o_chambers_are_the_deduplicated_signed_permutations(self):
         for p, q in itertools.product(range(1, 10), repeat=2):
             if p + q > 10:
                 continue
-            rows = rd._chambers("O", p, q)[0]
-            got = [tuple(Fraction(int(c), 2) for c in row) for row in rows]
-            assert len(set(got)) == len(got)
-            assert set(got) == set(ref.o_chambers(p, q)), (p, q)
+            for kind in ("U", "O"):
+                rows = rd._chambers(kind, p, q)[0]
+                got = [tuple(Fraction(int(c), 2) for c in row) for row in rows]
+                assert len(set(got)) == len(got)
+                if kind == "O":
+                    want = ref.o_chambers(p, q)
+                else:
+                    rho_c = ref._rho_U(p, q)[1]
+                    want = [ref._sub(rho_w, rho_c) for rho_w in ref._u_positive_systems(p, q)]
+                assert set(got) == set(want), (kind, p, q)
 
     def test_int64_overflow_raises(self):
         near = rd.Weight.make([2**28, -(2**28)], [3, 2**27], "U")
         assert rd.dirac_bound("U", 2, 2, near) == ref.dirac_bound("U", 2, 2, near)
         with pytest.raises(ValueError, match="int64"):
             rd.dirac_bound("U", 2, 2, rd.Weight.make([2**30, 0], [0, 0], "U"))
-        with pytest.raises(ValueError, match="int64"):
-            rd.dirac_bound("U", 1, 1, rd.Weight.make([Fraction(1, 2**40)], [0], "U"))
+        with pytest.raises(ValueError, match="not an integer"):
+            rd.Weight.make([Fraction(1, 2**40)], [0], "U")
 
     def test_weight_must_fit_group(self):
         with pytest.raises(ValueError):
@@ -199,7 +206,7 @@ class TestDirac:
     def test_identity_path(self):
         # chi - rho_n already dominant for the standard system
         rs = rd.root_system("U", 1, 2)
-        chi = rs.rho_n + rs.rho_n
+        chi = rs.rho_n2
         assert rd.dirac_bound("U", 1, 2, chi) == 0
 
     def test_cap(self):

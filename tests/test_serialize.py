@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from cohomrep import serialize as ser
 from cohomrep.partitions import BoxContext, compatible_pair, ortho_classify
 from cohomrep.rootdata import Weight
@@ -20,9 +22,12 @@ def test_orth_json():
 
 
 def test_weight_half_integers():
-    w = Weight.make([Fraction(3, 2)], [Fraction(-1), Fraction(1, 2)], "U")
+    with pytest.raises(ValueError, match="not an integer"):
+        Weight.make([Fraction(3, 2)], [-1, 1], "U")
+    w = Weight.make([Fraction(3)], [-1, 0], "U")
     doc = ser.weight_to_json(w)
-    assert doc == {"xs": ["3/2"], "ys": [-1, "1/2"], "conv": "U"}
+    assert doc == {"xs": [3], "ys": [-1, 0], "conv": "U"}
+    assert json.dumps(doc) == '{"xs": [3], "ys": [-1, 0], "conv": "U"}'
 
 
 def test_document_schema():
