@@ -66,6 +66,20 @@ def boxed(p: int, q: int, lam=(), mu=None) -> BoxContext:
     return BoxContext(p, q)
 
 
+def _require(args, command: str, *flags: str) -> None:
+    """Raise UsageError naming the flags among `flags` that args leaves unset."""
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise UsageError(f"{command} needs {' '.join(missing)}")
+
+
+def _positive(args, *flags: str) -> None:
+    """Raise UsageError unless every flag in `flags` is >= 1."""
+    for f in flags:
+        if getattr(args, f) < 1:
+            raise UsageError(f"--{f} must be >= 1")
+
+
 def render(rows: list[dict], fmt: str, **meta) -> str:
     if fmt == "json":
         return ser.dumps(ser.document(rows, **meta))
@@ -168,6 +182,8 @@ def cmd_lefschetz(args, cfg) -> int:
                 boxed(G.p, G.q, lam)
         else:
             boxed(G.p, G.q, *pieces[:2])
+        if args.mode == "restriction":
+            _check_restriction_component(G, H, len(pieces))
         if args.mode == "cup":
             if len(pieces) != (2 if G.kind == "U" else 1):
                 raise UsageError("cup mode needs --component 'lam;mu' for U and 'lam' for O")
@@ -177,17 +193,20 @@ def cmd_lefschetz(args, cfg) -> int:
                 raise UsageError(str(exc)) from None
             boxed(G.p, q_H, *pieces[:2])
         component = pieces[0] if len(pieces) == 1 else (pieces[0], pieces[1])
-    if args.mode == "restriction":
-        v = lef.restriction_verdict(G, H, degree=args.degree, component=component,
-                                    r=args.r, l2=args.l2)
-    elif args.mode == "cup":
-        v = lef.cup_verdict(G, H, degree=args.degree, component=component,
-                            r=args.r, l2=args.l2)
+    if args.mode in ("restriction", "cup"):
+        verdict = lef.restriction_verdict if args.mode == "restriction" else lef.cup_verdict
+        try:
+            v = verdict(G, H, degree=args.degree, component=component, r=args.r, l2=args.l2)
+        except ValueError as exc:  # the verdict engine's malformed query
+            raise UsageError(str(exc)) from None
     elif args.mode == "tensor":
         if args.degrees is None:
             sys.stderr.write("tensor mode needs --degrees k,l\n")
             return EXIT_USAGE
-        k, l = (int(x) for x in args.degrees.split(","))
+        try:
+            k, l = (int(x) for x in args.degrees.split(","))
+        except ValueError:
+            raise UsageError(f"tensor mode needs --degrees k,l, not {args.degrees!r}") from None
         v = lef.cup_classes_verdict(G, k, l, components=component)
     elif args.mode == "modular-symbol":
         v = lef.modular_symbol_verdict(G.kind, G.p, G.q, args.r or 1)
@@ -203,7 +222,26 @@ def cmd_lefschetz(args, cfg) -> int:
     return EXIT_OK
 
 
+def _check_restriction_component(G, H, pieces: int) -> None:
+    """Raise UsageError when the component cannot feed the branch that
+    restriction_verdict takes: U -> U reads a pair 'lam;mu' and O -> O (same
+    p) a single 'lam'; U -> O and the pairs no statement covers read either."""
+    if not isinstance(H, lef.Group):
+        return
+    if G.kind == H.kind == "U" and pieces < 2:
+        raise UsageError("restriction U -> U needs --component 'lam;mu'")
+    if G.kind == H.kind == "O" and H.p == G.p and pieces != 1:
+        raise UsageError("restriction O -> O needs --component 'lam'")
+
+
+# flags without a default that each branch op reads
+BRANCH_FLAGS = {"lr": (), "gl-to-o": ("n",), "restrict-u": ("p", "q", "r"), "restrict-o": ("p", "q", "r"),
+                "tensor": ("kind", "p", "q", "params"), "kobayashi": ("kind", "p", "q", "r"),
+                "vanishing-uo": ("p", "q")}
+
+
 def cmd_branch(args, cfg) -> int:
+    _require(args, f"branch --op {args.op}", *BRANCH_FLAGS[args.op])
     lam = parse_partition(args.lam)
     rows = []
     if args.op == "lr":
@@ -219,19 +257,24 @@ def cmd_branch(args, cfg) -> int:
                      "provenance": "computed"})
     elif args.op == "restrict-u":
         mu = parse_partition(args.mu)
-        res = br.restrict_U_pair(lam, mu, BoxContext(args.p, args.q), args.r)
+        res = br.restrict_U_pair(lam, mu, boxed(args.p, args.q), args.r)
         rows.append({"op": "restrict-u", "lam": list(lam), "mu": list(mu),
                      "r": args.r, "contains": res["contains"],
                      "multiplicity": res["multiplicity"],
                      "target": {"lam": list(res["target"][0]), "mu": list(res["target"][1])} if res["target"] else None,
                      "provenance": "computed"})
     elif args.op == "restrict-o":
-        res = br.restrict_O(lam, BoxContext(args.p, args.q), args.r)
+        res = br.restrict_O(lam, boxed(args.p, args.q), args.r)
         rows.append({"op": "restrict-o", "lam": list(lam), "r": args.r,
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
                      "provenance": "computed"})
     elif args.op == "tensor":
-        params = tuple(int(v) for v in args.params.split(","))
+        try:
+            params = tuple(int(v) for v in args.params.split(","))
+        except ValueError:
+            raise UsageError(f"bad --params {args.params!r}") from None
+        if len(params) != (4 if args.kind == "U" else 2):
+            raise UsageError("tensor needs --params i,j,k,l for U and k,l for O")
         res = br.tensor_contains(args.kind, args.p, args.q, params)
         rows.append({"op": "tensor", "kind": args.kind, "params": list(params),
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
@@ -246,7 +289,7 @@ def cmd_branch(args, cfg) -> int:
                      "provenance": "Thm kobaU" if args.kind == "U" else "Thm kobaO"})
     elif args.op == "vanishing-uo":
         mu = parse_partition(args.mu)
-        ok = br.restrict_UO_vanishing(lam, mu, BoxContext(args.p, args.q))
+        ok = br.restrict_UO_vanishing(lam, mu, boxed(args.p, args.q))
         rows.append({"op": "vanishing-uo", "lam": list(lam), "mu": list(mu),
                      "can_be_nontrivial": ok, "provenance": "computed"})
     else:
@@ -262,6 +305,9 @@ def cmd_geometry(args, cfg) -> int:
         if args.samples is not None and args.samples < 1:
             sys.stderr.write("--samples must be >= 1\n")
             return EXIT_USAGE
+        if args.s <= -2:
+            raise UsageError(f"--s {args.s}: the integral diverges for s <= -2")
+        _positive(args, "p")
         res = geo.mc_verify_integral(args.s, args.p, args.n,
                                      cfg.mc_samples if args.samples is None else args.samples,
                                      args.seed if args.seed is not None else cfg.seed,
@@ -269,6 +315,7 @@ def cmd_geometry(args, cfg) -> int:
         res["provenance"] = "computed"
         rows.append(res)
     elif args.geo_op == "jacobi":
+        _positive(args, "p", "q", "r")
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
         M = rng.normal(size=(args.r, args.p))
         M /= np.linalg.norm(M)
@@ -286,6 +333,7 @@ def cmd_geometry(args, cfg) -> int:
             "provenance": "computed",
         })
     elif args.geo_op == "hessian":
+        _positive(args, "p", "points")
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
         devs = []
         for _ in range(args.points):
@@ -295,7 +343,10 @@ def cmd_geometry(args, cfg) -> int:
                      "step": cfg.fd_step, "max_deviation": max(devs),
                      "provenance": "computed"})
     elif args.geo_op == "volume":
-        res = geo.volume_growth(args.t, args.p, args.q, args.r)
+        try:
+            res = geo.volume_growth(args.t, args.p, args.q, args.r)
+        except OverflowError:
+            raise UsageError(f"--t {args.t}: the volume density overflows a float") from None
         rows.append({"p": args.p, "q": args.q, "r": args.r, "t": args.t,
                      "value": res["value"], "exact_shape": res["exact"],
                      "provenance": "computed"})

@@ -30,7 +30,7 @@ from .partitions import (
     CompatiblePair,
     OrthoPartition,
     Partition,
-    _conjugate,
+    _in_box,
     as_partition,
     complement,
     part,
@@ -135,10 +135,28 @@ def ktype_weight_U(lam: Partition, mu: Partition, ctx: BoxContext) -> Weight:
     """
     p, q = ctx.p, ctx.q
     lam, mu = as_partition(lam), as_partition(mu)
-    lc, mc = _conjugate(lam), _conjugate(mu)
-    xs = [part(lam, i) + part(mu, i) - q for i in range(1, p + 1)]
-    ys = [p - part(lc, j) - part(mc, j) for j in range(1, q + 1)]
-    return Weight.make(xs, ys, "U")
+    for nu in (lam, mu):
+        if not _in_box(nu, p, q):
+            raise ValueError(f"{nu} does not fit in the {p}x{q} box")
+    return _ktype_weight_U(lam, mu, p, q)
+
+
+def _ktype_weight_U(lam: Partition, mu: Partition, p: int, q: int) -> Weight:
+    """ktype_weight_U for normalized lam, mu in the p x q box, in O(p+q):
+    the column lengths lam*_j + mu*_j are the tail sums of one count of the
+    parts of lam and mu by size."""
+    xs = [-q] * p
+    count = [0] * (q + 1)
+    for nu in (lam, mu):
+        for i, v in enumerate(nu):
+            xs[i] += v
+            count[v] += 1
+    ys = [0] * q
+    rest = p  # p minus the parts of lam and mu that are >= j
+    for j in range(q, 0, -1):
+        rest -= count[j]
+        ys[j - 1] = rest
+    return Weight(tuple(xs), tuple(ys), "U")
 
 
 def ktype_box_sum_U(lam: Partition, mu: Partition, ctx: BoxContext) -> Weight:
@@ -316,30 +334,40 @@ def _chamber_orders(kind: str, p: int, q: int):
             yield v
 
 
-def _positive_root_sum(pairs, v) -> list[int]:
-    """Twice the half-sum of the roots made positive by the generic vector v,
-    one root per +- pair in `pairs`."""
-    total = [0] * len(v)
-    for vec, mult in pairs:
-        d = sum(a * b for a, b in zip(vec, v))
-        if d == 0:
-            raise ValueError(f"positivity vector {tuple(v)} not generic for root {vec}")
-        sgn = 1 if d > 0 else -1
-        for k, c in enumerate(vec):
-            total[k] += mult * sgn * c
-    return total
+_ORDER_CHUNK = 4096  # orders per sign matrix, which bounds its memory
+
+
+def _positive_root_sums(pairs, orders, m: int):
+    """Twice the half-sum of the roots made positive by each generic vector
+    in `orders` (length m), one root per +- pair in `pairs`: the int64 rows
+    of sign(V R^T) diag(mult) R, V holding the orders and R the roots.
+    Raises ValueError when a vector is orthogonal to a root."""
+    import numpy as np
+
+    roots = np.array([vec for vec, _ in pairs], dtype=np.int64).reshape(len(pairs), m)
+    mult = np.array([k for _, k in pairs], dtype=np.int64)
+    blocks = []
+    orders = iter(orders)
+    while chunk := list(itertools.islice(orders, _ORDER_CHUNK)):
+        v = np.array(chunk, dtype=np.int64).reshape(len(chunk), m)
+        signs = np.sign(v @ roots.T)
+        if not signs.all():
+            i, j = np.argwhere(signs == 0)[0]
+            raise ValueError(f"positivity vector {tuple(chunk[i])} not generic for root {pairs[j][0]}")
+        blocks.append((signs * mult) @ roots)
+    return np.concatenate(blocks) if blocks else np.zeros((0, m), dtype=np.int64)
 
 
 def root_system(kind: str, p: int, q: int) -> RootSystemData:
     """Root data with the fixed positive systems; 2rho = 2rho_c + 2rho_n, read
     at the standard order."""
     compact, noncompact = _root_vectors(kind, p, q)
-    r, _ = _shape(kind, p, q)
+    r, s = _shape(kind, p, q)
     conv = "U" if kind == "U" else _conv_O(p, q)
     v0 = next(_chamber_orders(kind, p, q))
 
     def half_sum2(pairs) -> Weight:
-        v = _positive_root_sum(pairs, v0)
+        (v,) = _positive_root_sums(pairs, [v0], r + s).tolist()
         return Weight.make(v[:r], v[r:], conv)
 
     rho_c2, rho_n2 = half_sum2(compact), half_sum2(noncompact)
@@ -367,10 +395,10 @@ def _chambers(kind: str, p: int, q: int):
     rs = root_system(kind, p, q)
     rho_c2 = rs.rho_c2.xs + rs.rho_c2.ys
     rho4 = sum(v * v for v in rs.rho2.xs + rs.rho2.ys)
-    # distinct orders can give the same chamber (O), so deduplicate
-    rows = list(dict.fromkeys(tuple(_positive_root_sum(rs.noncompact_pairs, v))
-                              for v in _chamber_orders(kind, p, q)))
-    rho_n2 = np.array(rows, dtype=np.int64).reshape(len(rows), len(rho_c2))
+    rows = _positive_root_sums(rs.noncompact_pairs, _chamber_orders(kind, p, q), len(rho_c2))
+    # distinct orders can give the same chamber (O): keep each first row
+    _, first = np.unique(rows, axis=0, return_index=True)
+    rho_n2 = rows[np.sort(first)]
     rho_c2 = np.array(rho_c2, dtype=np.int64)
     rho_n2.flags.writeable = rho_c2.flags.writeable = False
     reach = int(np.abs(rho_n2).max(initial=0)) + int(np.abs(rho_c2).max(initial=0))

@@ -3,11 +3,19 @@
 Partitions are integer arrays, rectangle decompositions arrays of [a, b]
 pairs, weights {"xs": [...], "ys": [...], "conv": ...} with integer arrays.
 Every top-level document carries {"schema": "v1"}.
+
+`dumps` writes exactly the text of ``json.dumps(doc, sort_keys=True,
+indent=2)`` plus a newline, in one recursive `str.join` pass: on Python 3.11
+``json.dumps`` with an indent always runs the pure-Python generator encoder,
+one generator step per token.  Exact str and int take a direct branch and
+an all-int list one C-level join; everything else follows json's
+`isinstance` order, so `numpy.float64` is written as a float and what json
+rejects raises TypeError.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _str
 
 from .lefschetz import Verdict
 from .partitions import CompatiblePair, OrthoPartition
@@ -79,4 +87,85 @@ def document(payload, **meta) -> dict:
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The JSON text of doc with sorted keys and a two-space indent, plus a
+    newline; raises TypeError on what json cannot encode."""
+    return _value(doc, "\n") + "\n"
+
+
+_INF = float("inf")
+_INT_ONLY = {int}
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _value(o, nl: str) -> str:
+    """The text of o, whose container lines start with nl (newline plus the
+    indent of the line o is on)."""
+    t = type(o)
+    if t is str:
+        return _str(o)
+    if t is int:
+        return int.__repr__(o)
+    # json's isinstance order, which also decides how subclasses are written
+    if isinstance(o, str):
+        return _str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        return _list(o, nl)
+    if isinstance(o, dict):
+        return _dict(o, nl)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _list(o, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    if set(map(type, o)) == _INT_ONLY:
+        body = ("," + inner).join(map(int.__repr__, o))
+    else:
+        body = ("," + inner).join([_value(v, inner) for v in o])
+    return "[" + inner + body + nl + "]"
+
+
+def _dict(o, nl: str) -> str:
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    body = ("," + inner).join([(_str(k) if type(k) is str else _key(k)) + ": " + _value(v, inner)
+                               for k, v in sorted(o.items())])
+    return "{" + inner + body + nl + "}"
+
+
+def _key(k) -> str:
+    """A non-str key as json writes it: the text of the scalar, quoted."""
+    if isinstance(k, str):
+        return _str(k)
+    if isinstance(k, float):
+        return _str(_float(k))
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return _str(int.__repr__(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")

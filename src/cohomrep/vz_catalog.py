@@ -72,7 +72,7 @@ def module_from_pair(cp: CompatiblePair) -> VZModule:
     return VZModule(
         kind="U", p=p, q=q, lam=cp.lam, mu=cp.mu, sign1=None, sign2=None,
         degree=rd.degree_U(cp), levi=levi_of_pair(cp),
-        lowest_ktype=rd.ktype_weight_U(cp.lam, cp.mu, cp.ctx),
+        lowest_ktype=rd._ktype_weight_U(cp.lam, cp.mu, p, q),
         discrete_series=cp.is_discrete_series,
         holomorphic=(cp.mu == (q,) * p),
         o_group_extension=False,

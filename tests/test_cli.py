@@ -83,6 +83,23 @@ class TestPartitionArguments:
         ["lefschetz", "--mode", "restriction", "--G", "O:3", "--degree", "1"],
         ["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--H", "O:a,b", "--degree", "1"],
         ["branch", "--op", "kobayashi", "--kind", "U", "--p", "2", "--q", "4", "--r", "1", "--lam", "1"],
+        # restriction components take the shape of the branch the verdict takes
+        ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "1"],
+        ["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--H", "O:3,3", "--component", "1;2"],
+        # queries the verdict engine rejects
+        ["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--H", "O:3,3", "--component", "1"],
+        ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2"],
+        ["lefschetz", "--mode", "restriction", "--G", "U:2,2", "--H", "U:2,3", "--component", "1;2"],
+        ["lefschetz", "--mode", "tensor", "--G", "U:2,3", "--degrees", "1"],
+        # missing or out-of-range numeric arguments
+        ["branch", "--op", "restrict-u", "--lam", "1", "--mu", "2"],
+        ["branch", "--op", "gl-to-o", "--lam", "1", "--mu", "1"],
+        ["branch", "--op", "restrict-o", "--lam", "1", "--p", "0", "--q", "2", "--r", "1"],
+        ["branch", "--op", "tensor", "--kind", "U", "--p", "2", "--q", "2", "--params", "1,1"],
+        ["geometry", "jacobi", "--p", "2", "--q", "2", "--r", "0"],
+        ["geometry", "verify-integral", "--s", "-3", "--p", "1", "--n", "1"],
+        ["geometry", "volume", "--p", "2", "--q", "2", "--r", "1", "--t", "1e6"],
+        ["geometry", "hessian", "--p", "2", "--q", "2", "--points", "0"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)

@@ -37,7 +37,14 @@ class TestKtypeU:
             for cp in pairs:
                 w = rd.ktype_weight_U(cp.lam, cp.mu, ctx)
                 assert w == rd.ktype_box_sum_U(cp.lam, cp.mu, ctx)
+                assert rd._ktype_weight_U(cp.lam, cp.mu, p, q) == w
                 assert w.is_dominant()
+
+    def test_out_of_box_rejected(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            rd.ktype_weight_U((3,), (3,), BoxContext(2, 2))
+        with pytest.raises(ValueError, match="does not fit"):
+            rd.ktype_weight_U((), (1, 1, 1), BoxContext(2, 2))
 
     def test_ladder_identity(self):
         # lam = (r^p), mu = (q^p) in p x (q+r): weight p * sum(y_{q+j} - y_j)
@@ -226,4 +233,4 @@ class TestOptimizedMode:
 
     def test_nongeneric_positivity_vector_raises(self):
         with pytest.raises(ValueError, match="not generic"):
-            rd._positive_root_sum([((1, -1), 1)], (2, 2))
+            rd._positive_root_sums([((1, -1), 1)], [(2, 2)], 2)

@@ -1,7 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohomrep import serialize as ser
 from cohomrep.partitions import BoxContext, compatible_pair, ortho_classify
@@ -35,3 +38,39 @@ def test_document_schema():
     assert doc["schema"] == "v1"
     text = ser.dumps(doc)
     assert json.loads(text)["data"] == [{"a": 1}]
+
+
+def _json_oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# text includes control characters and non-ASCII
+_text = st.text(st.characters(min_codepoint=0, max_codepoint=0x2FFF), max_size=6)
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-7])
+_scalars = st.integers() | st.booleans() | st.none() | _floats | _floats.map(np.float64) | _text
+_docs = st.recursive(_scalars, lambda inner: (
+    st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_text, inner, max_size=5)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_docs)
+def test_dumps_is_the_json_text(doc):
+    assert ser.dumps(doc) == _json_oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), [[], {}], {"a": [(), {}]}, {"\u00e9\x00\n": [1, 2, 3]}, [True, 1, False, 0],
+    [1, 2.0], {"x": [np.float64("nan"), np.float64(-0.0)]}, {1: "a", 2: "b"}, {2.5: 1, -1.0: 2},
+])
+def test_dumps_edge_cases(doc):
+    assert ser.dumps(doc) == _json_oracle(doc)
+
+
+def test_dumps_rejects_what_json_rejects():
+    for bad in ({1, 2}, {"a": [1, {2}]}, {(1, 2): 0}, np.int64(3)):
+        with pytest.raises(TypeError):
+            _json_oracle(bad)
+        with pytest.raises(TypeError):
+            ser.dumps(bad)
