@@ -12,20 +12,43 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
+import math
 import sys
+import types
 
-import numpy as np
-
-from . import branching as br
-from . import geometry as geo
-from . import isolation as iso
-from . import lefschetz as lef
 from . import serialize as ser
-from . import vz_catalog as vz
 from .config import make_config
 from .partitions import BoxContext, CapExceededError, as_partition, compatible_pair, contains, in_box, ortho_classify
+
+
+def _lazy_module(name: str) -> types.ModuleType:
+    """The module `name`, in sys.modules and bound on its package, whose
+    source runs on its first attribute access; an already loaded module is
+    returned as it is.  A cold command then pays only for the layers it
+    uses, and numpy loads only with `geometry`.  Unlike an import inside
+    each cmd_*, the module is in sys.modules from `import cohomrep.cli` on,
+    so code that wraps the loaded layers right after that import (the
+    benchmark's tracer) finds, loads and wraps it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    package, _, attr = name.rpartition(".")
+    setattr(sys.modules[package], attr, module)
+    return module
+
+
+br = _lazy_module(f"{__package__}.branching")
+geo = _lazy_module(f"{__package__}.geometry")
+iso = _lazy_module(f"{__package__}.isolation")
+lef = _lazy_module(f"{__package__}.lefschetz")
+vz = _lazy_module(f"{__package__}.vz_catalog")
 
 EXIT_OK = 0
 EXIT_CRITERION = 2
@@ -73,11 +96,18 @@ def _require(args, command: str, *flags: str) -> None:
         raise UsageError(f"{command} needs {' '.join(missing)}")
 
 
-def _positive(args, *flags: str) -> None:
-    """Raise UsageError unless every flag in `flags` is >= 1."""
+def _at_least(args, low: int, *flags: str) -> None:
+    """Raise UsageError unless every flag in `flags` is >= low."""
     for f in flags:
-        if getattr(args, f) < 1:
-            raise UsageError(f"--{f} must be >= 1")
+        if getattr(args, f) < low:
+            raise UsageError(f"--{f} must be >= {low}")
+
+
+def _finite(args, flag: str) -> None:
+    """Raise UsageError when the float flag is nan or infinite, which
+    would reach the JSON output as a bare NaN or Infinity."""
+    if not math.isfinite(getattr(args, flag)):
+        raise UsageError(f"--{flag} must be a finite number")
 
 
 def render(rows: list[dict], fmt: str, **meta) -> str:
@@ -225,7 +255,10 @@ def cmd_lefschetz(args, cfg) -> int:
 def _check_restriction_component(G, H, pieces: int) -> None:
     """Raise UsageError when the component cannot feed the branch that
     restriction_verdict takes: U -> U reads a pair 'lam;mu' and O -> O (same
-    p) a single 'lam'; U -> O and the pairs no statement covers read either."""
+    p) a single 'lam'; U -> O and the pairs no statement covers read either,
+    and none reads more than two pieces."""
+    if pieces > 2:
+        raise UsageError("restriction mode needs --component 'lam' or 'lam;mu'")
     if not isinstance(H, lef.Group):
         return
     if G.kind == H.kind == "U" and pieces < 2:
@@ -242,6 +275,8 @@ BRANCH_FLAGS = {"lr": (), "gl-to-o": ("n",), "restrict-u": ("p", "q", "r"), "res
 
 def cmd_branch(args, cfg) -> int:
     _require(args, f"branch --op {args.op}", *BRANCH_FLAGS[args.op])
+    if args.op == "gl-to-o":
+        _at_least(args, 1, "n")
     lam = parse_partition(args.lam)
     rows = []
     if args.op == "lr":
@@ -300,14 +335,17 @@ def cmd_branch(args, cfg) -> int:
 
 
 def cmd_geometry(args, cfg) -> int:
+    import numpy as np
+
     rows = []
     if args.geo_op == "verify-integral":
         if args.samples is not None and args.samples < 1:
             sys.stderr.write("--samples must be >= 1\n")
             return EXIT_USAGE
+        _finite(args, "s")
         if args.s <= -2:
             raise UsageError(f"--s {args.s}: the integral diverges for s <= -2")
-        _positive(args, "p")
+        _at_least(args, 1, "p")
         res = geo.mc_verify_integral(args.s, args.p, args.n,
                                      cfg.mc_samples if args.samples is None else args.samples,
                                      args.seed if args.seed is not None else cfg.seed,
@@ -315,7 +353,7 @@ def cmd_geometry(args, cfg) -> int:
         res["provenance"] = "computed"
         rows.append(res)
     elif args.geo_op == "jacobi":
-        _positive(args, "p", "q", "r")
+        _at_least(args, 1, "p", "q", "r")
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
         M = rng.normal(size=(args.r, args.p))
         M /= np.linalg.norm(M)
@@ -333,7 +371,7 @@ def cmd_geometry(args, cfg) -> int:
             "provenance": "computed",
         })
     elif args.geo_op == "hessian":
-        _positive(args, "p", "points")
+        _at_least(args, 1, "p", "points")
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
         devs = []
         for _ in range(args.points):
@@ -343,6 +381,9 @@ def cmd_geometry(args, cfg) -> int:
                      "step": cfg.fd_step, "max_deviation": max(devs),
                      "provenance": "computed"})
     elif args.geo_op == "volume":
+        _at_least(args, 1, "p", "q")
+        _at_least(args, 0, "r")
+        _finite(args, "t")
         try:
             res = geo.volume_growth(args.t, args.p, args.q, args.r)
         except OverflowError:
@@ -351,6 +392,8 @@ def cmd_geometry(args, cfg) -> int:
                      "value": res["value"], "exact_shape": res["exact"],
                      "provenance": "computed"})
     elif args.geo_op == "thresholds":
+        _at_least(args, 1, "p", "q")
+        _at_least(args, 0, "r")
         th = geo.dx_threshold(args.p, args.q, args.r)
         l2 = lef.l2_cup_threshold(args.p, args.q, args.r)
         rows.append({

@@ -32,7 +32,6 @@ from .partitions import (
     Partition,
     _in_box,
     as_partition,
-    complement,
     part,
     weight,
 )
@@ -157,22 +156,6 @@ def _ktype_weight_U(lam: Partition, mu: Partition, p: int, q: int) -> Weight:
         rest -= count[j]
         ys[j - 1] = rest
     return Weight(tuple(xs), tuple(ys), "U")
-
-
-def ktype_box_sum_U(lam: Partition, mu: Partition, ctx: BoxContext) -> Weight:
-    """Same weight computed by literal box summation (independent route)."""
-    p, q = ctx.p, ctx.q
-    xs, ys = [0] * p, [0] * q
-    for i in range(1, p + 1):
-        for j in range(1, part(as_partition(lam), i) + 1):
-            xs[i - 1] += 1
-            ys[j - 1] -= 1
-    mu_hat = complement(mu, p, q)
-    for i in range(1, p + 1):
-        for j in range(1, part(mu_hat, i) + 1):
-            xs[p - i] -= 1
-            ys[q - j] += 1
-    return Weight.make(xs, ys, "U")
 
 
 def _eps_weights(p: int, sign1: Optional[int]) -> list[tuple[int, int]]:

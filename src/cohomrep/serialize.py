@@ -16,11 +16,13 @@ rejects raises TypeError.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _str
+from typing import TYPE_CHECKING
 
-from .lefschetz import Verdict
-from .partitions import CompatiblePair, OrthoPartition
-from .rootdata import Weight
-from .vz_catalog import VZModule
+if TYPE_CHECKING:  # annotations only: rendering a catalog loads no verdict engine
+    from .lefschetz import Verdict
+    from .partitions import CompatiblePair, OrthoPartition
+    from .rootdata import Weight
+    from .vz_catalog import VZModule
 
 SCHEMA = "v1"
 

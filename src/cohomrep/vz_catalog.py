@@ -145,73 +145,3 @@ def primitive_degree_histogram(kind: str, p: int, q: int, cap: int = pt.DEFAULT_
     for mod in catalog(kind, p, q, cap):
         hist[mod.degree] = hist.get(mod.degree, 0) + 1
     return dict(sorted(hist.items()))
-
-
-# ---------------------------------------------------------------------------
-# independent count of the O catalog: distinct nilradical intersections
-# u cap p realized by dominant torus elements on a small level grid
-
-
-def brute_count_O(p: int, q: int) -> int:
-    """Number of distinct u cap p over dominant X, counted from the actual
-    eigenvector sets; independent of the partition/sign classification."""
-    r, s = p // 2, q // 2
-    levels = range(0, r + s + 1)
-    from itertools import product
-
-    def x_ranges():
-        if r == 0:
-            yield ()
-            return
-        for head in product(levels, repeat=r - 1):
-            if any(head[i] < head[i + 1] for i in range(len(head) - 1)):
-                continue
-            last_opts = levels if p % 2 == 1 else range(-(r + s), r + s + 1)
-            for last in last_opts:
-                if head and abs(last) > head[-1]:
-                    continue
-                yield head + (last,)
-
-    def y_ranges():
-        if s == 0:
-            yield ()
-            return
-        for tail in product(levels, repeat=s - 1):
-            if any(tail[i] > tail[i + 1] for i in range(len(tail) - 1)):
-                continue
-            first_opts = levels if q % 2 == 1 else range(-(r + s), r + s + 1)
-            for first in first_opts:
-                if tail and abs(first) > tail[0]:
-                    continue
-                yield (first,) + tail
-
-    # eigenvectors of the torus on p = E (x) F^*: label by (E-basis id, F-basis id)
-    e_ids = [("e", a) for a in range(1, r + 1)] + [("ebar", a) for a in range(1, r + 1)]
-    if p % 2 == 1:
-        e_ids.append(("e0", 0))
-    f_ids = [("f", b) for b in range(1, s + 1)] + [("fbar", b) for b in range(1, s + 1)]
-    if q % 2 == 1:
-        f_ids.append(("f0", 0))
-
-    def e_weight(eid, xs):
-        tag, a = eid
-        if tag == "e":
-            return xs[a - 1]
-        if tag == "ebar":
-            return -xs[a - 1]
-        return 0
-
-    def f_weight(fid, ys):
-        tag, b = fid
-        if tag == "f":
-            return ys[b - 1]
-        if tag == "fbar":
-            return -ys[b - 1]
-        return 0
-
-    seen = set()
-    for xs in x_ranges():
-        for ys in y_ranges():
-            u = frozenset((e, f) for e in e_ids for f in f_ids if e_weight(e, xs) - f_weight(f, ys) > 0)
-            seen.add(u)
-    return len(seen)

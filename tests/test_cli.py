@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -100,12 +101,38 @@ class TestPartitionArguments:
         ["geometry", "verify-integral", "--s", "-3", "--p", "1", "--n", "1"],
         ["geometry", "volume", "--p", "2", "--q", "2", "--r", "1", "--t", "1e6"],
         ["geometry", "hessian", "--p", "2", "--q", "2", "--points", "0"],
+        ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "1;2,1;1"],
+        ["geometry", "thresholds", "--p", "0", "--q", "2", "--r", "1"],
+        ["geometry", "thresholds", "--p", "2", "--q", "0", "--r", "1"],
+        ["geometry", "thresholds", "--p", "2", "--q", "2", "--r", "-1"],
+        ["geometry", "volume", "--p", "0", "--q", "2", "--r", "1", "--t", "1"],
+        ["geometry", "volume", "--p", "2", "--q", "0", "--r", "1", "--t", "1"],
+        ["geometry", "volume", "--p", "2", "--q", "2", "--r", "-1", "--t", "1"],
+        ["branch", "--op", "gl-to-o", "--lam", "1", "--mu", "1", "--n", "-2"],
+        ["branch", "--op", "gl-to-o", "--lam", "1", "--mu", "1", "--n", "0"],
+        # non-finite floats would reach the JSON as a bare NaN or Infinity
+        ["geometry", "volume", "--p", "2", "--q", "2", "--r", "1", "--t", "nan"],
+        ["geometry", "volume", "--p", "2", "--q", "2", "--r", "1", "--t=-inf"],
+        ["geometry", "verify-integral", "--s", "nan", "--p", "1", "--n", "1"],
+        ["geometry", "verify-integral", "--s", "inf", "--p", "1", "--n", "1"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)
         assert proc.returncode == 64, proc.stderr
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["geometry", "thresholds", "--p", "2", "--q", "3", "--r", "0"],
+        ["geometry", "volume", "--p", "2", "--q", "2", "--r", "0", "--t", "1"],
+        ["geometry", "volume", "--p", "2", "--q", "2", "--r", "1", "--t", "0"],
+    ])
+    def test_edge_values_answer_in_strict_json(self, args):
+        def reject(constant):
+            raise ValueError(f"{constant} in the output")
+
+        row = json.loads(run(*args).stdout, parse_constant=reject)["data"][0]
+        assert row["r"] == int(args[args.index("--r") + 1])
 
     def test_incompatible_cup_component_still_answers(self):
         out = json.loads(run("lefschetz", "--mode", "cup", "--G", "U:2,4", "--H", "U:2,2",
@@ -147,6 +174,38 @@ class TestGeometry:
         row = out["data"][0]
         assert row["dx_limit_ones"] == 6
         assert row["l2_iso_max_degree"] == 2
+
+
+class TestLazyLayers:
+    # each probe runs in a fresh interpreter, so no earlier import counts
+    @staticmethod
+    def probe(code):
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_numpy_loads_only_for_geometry(self):
+        out = self.probe("""
+            import contextlib, io, sys
+            from cohomrep import cli
+            loaded = ["numpy" in sys.modules]
+            for argv in (["catalog", "--kind", "U", "--p", "2", "--q", "2"],
+                         ["geometry", "thresholds", "--p", "2", "--q", "2", "--r", "1"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                loaded.append("numpy" in sys.modules)
+            print(loaded)
+        """)
+        assert out == "[False, False, True]\n"
+
+    def test_loaded_layer_is_reused(self):
+        out = self.probe("""
+            from cohomrep import geometry
+            from cohomrep import cli
+            print(cli.geo is geometry)
+        """)
+        assert out == "True\n"
 
 
 class TestDeterminism:
