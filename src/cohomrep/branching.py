@@ -18,6 +18,7 @@ from typing import Optional
 from .partitions import (
     BoxContext,
     Partition,
+    _conjugate,
     as_partition,
     complement,
     conjugate,
@@ -309,7 +310,7 @@ def ktype_gl_pair_hw(lam: Partition, mu: Partition, ctx: BoxContext) -> tuple[tu
     embedding GL_{q-r} -> GL_q."""
     p, q = ctx.p, ctx.q
     lam, mu = as_partition(lam), as_partition(mu)
-    lc, mc = conjugate(lam), conjugate(mu)
+    lc, mc = _conjugate(lam), _conjugate(mu)
     a = tuple(part(lam, i) + part(mu, i) - q for i in range(1, p + 1))
     b_asc = [p - part(lc, j) - part(mc, j) for j in range(1, q + 1)]
     return a, tuple(reversed(b_asc))

@@ -346,10 +346,14 @@ def cmd_geometry(args, cfg) -> int:
         if args.s <= -2:
             raise UsageError(f"--s {args.s}: the integral diverges for s <= -2")
         _at_least(args, 1, "p")
-        res = geo.mc_verify_integral(args.s, args.p, args.n,
-                                     cfg.mc_samples if args.samples is None else args.samples,
-                                     args.seed if args.seed is not None else cfg.seed,
-                                     batches=cfg.mc_batches)
+        _at_least(args, 0, "n")
+        try:
+            res = geo.mc_verify_integral(args.s, args.p, args.n,
+                                         cfg.mc_samples if args.samples is None else args.samples,
+                                         args.seed if args.seed is not None else cfg.seed,
+                                         batches=cfg.mc_batches)
+        except ValueError as exc:
+            raise UsageError(f"--s {args.s} --p {args.p} --n {args.n}: {exc}") from None
         res["provenance"] = "computed"
         rows.append(res)
     elif args.geo_op == "jacobi":
@@ -388,6 +392,8 @@ def cmd_geometry(args, cfg) -> int:
             res = geo.volume_growth(args.t, args.p, args.q, args.r)
         except OverflowError:
             raise UsageError(f"--t {args.t}: the volume density overflows a float") from None
+        except ValueError as exc:
+            raise UsageError(f"--t {args.t}: {exc}") from None
         rows.append({"p": args.p, "q": args.q, "r": args.r, "t": args.t,
                      "value": res["value"], "exact_shape": res["exact"],
                      "provenance": "computed"})

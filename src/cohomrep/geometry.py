@@ -332,6 +332,8 @@ def volume_growth(t: float, p: int, q: int, r: int) -> dict:
     """Volume density of the distance-t hypersurface around X_V, normalized
     to 1 at t = 1.  Exact shape sinh^{p-1} cosh^q for r = 1; for r > 1 an
     upper bound (1 + t^{p(q+r)}) e^{(p+q+r-1) sqrt(m) t}, m = min(r, p)."""
+    if t < 0:
+        raise ValueError("the distance t must be >= 0")
     if r == 1:
         val = (math.sinh(t) / math.sinh(1.0)) ** (p - 1) * (math.cosh(t) / math.cosh(1.0)) ** q
         return {"value": val, "exact": True}
@@ -366,15 +368,42 @@ def volume_growth_from_jacobi(t: float, lam: Sequence[float], p: int, q: int, r:
 # Gamma-product integrals and Monte Carlo verification
 
 
+# Above this s the lgamma difference in log_gamma_integral_X loses digits to
+# cancellation (all of them once s + p + i + 1 rounds to s + i + 1, near
+# s = 1e16); every x there is at least 51.
+LGAMMA_RATIO_CUTOFF = 100.0
+
+
+def _log_gamma_ratio_large(x: float, p: int) -> float:
+    """log Gamma(x) / Gamma(x + p/2) for x >= 51, without cancellation.
+
+    The integer part of p/2 is the exact product 1 / (x (x+1) ... (x+m-1));
+    an odd p adds log Gamma(y) / Gamma(y + 1/2), y = x + m, from its
+    asymptotic series -log(y)/2 + 1/(8y) - 1/(192y^3) + 1/(640y^5)
+    - 17/(14336y^7), whose next term is below 1e-18 at y = 51."""
+    m = p // 2
+    out = -math.fsum(math.log(x + j) for j in range(m))
+    if p % 2:
+        y = x + m
+        u = 1.0 / y
+        u2 = u * u
+        out += -0.5 * math.log(y) + u * (1 / 8 - u2 * (1 / 192 - u2 * (1 / 640 - u2 * (17 / 14336))))
+    return out
+
+
 def log_gamma_integral_X(s: float, p: int, n: int) -> float:
     """log of int_X A^{s/2} dZ over X = { Z in M_{n,p} : tZ Z < 1 }:
     pi^{pn/2} prod_{i=1}^n Gamma((s+i+1)/2) / Gamma((s+p+i+1)/2),
-    convergent for s > -2."""
+    convergent for s > -2.  Up to s = LGAMMA_RATIO_CUTOFF each ratio is an
+    lgamma difference, above it `_log_gamma_ratio_large`."""
     if s <= -2:
         raise ValueError("diverges for s <= -2")
     out = 0.5 * p * n * math.log(math.pi)
     for i in range(1, n + 1):
-        out += math.lgamma((s + i + 1) / 2.0) - math.lgamma((s + p + i + 1) / 2.0)
+        if s > LGAMMA_RATIO_CUTOFF:
+            out += _log_gamma_ratio_large((s + i + 1) / 2.0, p)
+        else:
+            out += math.lgamma((s + i + 1) / 2.0) - math.lgamma((s + p + i + 1) / 2.0)
     return out
 
 
@@ -394,11 +423,43 @@ def quotient_integral(s: float, p: int, q: int, r: int) -> dict:
     return {"coefficient": math.exp(log_coef), "times": "vol(C_V)"}
 
 
+def _ball_log_A(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack Z of n x p matrices (shape (k, n, p)): the mask of the
+    samples with tZ Z < 1, and log A = log det(1 - tZ Z), meaningful where
+    the mask holds.
+
+    One LDL^T elimination of 1 - tZ Z runs over the whole stack at once: the
+    matrix is positive definite iff every pivot is positive (Sylvester), and
+    log A is the sum of the log pivots.  The first pivot 1 - |z_1|^2 enters
+    as log1p(-|z_1|^2), so p = 1 is exactly log1p(-tZ Z)."""
+    p = Z.shape[-1]
+    gram = {(a, b): np.einsum("ki,ki->k", Z[:, :, a], Z[:, :, b])
+            for a in range(p) for b in range(a, p)}
+    # M[a, b], a <= b: the upper triangle of 1 - tZ Z, eliminated in place
+    M = {ab: 1.0 - g if ab[0] == ab[1] else -g for ab, g in gram.items()}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = M[0, 0] > 0.0
+        log_A = np.log1p(-gram[0, 0])
+        for j in range(1, p):
+            pivot = M[j - 1, j - 1]
+            for a in range(j, p):
+                f = M[j - 1, a] / pivot
+                for b in range(a, p):
+                    M[a, b] = M[a, b] - f * M[j - 1, b]
+            ok &= M[j, j] > 0.0
+            log_A = log_A + np.log(M[j, j])
+    return ok, log_A
+
+
 def mc_verify_integral(s: float, p: int, n: int, samples: int, seed: int, batches: int = 16) -> dict:
     """Monte Carlo check of the closed form: rejection sampling of Z uniform
     on [-1,1]^{n x p}, acceptance tZ Z < 1, estimating int A^{s/2}.
-    Deterministic for fixed (seed, batches); reports the 3-sigma interval."""
+    Deterministic for fixed (seed, batches); reports the 3-sigma interval.
+    Raises ValueError when the closed form underflows a float, since the
+    relative error is then undefined."""
     closed = gamma_integral_X(s, p, n)
+    if closed == 0.0:
+        raise ValueError("the closed form underflows a float")
     box_volume = 2.0 ** (n * p)
     seeds = np.random.SeedSequence(seed).spawn(batches)
     per = [samples // batches] * batches
@@ -406,13 +467,9 @@ def mc_verify_integral(s: float, p: int, n: int, samples: int, seed: int, batche
     sums, sqsums, accepted = [], [], 0
     for k in range(batches):
         rng = np.random.default_rng(seeds[k])
-        Z = rng.uniform(-1.0, 1.0, size=(per[k], n, p))
-        S = np.einsum("kij,kil->kjl", Z, Z)
-        ev = np.linalg.eigvalsh(S)
-        ok = ev[:, -1] < 1.0
+        ok, log_A = _ball_log_A(rng.uniform(-1.0, 1.0, size=(per[k], n, p)))
         vals = np.zeros(per[k])
-        logs = np.log1p(-ev[ok]).sum(axis=1)
-        vals[ok] = np.exp(0.5 * s * logs)
+        vals[ok] = np.exp(0.5 * s * log_A[ok])
         accepted += int(ok.sum())
         sums.append(float(vals.sum()))
         sqsums.append(float((vals * vals).sum()))

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -115,6 +116,10 @@ class TestPartitionArguments:
         ["geometry", "volume", "--p", "2", "--q", "2", "--r", "1", "--t=-inf"],
         ["geometry", "verify-integral", "--s", "nan", "--p", "1", "--n", "1"],
         ["geometry", "verify-integral", "--s", "inf", "--p", "1", "--n", "1"],
+        # a negative distance, a negative n, a closed form below float range
+        ["geometry", "volume", "--p", "2", "--q", "2", "--r", "1", "--t", "-5"],
+        ["geometry", "verify-integral", "--s", "0", "--p", "1", "--n", "-1", "--samples", "16"],
+        ["geometry", "verify-integral", "--s", "1e300", "--p", "2", "--n", "2", "--samples", "16"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)
@@ -160,6 +165,13 @@ class TestGeometry:
         row = out["data"][0]
         assert abs(row["estimate"] - 3.14159) < 0.05
         assert row["within_3sigma"]
+
+    def test_verify_integral_huge_s_closed_form(self):
+        # sqrt(pi) Gamma(x) / Gamma(x + 1/2) ~ sqrt(pi / x), x = (s + 2) / 2
+        row = json.loads(run("geometry", "verify-integral", "--s", "1e300", "--p", "1",
+                             "--n", "1", "--samples", "100").stdout)["data"][0]
+        assert abs(row["closed_form"] / math.sqrt(math.pi / 5e299) - 1.0) < 1e-12
+        assert row["within_3sigma"] is False
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_verify_integral_rejects_nonpositive_samples(self, samples):

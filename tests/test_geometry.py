@@ -1,9 +1,11 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from _geometry_reference import mc_verify_integral_eigvalsh
 
 from cohomrep import geometry as geo
 
@@ -147,6 +149,11 @@ class TestVolume:
         ref = (t / math.sinh(1.0)) ** (p - 1) / math.cosh(1.0) ** q
         assert abs(val / ref - 1.0) < 1e-6
 
+    def test_negative_distance_rejected(self):
+        with pytest.raises(ValueError):
+            geo.volume_growth(-5.0, 2, 2, 1)
+        assert geo.volume_growth(0.0, 2, 2, 1)["value"] == 0.0
+
     def test_p1_pure_cosh(self):
         for t in (0.5, 1.5):
             val = geo.volume_growth(t, 1, 4, 1)["value"]
@@ -173,6 +180,39 @@ class TestGamma:
                     rhs = geo.log_gamma_integral_X(s + 1, p, n - 1) + geo.log_gamma_integral_X(s, p, 1)
                     assert abs(lhs - rhs) < 1e-12
 
+    @staticmethod
+    def log_integral_even_p(s, p, n):
+        """For even p the Gamma ratios are the exact products
+        1 / (x (x+1) ... (x+p/2-1)), x = (s+i+1)/2; evaluated in 60-digit
+        decimal arithmetic from the float s."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            prod = Decimal(1)
+            for i in range(1, n + 1):
+                x = (Decimal(s) + i + 1) / 2
+                for j in range(p // 2):
+                    prod *= x + j
+            pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+            return float(Decimal(p * n) / 2 * pi.ln() - prod.ln())
+
+    @pytest.mark.parametrize("s", [1e3, 1e6, 1e12, 1e300])
+    def test_large_s_exact_product(self, s):
+        for p in (2, 4, 6):
+            for n in range(1, 6):
+                want = self.log_integral_even_p(s, p, n)
+                assert abs(geo.log_gamma_integral_X(s, p, n) - want) <= 1e-12 * abs(want)
+                # the integral is symmetric in (p, n): this checks odd p
+                # through the half-integer series
+                assert abs(geo.log_gamma_integral_X(s, n, p) - want) <= 1e-12 * abs(want)
+
+    def test_below_cutoff_is_the_lgamma_difference(self):
+        for s in (0, 2.5, 37, geo.LGAMMA_RATIO_CUTOFF):
+            for p, n in itertools.product(range(1, 6), repeat=2):
+                want = 0.5 * p * n * math.log(math.pi)
+                for i in range(1, n + 1):
+                    want += math.lgamma((s + i + 1) / 2.0) - math.lgamma((s + p + i + 1) / 2.0)
+                assert geo.log_gamma_integral_X(s, p, n) == want
+
     def test_quotient_convergence_guard(self):
         with pytest.raises(ValueError):
             geo.quotient_integral(3, 2, 2, 1)
@@ -194,6 +234,65 @@ class TestMonteCarlo:
         hits = sum(geo.mc_verify_integral(2, 1, 2, 100_000, seed=s)["within_3sigma"]
                    for s in range(20))
         assert hits >= 19
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_eigvalsh_oracle(self, seed):
+        for s, p, n in itertools.product((0, 2, 4), range(1, 6), range(1, 6)):
+            got = geo.mc_verify_integral(s, p, n, 5_000, seed=seed)
+            want = mc_verify_integral_eigvalsh(s, p, n, 5_000, seed=seed)
+            assert got["accepted"] == want["accepted"], (s, p, n)
+            for key in ("estimate", "ci3"):
+                assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key]), (key, s, p, n)
+            if p == 1 or s == 0:
+                # log1p(-|z|^2) is the eigenvalue route at p = 1, and at s = 0
+                # every accepted sample counts 1
+                assert got == want, (s, p, n)
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mc_verify_integral must not call eigvalsh")
+
+        einsum = np.einsum
+
+        def pairwise_only(subscripts, *operands, **kwargs):
+            if subscripts == "kij,kil->kjl":
+                raise AssertionError("mc_verify_integral must not stack Gram matrices")
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np, "einsum", pairwise_only)
+        assert geo.mc_verify_integral(4, 3, 4, 2_000, seed=5)["samples"] == 2_000
+
+    def test_ball_log_A_boundary(self):
+        rng = np.random.default_rng(7)
+
+        def point(p, n, svals):
+            """An n x p matrix with singular values svals."""
+            U = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :len(svals)]
+            V = np.linalg.qr(rng.normal(size=(p, p)))[0][:, :len(svals)]
+            return (U * np.asarray(svals)) @ V.T
+
+        def verdict(Z):
+            ok, log_A = geo._ball_log_A(Z[None])
+            if ok[0]:
+                want = float(np.log1p(-np.linalg.eigvalsh(Z.T @ Z)).sum())
+                assert abs(log_A[0] - want) < 1e-6
+            return bool(ok[0])
+
+        inside = point(3, 4, [math.sqrt(1 - 1e-9), 0.5, 0.2])
+        assert verdict(inside)
+        assert abs(geo._ball_log_A(inside[None])[1][0] - math.log(1e-9 * 0.75 * 0.96)) < 1e-6
+        assert not verdict(point(3, 4, [math.sqrt(1 + 1e-9), 0.5, 0.2]))
+        # n < p: tZ Z is singular, and its zero eigenvalues count log 1 = 0
+        assert verdict(point(3, 2, [0.9, 0.3]))
+        assert verdict(point(4, 1, [0.6]))
+        assert not verdict(point(4, 1, [1.2]))
+        ok, log_A = geo._ball_log_A(np.zeros((1, 1, 3)))
+        assert ok[0] and log_A[0] == 0.0
+
+    def test_closed_form_underflow_rejected(self):
+        with pytest.raises(ValueError):
+            geo.mc_verify_integral(1e300, 2, 2, 16, seed=0)
 
 
 class TestHessian:
