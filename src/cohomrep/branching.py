@@ -127,7 +127,9 @@ def restrict_U_pair(lam: Partition, mu: Partition, ctx: BoxContext, r: int) -> d
     """Restriction of the lowest K-type V(lam, mu) of U(p,q) under
     GL_q -> GL_{q-r}: contains the K-type of (lam, mu - (r^p)) for the
     smaller group, with multiplicity one, exactly when (r^p) fits in the
-    skew mu/lam; no other same-degree K-type occurs."""
+    skew mu/lam; no other same-degree K-type occurs.  r must lie in 0..q."""
+    if not 0 <= r <= ctx.q:
+        raise ValueError(f"r = {r} is outside 0..{ctx.q}")
     lam, mu = as_partition(lam), as_partition(mu)
     ok = inscribes(r, lam, mu, ctx.p)
     target = (lam, subtract_rows(mu, r, ctx.p)) if ok else None
@@ -137,7 +139,10 @@ def restrict_U_pair(lam: Partition, mu: Partition, ctx: BoxContext, r: int) -> d
 def restrict_O(lam: Partition, ctx: BoxContext, r: int) -> dict:
     """Restriction of the lowest K-type of A(lam) under O(q) -> O(q-r):
     contains the same lam (orthogonal in p x (q-r)) with multiplicity one
-    exactly when (r^p) fits in the skew complement(lam)/lam."""
+    exactly when (r^p) fits in the skew complement(lam)/lam.  r must lie in
+    0..q-1, so that the box p x (q-r) is not empty."""
+    if not 0 <= r <= ctx.q - 1:
+        raise ValueError(f"r = {r} is outside 0..{ctx.q - 1}")
     orth = ortho_classify(lam, ctx)
     if orth is None:
         raise ValueError(f"{lam} is not orthogonal in {ctx.p}x{ctx.q}")
@@ -182,8 +187,8 @@ def kobayashi_admissible(kind: str, p: int, q: int, r: int, lam: Partition, mu: 
 
     U: admissible iff lam_i (q - mu_i) = 0 for every row i.
     O: admissible iff lam fits in the half-height box [p/2] x q."""
-    if not 2 * r <= q:
-        raise ValueError("need 2r <= q")
+    if not 0 <= 2 * r <= q:
+        raise ValueError("need 0 <= 2r <= q")
     lam = as_partition(lam)
     if kind == "U":
         if mu is None:

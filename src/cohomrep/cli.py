@@ -4,8 +4,9 @@ Subcommands: catalog, isolation, lefschetz, branch, geometry (with
 verify-integral / jacobi / hessian / volume / thresholds).  Data goes to
 stdout in the selected format (json, csv, md), logs to stderr.  Exit codes:
 0 success, 2 criterion-failure verdicts under --strict, 64 usage errors,
-65 enumeration cap exceeded.  Identical argv and config produce
-byte-identical output.
+65 enumeration cap exceeded.  A usage error is any ValueError, raised by
+the argument checks here or by the library, and main reports it on one
+line.  Identical argv and config produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -58,13 +59,8 @@ EXIT_CAP = 65
 
 class Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(EXIT_USAGE)
-
-
-class UsageError(ValueError):
-    """Malformed command-line input; main reports it on one line and exits 64."""
 
 
 def parse_partition(text: str):
@@ -74,40 +70,45 @@ def parse_partition(text: str):
     try:
         return as_partition(tuple(int(v) for v in text.split(",")))
     except ValueError as exc:
-        raise UsageError(f"bad partition {text!r}: {exc}") from None
+        raise ValueError(f"bad partition {text!r}: {exc}") from None
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, as an argparse type."""
+    return tuple(int(v) for v in text.split(","))
 
 
 def boxed(p: int, q: int, lam=(), mu=None) -> BoxContext:
     """The p x q box, once p, q >= 1, lam (and mu) fit in it and lam <= mu."""
     if p < 1 or q < 1:
-        raise UsageError(f"box {p}x{q}: p and q must be >= 1")
+        raise ValueError(f"box {p}x{q}: p and q must be >= 1")
     for name, part in (("lam", lam), ("mu", mu)):
         if part is not None and not in_box(part, p, q):
-            raise UsageError(f"{name} {list(part)} does not fit in the {p}x{q} box")
+            raise ValueError(f"{name} {list(part)} does not fit in the {p}x{q} box")
     if mu is not None and not contains(mu, lam):
-        raise UsageError(f"lam {list(lam)} is not contained in mu {list(mu)}")
+        raise ValueError(f"lam {list(lam)} is not contained in mu {list(mu)}")
     return BoxContext(p, q)
 
 
 def _require(args, command: str, *flags: str) -> None:
-    """Raise UsageError naming the flags among `flags` that args leaves unset."""
+    """Raise ValueError naming the flags among `flags` that args leaves unset."""
     missing = [f"--{f}" for f in flags if getattr(args, f) is None]
     if missing:
-        raise UsageError(f"{command} needs {' '.join(missing)}")
+        raise ValueError(f"{command} needs {' '.join(missing)}")
 
 
 def _at_least(args, low: int, *flags: str) -> None:
-    """Raise UsageError unless every flag in `flags` is >= low."""
+    """Raise ValueError unless every flag in `flags` is >= low."""
     for f in flags:
         if getattr(args, f) < low:
-            raise UsageError(f"--{f} must be >= {low}")
+            raise ValueError(f"--{f} must be >= {low}")
 
 
 def _finite(args, flag: str) -> None:
-    """Raise UsageError when the float flag is nan or infinite, which
+    """Raise ValueError when the float flag is nan or infinite, which
     would reach the JSON output as a bare NaN or Infinity."""
     if not math.isfinite(getattr(args, flag)):
-        raise UsageError(f"--{flag} must be a finite number")
+        raise ValueError(f"--{flag} must be a finite number")
 
 
 def render(rows: list[dict], fmt: str, **meta) -> str:
@@ -164,15 +165,13 @@ def cmd_isolation(args, cfg) -> int:
             mu = parse_partition(args.mu)
             cp = compatible_pair(lam, mu, boxed(args.p, args.q, lam, mu))
             if cp is None:
-                sys.stderr.write("not a compatible pair\n")
-                return EXIT_USAGE
+                raise ValueError("not a compatible pair")
             rows.append({"kind": "U", "lam": list(lam), "mu": list(mu),
                          "isolated": iso.is_isolated_U(cp), "provenance": "Prop Uisol"})
         else:
             orth = ortho_classify(lam, boxed(args.p, args.q, lam))
             if orth is None:
-                sys.stderr.write("not an orthogonal partition\n")
-                return EXIT_USAGE
+                raise ValueError("not an orthogonal partition")
             rows.append({"kind": "O", "lam": list(lam),
                          "isolated": iso.is_isolated_O(orth),
                          "degree": sum(lam), "provenance": "Prop Oisol"})
@@ -192,57 +191,25 @@ def cmd_isolation(args, cfg) -> int:
 
 
 def cmd_lefschetz(args, cfg) -> int:
-    try:
-        G = lef.parse_group(args.G)
-        groups = [lef.parse_group(t) for t in args.H.split("+")] if args.H else []
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    H = None
-    if len(groups) == 1:
-        H = groups[0]
-    elif groups:
-        H = tuple(groups)
+    G = lef.parse_group(args.G)
+    groups = [lef.parse_group(t) for t in args.H.split("+")] if args.H else []
+    H = groups[0] if len(groups) == 1 else (tuple(groups) or None)
     component = None
     if args.component:
+        # the verdict engine decides which shape each query reads
         pieces = [parse_partition(t) for t in args.component.split(";")]
-        if args.mode == "tensor":
-            if len(pieces) != 2:
-                raise UsageError("tensor mode needs two components, --component 'lam;lam'")
-            for lam in pieces:
-                boxed(G.p, G.q, lam)
-        else:
-            boxed(G.p, G.q, *pieces[:2])
-        if args.mode == "restriction":
-            _check_restriction_component(G, H, len(pieces))
-        if args.mode == "cup":
-            if len(pieces) != (2 if G.kind == "U" else 1):
-                raise UsageError("cup mode needs --component 'lam;mu' for U and 'lam' for O")
-            try:
-                _, q_H = lef.cup_box(G, H, args.r)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            boxed(G.p, q_H, *pieces[:2])
-        component = pieces[0] if len(pieces) == 1 else (pieces[0], pieces[1])
+        if len(pieces) > 2:
+            raise ValueError("--component takes 'lam' or 'lam;mu'")
+        component = pieces[0] if len(pieces) == 1 else tuple(pieces)
     if args.mode in ("restriction", "cup"):
         verdict = lef.restriction_verdict if args.mode == "restriction" else lef.cup_verdict
-        try:
-            v = verdict(G, H, degree=args.degree, component=component, r=args.r, l2=args.l2)
-        except ValueError as exc:  # the verdict engine's malformed query
-            raise UsageError(str(exc)) from None
+        v = verdict(G, H, degree=args.degree, component=component, r=args.r, l2=args.l2)
     elif args.mode == "tensor":
-        if args.degrees is None:
-            sys.stderr.write("tensor mode needs --degrees k,l\n")
-            return EXIT_USAGE
-        try:
-            k, l = (int(x) for x in args.degrees.split(","))
-        except ValueError:
-            raise UsageError(f"tensor mode needs --degrees k,l, not {args.degrees!r}") from None
-        v = lef.cup_classes_verdict(G, k, l, components=component)
-    elif args.mode == "modular-symbol":
-        v = lef.modular_symbol_verdict(G.kind, G.p, G.q, args.r or 1)
+        if args.degrees is None or len(args.degrees) != 2:
+            raise ValueError("tensor mode needs --degrees k,l")
+        v = lef.cup_classes_verdict(G, *args.degrees, components=component)
     else:
-        sys.stderr.write(f"unknown mode {args.mode}\n")
-        return EXIT_USAGE
+        v = lef.modular_symbol_verdict(G.kind, G.p, G.q, args.r or 1)
     row = ser.verdict_to_json(v)
     row["provenance"] = v.anchor
     sys.stdout.write(render([row], cfg.format, command="lefschetz", mode=args.mode,
@@ -250,21 +217,6 @@ def cmd_lefschetz(args, cfg) -> int:
     if args.strict and v.status == lef.FAILS:
         return EXIT_CRITERION
     return EXIT_OK
-
-
-def _check_restriction_component(G, H, pieces: int) -> None:
-    """Raise UsageError when the component cannot feed the branch that
-    restriction_verdict takes: U -> U reads a pair 'lam;mu' and O -> O (same
-    p) a single 'lam'; U -> O and the pairs no statement covers read either,
-    and none reads more than two pieces."""
-    if pieces > 2:
-        raise UsageError("restriction mode needs --component 'lam' or 'lam;mu'")
-    if not isinstance(H, lef.Group):
-        return
-    if G.kind == H.kind == "U" and pieces < 2:
-        raise UsageError("restriction U -> U needs --component 'lam;mu'")
-    if G.kind == H.kind == "O" and H.p == G.p and pieces != 1:
-        raise UsageError("restriction O -> O needs --component 'lam'")
 
 
 # flags without a default that each branch op reads
@@ -292,7 +244,7 @@ def cmd_branch(args, cfg) -> int:
                      "provenance": "computed"})
     elif args.op == "restrict-u":
         mu = parse_partition(args.mu)
-        res = br.restrict_U_pair(lam, mu, boxed(args.p, args.q), args.r)
+        res = br.restrict_U_pair(lam, mu, boxed(args.p, args.q, lam, mu), args.r)
         rows.append({"op": "restrict-u", "lam": list(lam), "mu": list(mu),
                      "r": args.r, "contains": res["contains"],
                      "multiplicity": res["multiplicity"],
@@ -304,32 +256,25 @@ def cmd_branch(args, cfg) -> int:
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
                      "provenance": "computed"})
     elif args.op == "tensor":
-        try:
-            params = tuple(int(v) for v in args.params.split(","))
-        except ValueError:
-            raise UsageError(f"bad --params {args.params!r}") from None
-        if len(params) != (4 if args.kind == "U" else 2):
-            raise UsageError("tensor needs --params i,j,k,l for U and k,l for O")
-        res = br.tensor_contains(args.kind, args.p, args.q, params)
-        rows.append({"op": "tensor", "kind": args.kind, "params": list(params),
+        boxed(args.p, args.q)
+        if len(args.params) != (4 if args.kind == "U" else 2):
+            raise ValueError("tensor needs --params i,j,k,l for U and k,l for O")
+        res = br.tensor_contains(args.kind, args.p, args.q, args.params)
+        rows.append({"op": "tensor", "kind": args.kind, "params": list(args.params),
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
                      "provenance": "computed"})
     elif args.op == "kobayashi":
-        if args.kind == "U" and args.mu is None:
-            raise UsageError("kobayashi --kind U needs --mu")
         mu = parse_partition(args.mu) if args.mu else None
+        boxed(args.p, args.q, lam, mu)
         ok = br.kobayashi_admissible(args.kind, args.p, args.q, args.r, lam, mu)
         rows.append({"op": "kobayashi", "kind": args.kind, "lam": list(lam),
                      "mu": list(mu) if mu else None, "admissible": ok,
                      "provenance": "Thm kobaU" if args.kind == "U" else "Thm kobaO"})
     elif args.op == "vanishing-uo":
         mu = parse_partition(args.mu)
-        ok = br.restrict_UO_vanishing(lam, mu, boxed(args.p, args.q))
+        ok = br.restrict_UO_vanishing(lam, mu, boxed(args.p, args.q, lam, mu))
         rows.append({"op": "vanishing-uo", "lam": list(lam), "mu": list(mu),
                      "can_be_nontrivial": ok, "provenance": "computed"})
-    else:
-        sys.stderr.write(f"unknown op {args.op}\n")
-        return EXIT_USAGE
     sys.stdout.write(render(rows, cfg.format, command="branch"))
     return EXIT_OK
 
@@ -340,20 +285,14 @@ def cmd_geometry(args, cfg) -> int:
     rows = []
     if args.geo_op == "verify-integral":
         if args.samples is not None and args.samples < 1:
-            sys.stderr.write("--samples must be >= 1\n")
-            return EXIT_USAGE
+            raise ValueError("--samples must be >= 1")
         _finite(args, "s")
-        if args.s <= -2:
-            raise UsageError(f"--s {args.s}: the integral diverges for s <= -2")
         _at_least(args, 1, "p")
         _at_least(args, 0, "n")
-        try:
-            res = geo.mc_verify_integral(args.s, args.p, args.n,
-                                         cfg.mc_samples if args.samples is None else args.samples,
-                                         args.seed if args.seed is not None else cfg.seed,
-                                         batches=cfg.mc_batches)
-        except ValueError as exc:
-            raise UsageError(f"--s {args.s} --p {args.p} --n {args.n}: {exc}") from None
+        res = geo.mc_verify_integral(args.s, args.p, args.n,
+                                     cfg.mc_samples if args.samples is None else args.samples,
+                                     args.seed if args.seed is not None else cfg.seed,
+                                     batches=cfg.mc_batches)
         res["provenance"] = "computed"
         rows.append(res)
     elif args.geo_op == "jacobi":
@@ -376,6 +315,7 @@ def cmd_geometry(args, cfg) -> int:
         })
     elif args.geo_op == "hessian":
         _at_least(args, 1, "p", "points")
+        _at_least(args, 0, "q")
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
         devs = []
         for _ in range(args.points):
@@ -388,12 +328,7 @@ def cmd_geometry(args, cfg) -> int:
         _at_least(args, 1, "p", "q")
         _at_least(args, 0, "r")
         _finite(args, "t")
-        try:
-            res = geo.volume_growth(args.t, args.p, args.q, args.r)
-        except OverflowError:
-            raise UsageError(f"--t {args.t}: the volume density overflows a float") from None
-        except ValueError as exc:
-            raise UsageError(f"--t {args.t}: {exc}") from None
+        res = geo.volume_growth(args.t, args.p, args.q, args.r)
         rows.append({"p": args.p, "q": args.q, "r": args.r, "t": args.t,
                      "value": res["value"], "exact_shape": res["exact"],
                      "provenance": "computed"})
@@ -414,9 +349,6 @@ def cmd_geometry(args, cfg) -> int:
             "poincare_exponent": (args.p + args.q + args.r - 1) * (min(args.r, args.p) ** 0.5) / 2.0,
             "provenance": "Thm cohom l2",
         })
-    else:
-        sys.stderr.write(f"unknown geometry op {args.geo_op}\n")
-        return EXIT_USAGE
     sys.stdout.write(render(rows, cfg.format, command=f"geometry {args.geo_op}"))
     return EXIT_OK
 
@@ -437,33 +369,35 @@ def build_parser() -> Parser:
     top.set_defaults(config=None, format=None, strict=False)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, run, **kw):
+        parser = sub.add_parser(name, parents=[common], **kw)
+        parser.set_defaults(run=run)
+        return parser
 
-    c = add("catalog", help="enumerate cohomological modules")
+    c = add("catalog", cmd_catalog, help="enumerate cohomological modules")
     c.add_argument("--kind", required=True, choices=("U", "O"))
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--q", type=int, required=True)
 
-    i = add("isolation", help="isolation verdicts and degree thresholds")
+    i = add("isolation", cmd_isolation, help="isolation verdicts and degree thresholds")
     i.add_argument("--kind", required=True, choices=("U", "O"))
     i.add_argument("--p", type=int, required=True)
     i.add_argument("--q", type=int, required=True)
     i.add_argument("--lam")
     i.add_argument("--mu")
 
-    l = add("lefschetz", help="injectivity verdicts with citations")
+    l = add("lefschetz", cmd_lefschetz, help="injectivity verdicts with citations")
     l.add_argument("--mode", required=True,
                    choices=("restriction", "cup", "tensor", "modular-symbol"))
     l.add_argument("--G", required=True, help="group, e.g. O:3,4")
     l.add_argument("--H", help="subgroup(s), e.g. U:2,2 or U:2,2+U:1,3")
     l.add_argument("--degree", type=int)
-    l.add_argument("--degrees", help="k,l for tensor mode")
+    l.add_argument("--degrees", type=int_list, help="k,l for tensor mode")
     l.add_argument("--component", help="partition '2,1' or pair '2,1;3,2'")
     l.add_argument("--r", type=int)
     l.add_argument("--l2", action="store_true", help="L2/cuspidal variants")
 
-    b = add("branch", help="branching multiplicities")
+    b = add("branch", cmd_branch, help="branching multiplicities")
     b.add_argument("--op", required=True,
                    choices=("lr", "gl-to-o", "restrict-u", "restrict-o",
                             "tensor", "kobayashi", "vanishing-uo"))
@@ -475,9 +409,9 @@ def build_parser() -> Parser:
     b.add_argument("--q", type=int)
     b.add_argument("--r", type=int)
     b.add_argument("--kind", choices=("U", "O"))
-    b.add_argument("--params", help="i,j,k,l (U) or k,l (O) for tensor")
+    b.add_argument("--params", type=int_list, help="i,j,k,l (U) or k,l (O) for tensor")
 
-    g = add("geometry", help="numerical geometry on X_{p,q+r}")
+    g = add("geometry", cmd_geometry, help="numerical geometry on X_{p,q+r}")
     gsub = g.add_subparsers(dest="geo_op", required=True)
     vi = gsub.add_parser("verify-integral", parents=[common])
     vi.add_argument("--s", type=float, required=True)
@@ -508,32 +442,16 @@ def build_parser() -> Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = make_config(args.config, format=args.format)
-    except (OSError, ValueError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_USAGE
-    try:
-        if args.command == "catalog":
-            return cmd_catalog(args, cfg)
-        if args.command == "isolation":
-            return cmd_isolation(args, cfg)
-        if args.command == "lefschetz":
-            return cmd_lefschetz(args, cfg)
-        if args.command == "branch":
-            return cmd_branch(args, cfg)
-        if args.command == "geometry":
-            return cmd_geometry(args, cfg)
-    except CapExceededError as exc:
+        return args.run(args, cfg)
+    except CapExceededError as exc:  # a ValueError, so caught first
         sys.stderr.write(f"{exc}\n")
         return EXIT_CAP
-    except UsageError as exc:
+    except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
-    parser.error("no command")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -27,10 +27,15 @@ class Config:
 
 
 def load_config(path: str) -> dict:
-    """Parse ``key = value`` lines; types inferred from Config defaults."""
+    """Parse ``key = value`` lines; types inferred from Config defaults.
+    An unreadable file raises ValueError, as a malformed one does."""
     types = {f.name: type(f.default) for f in fields(Config)}
     out = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"config file {path}: {exc.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -38,12 +38,8 @@ class PointZ:
         n, p = self.Z.shape
         if not (0 <= self.q <= n):
             raise ValueError("row split q out of range")
-        ev = np.linalg.eigvalsh(self.Z.T @ self.Z)
-        if ev.max(initial=0.0) >= 1.0:
-            raise ValueError("tZ Z < 1 violated")
-        self.log_A = float(np.log1p(-ev).sum())
-        ev1 = np.linalg.eigvalsh(self.Z[: self.q].T @ self.Z[: self.q])
-        self.log_B = float(np.log1p(-ev1).sum())
+        self.log_A = log_det_one_minus_gram(self.Z)
+        self.log_B = log_det_one_minus_gram(self.Z[: self.q])
 
     @property
     def A(self) -> float:
@@ -234,8 +230,7 @@ def ba_ratio(Z: np.ndarray, q: int) -> dict:
 
 def distance_to_XV(Z: np.ndarray, q: int) -> float:
     """Geodesic distance to X_V for r = 1: cosh^2 d = B/A."""
-    log_ratio = log_det_one_minus_gram(np.asarray(Z, float)[:q]) - log_det_one_minus_gram(Z)
-    return math.acosh(math.exp(log_ratio / 2.0))
+    return math.acosh(math.exp(log_ba_half(Z, q)))
 
 
 def log_ba_half(Z: np.ndarray, q: int) -> float:
@@ -331,15 +326,20 @@ def lemma_jacobi_multiset(lam: Sequence, p: int, q: int, r: int) -> dict:
 def volume_growth(t: float, p: int, q: int, r: int) -> dict:
     """Volume density of the distance-t hypersurface around X_V, normalized
     to 1 at t = 1.  Exact shape sinh^{p-1} cosh^q for r = 1; for r > 1 an
-    upper bound (1 + t^{p(q+r)}) e^{(p+q+r-1) sqrt(m) t}, m = min(r, p)."""
+    upper bound (1 + t^{p(q+r)}) e^{(p+q+r-1) sqrt(m) t}, m = min(r, p).
+    Raises ValueError for t < 0 and when the value overflows a float."""
     if t < 0:
         raise ValueError("the distance t must be >= 0")
-    if r == 1:
-        val = (math.sinh(t) / math.sinh(1.0)) ** (p - 1) * (math.cosh(t) / math.cosh(1.0)) ** q
-        return {"value": val, "exact": True}
-    m = min(r, p)
-    bound = (1.0 + t ** (p * (q + r))) * math.exp((p + q + r - 1) * math.sqrt(m) * t)
-    return {"value": bound, "exact": False}
+    try:
+        if r == 1:
+            val = (math.sinh(t) / math.sinh(1.0)) ** (p - 1) * (math.cosh(t) / math.cosh(1.0)) ** q
+        else:
+            val = (1.0 + t ** (p * (q + r))) * math.exp((p + q + r - 1) * math.sqrt(min(r, p)) * t)
+    except OverflowError:
+        val = math.inf
+    if math.isinf(val):
+        raise ValueError(f"the volume density at t = {t} overflows a float")
+    return {"value": val, "exact": r == 1}
 
 
 def volume_growth_from_jacobi(t: float, lam: Sequence[float], p: int, q: int, r: int) -> float:
@@ -414,13 +414,10 @@ def gamma_integral_X(s: float, p: int, n: int) -> float:
 def quotient_integral(s: float, p: int, q: int, r: int) -> dict:
     """int over a cocompact quotient of (A/B)^{s/2} dv_X: equals
     pi^{rp/2} prod_{i=1}^r Gamma((s-p-q-r+i+1)/2)/Gamma((s-q-r+i+1)/2)
-    times vol(C_V), convergent for s > p+q+r-2."""
-    if s <= p + q + r - 2:
-        raise ValueError("diverges for s <= p+q+r-2")
-    log_coef = 0.5 * r * p * math.log(math.pi)
-    for i in range(1, r + 1):
-        log_coef += math.lgamma((s - p - q - r + i + 1) / 2.0) - math.lgamma((s - q - r + i + 1) / 2.0)
-    return {"coefficient": math.exp(log_coef), "times": "vol(C_V)"}
+    times vol(C_V), convergent for s > p+q+r-2.  This is the integral over
+    the r x p matrix ball at s - p - q - r, so log_gamma_integral_X gives it
+    without cancellation at large s."""
+    return {"coefficient": math.exp(log_gamma_integral_X(s - p - q - r, p, r)), "times": "vol(C_V)"}
 
 
 def _ball_log_A(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

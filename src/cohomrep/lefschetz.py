@@ -17,8 +17,10 @@ from typing import Optional
 from .partitions import (
     BoxContext,
     Partition,
+    _complement,
+    _contains,
+    _in_box,
     as_partition,
-    complement,
     inscribes,
     is_compatible,
     ortho_classify,
@@ -112,6 +114,28 @@ def parse_group(text: str) -> Group:
     raise ValueError(f"bad group {text!r}: expected U:p,q or O:p,q with p, q >= 1")
 
 
+#: piece counts of the component shapes the verdicts read; "lam;lam" names
+#: two independent partitions, "lam;mu" a nested pair
+_PIECES = {"lam": (1,), "lam;mu": (2,), "lam or lam;mu": (1, 2), "lam;lam": (2,)}
+
+
+def _component(component, shape: str, p: int, q: int) -> tuple[Partition, ...]:
+    """The pieces of a component, each normalized once: a pair is given as
+    two sequences, one partition as a sequence of ints.  Raises ValueError
+    unless the component has `shape` (a key of _PIECES), every piece fits in
+    the p x q box and, for "lam;mu", lam lies inside mu."""
+    pieces = tuple(component) if component and isinstance(component[0], (tuple, list)) else (component,)
+    if len(pieces) not in _PIECES[shape]:
+        raise ValueError(f"this query reads a component {shape!r}, not {component!r}")
+    pieces = tuple(as_partition(c) for c in pieces)
+    for c in pieces:
+        if not _in_box(c, p, q):
+            raise ValueError(f"component {list(c)} does not fit in {p}x{q}")
+    if shape != "lam;lam" and len(pieces) == 2 and not _contains(pieces[1], pieces[0]):
+        raise ValueError(f"lam {list(pieces[0])} is not contained in mu {list(pieces[1])}")
+    return pieces
+
+
 def _hyperplane_pair(G: Group, H) -> bool:
     """H is the standard hyperplane pair (G.kind, p, q-1) & (G.kind, p-1, q),
     or None meaning 'use the standard pair'."""
@@ -131,8 +155,10 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     Degree queries: H the standard hyperplane pair (U or O), the single
     hyperplane for O(2,n), or O(p,q) inside U(p,q).  Component queries:
     U(p,q) -> U(p,q-r) with component (lam, mu); O(p,q) -> O(p,q-r) or
-    U(p,q) -> O(p,q) with component lam.  With l2=True the isotropic
-    variants answer, qualified as L2/cuspidal cohomology.
+    U(p,q) -> O(p,q) with component lam or (lam, mu).  With l2=True the
+    isotropic variants answer, qualified as L2/cuspidal cohomology.  A
+    component of another shape, outside the p x q box or with lam not
+    inside mu raises ValueError.
     """
     p, q = G.p, G.q
     if degree is not None and component is None:
@@ -169,10 +195,10 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     if component is None:
         raise ValueError("need a degree or a component")
     if G.kind == "U" and isinstance(H, Group) and H.kind == "U":
+        lam, mu = _component(component, "lam;mu", p, q)
         rr = q - H.q if r is None else r
         if rr < 0:
             raise ValueError("subgroup larger than the group")
-        lam, mu = (as_partition(component[0]), as_partition(component[1]))
         ok = inscribes(rr, lam, mu, p)
         target = (lam, subtract_rows(mu, rr, p)) if ok else None
         if not l2:
@@ -188,14 +214,13 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
                        target_component=target, criterion_value=ok,
                        qualifier="L2 cohomology")
     if G.kind == "O" and isinstance(H, Group) and H.kind == "O" and H.p == p:
+        lam, = _component(component, "lam", p, q)
         rr = q - H.q if r is None else r
         if rr < 0:
             raise ValueError("subgroup larger than the group")
-        lam = as_partition(component)
-        orth = ortho_classify(lam, BoxContext(p, q))
-        if orth is None:
+        if ortho_classify(lam, BoxContext(p, q)) is None:
             raise ValueError(f"{lam} is not orthogonal in {p}x{q}")
-        ok = inscribes(rr, lam, complement(lam, p, q), p)
+        ok = inscribes(rr, lam, _complement(lam, p, q), p)
         if _is_ip_column(lam, p):
             i = lam[0] if lam else 0
             hyp = 2 * i <= q - rr - 2 and p + q - rr - 2 * i >= 5 and p >= 2 and q >= 2
@@ -211,14 +236,14 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
         return Verdict(CONJECTURED, "Conj CanaO", f"criterion (r^p) fits: {ok}",
                        target_component=lam if ok else None, criterion_value=ok)
     if G.kind == "U" and isinstance(H, Group) and (H.kind, H.p, H.q) == ("O", p, q):
-        if component and isinstance(component[0], (tuple, list)):
-            lam, mu = as_partition(component[0]), as_partition(component[1])
-            if lam != () and mu != as_partition((q,) * p):
+        pieces = _component(component, "lam or lam;mu", p, q)
+        lam = pieces[0]
+        if len(pieces) == 2:
+            mu = pieces[1]
+            if lam != () and mu != (q,) * p:
                 return Verdict(CONJECTURED, "Conj CanaUO",
                                "criterion lam = 0 or mu full: False", criterion_value=False)
-            lam = lam if mu == as_partition((q,) * p) else complement(mu, p, q)
-        else:
-            lam = as_partition(component)
+            lam = lam if mu == (q,) * p else _complement(mu, p, q)
         if _is_ip_column(lam, p):
             i = lam[0] if lam else 0
             hyp = 2 * i <= q - 2 and p + q - 2 * i >= 5 and p >= 2 and q >= 2
@@ -231,6 +256,7 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
         is_orth = ortho_classify(lam, BoxContext(p, q)) is not None
         return Verdict(CONJECTURED, "Conj CanaUO",
                        f"criterion lam orthogonal: {is_orth}", criterion_value=is_orth)
+    _component(component, "lam or lam;mu", p, q)
     return Verdict(NOT_COVERED, "Thm analogue", "no statement covers this component query")
 
 
@@ -245,7 +271,7 @@ def _single_hyperplane(G: Group, H) -> bool:
 
 def _is_ladder_pair(lam, mu, p, q) -> bool:
     """(lam, mu) = ((i^p), ((q-j)^p)) for some i, j (empty = i or j extreme)."""
-    return _is_ip_column(as_partition(lam), p) and _is_ip_column(as_partition(mu), p)
+    return _is_ip_column(lam, p) and _is_ip_column(mu, p)
 
 
 def _ladder_l2_range(lam, mu, p, q, r) -> bool:
@@ -255,8 +281,8 @@ def _ladder_l2_range(lam, mu, p, q, r) -> bool:
 
 
 def _is_ip_column(lam: Partition, p: int) -> bool:
-    """lam = (i^p) for some i >= 0 (the empty partition counts as i = 0)."""
-    lam = as_partition(lam)
+    """lam = (i^p) for some i >= 0 (the empty partition counts as i = 0);
+    lam is normalized."""
     return lam == () or (len(lam) == p and all(v == lam[0] for v in lam))
 
 
@@ -264,7 +290,8 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
                 component=None, r: Optional[int] = None,
                 l2: bool = False) -> Verdict:
     """Cup product with the cycle class of H inside G, in degree k of H's
-    cohomology, or on a named component (conjectural in general)."""
+    cohomology, or on a named component (conjectural in general): (lam, mu)
+    for U, lam for O, inside H's box (see cup_box), else ValueError."""
     p, q = G.p, G.q
     if degree is not None and component is None:
         k = degree
@@ -308,14 +335,14 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
         raise ValueError("need a degree or a component")
     rr, qq = cup_box(G, H, r)
     if G.kind == "O":
-        lam = as_partition(component)
+        lam, = _component(component, "lam", p, qq)
         ok = (ortho_classify(lam, BoxContext(p, qq)) is not None
-              and inscribes(rr, lam, complement(lam, p, qq), p))
+              and inscribes(rr, lam, _complement(lam, p, qq), p))
         anchor = "Conj conjl2O" if l2 else "Conj C100"
         return Verdict(CONJECTURED, anchor, f"criterion (r^p) fits in complement(lam)/lam: {ok}",
                        target_component=_lam_plus_rp(lam, rr, p) if ok else None,
                        criterion_value=ok, qualifier="L2 cohomology" if l2 else None)
-    lam, mu = as_partition(component[0]), as_partition(component[1])
+    lam, mu = _component(component, "lam;mu", p, qq)
     ok = is_compatible(lam, mu, BoxContext(p, qq)) and inscribes(rr, lam, mu, p)
     anchor = "Conj conjl2" if l2 else "Conj conj2"
     return Verdict(CONJECTURED, anchor, f"criterion (r^p) fits in mu/lam: {ok}",
@@ -343,11 +370,12 @@ def _lam_plus_rp(lam: Partition, r: int, p: int) -> Partition:
 
 def cup_classes_verdict(G: Group, k: int, l: int, components=None) -> Verdict:
     """Nonvanishing of a translated cup product of two classes of degrees
-    k and l (optionally in named ladder components (k'^p), (l'^p))."""
+    k and l (optionally in named ladder components (k'^p), (l'^p); the two
+    components must fit in G's box, else ValueError)."""
     p, q = G.p, G.q
-    if components is not None and G.kind == "O":
-        a, b = (as_partition(components[0]), as_partition(components[1]))
-        if _is_ip_column(a, p) and _is_ip_column(b, p):
+    if components is not None:
+        a, b = _component(components, "lam;lam", p, q)
+        if G.kind == "O" and _is_ip_column(a, p) and _is_ip_column(b, p):
             kk = a[0] if a else 0
             ll = b[0] if b else 0
             hyp = 2 * (kk + ll) <= q - 2 and p + q - 2 * (kk + ll) >= 5 and p >= 2 and q >= 2

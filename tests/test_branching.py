@@ -126,6 +126,11 @@ class TestRestrictU:
         res = br.restrict_U_pair((1,), (2, 1), BoxContext(2, 2), 2)
         assert not res["contains"]
 
+    @pytest.mark.parametrize("r", [-1, 3])
+    def test_r_outside_range(self, r):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            br.restrict_U_pair((1,), (2, 1), BoxContext(2, 2), r)
+
     @pytest.mark.parametrize("p,q", [(2, 2), (2, 3)])
     def test_against_character_oracle(self, p, q, compatible_by_box):
         ctx = BoxContext(p, q)
@@ -148,6 +153,11 @@ class TestRestrictO:
         assert br.restrict_O((1, 1), BoxContext(2, 4), 1)["contains"] is True
         assert br.restrict_O((2, 1), BoxContext(2, 3), 1)["contains"] is False
         assert br.restrict_O((), BoxContext(2, 3), 2)["contains"] is True
+
+    @pytest.mark.parametrize("r", [-1, 3])
+    def test_r_outside_range(self, r):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            br.restrict_O((), BoxContext(2, 3), r)
 
     @pytest.mark.parametrize("p,q", [(2, 2), (2, 3)])
     def test_against_character_oracle(self, p, q, orthogonal_by_box):
@@ -241,6 +251,8 @@ class TestKobayashi:
     def test_guard(self):
         with pytest.raises(ValueError):
             br.kobayashi_admissible("O", 2, 3, 2, (1,))
+        with pytest.raises(ValueError):
+            br.kobayashi_admissible("O", 2, 4, -1, (1,))
 
 
 class TestCharacterSymmetry:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,6 +7,9 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from cohomrep import cli
 
 BASE = [sys.executable, "-m", "cohomrep"]
 
@@ -59,6 +64,8 @@ class TestLefschetz:
         proc = run("lefschetz", "--mode", "restriction", "--G", "O:3,4",
                    "--bogus-flag", check=False)
         assert proc.returncode == 64
+        # argparse errors are one line too, with no usage block
+        assert proc.stderr == "cohomrep: error: unrecognized arguments: --bogus-flag\n"
 
 
 class TestPartitionArguments:
@@ -120,6 +127,19 @@ class TestPartitionArguments:
         ["geometry", "volume", "--p", "2", "--q", "2", "--r", "1", "--t", "-5"],
         ["geometry", "verify-integral", "--s", "0", "--p", "1", "--n", "-1", "--samples", "16"],
         ["geometry", "verify-integral", "--s", "1e300", "--p", "2", "--n", "2", "--samples", "16"],
+        # branch queries outside the library's domain: r out of range, lam
+        # or mu outside the box, lam not inside mu, a box below 1x1
+        ["branch", "--op", "restrict-o", "--lam", "1", "--p", "2", "--q", "4", "--r", "1"],
+        ["branch", "--op", "restrict-o", "--lam", "1,1", "--p", "2", "--q", "4", "--r", "-1"],
+        ["branch", "--op", "restrict-u", "--lam", "1", "--mu", "2,2", "--p", "2", "--q", "2", "--r", "-1"],
+        ["branch", "--op", "restrict-u", "--lam", "2", "--mu", "1", "--p", "2", "--q", "2", "--r", "1"],
+        ["branch", "--op", "kobayashi", "--kind", "O", "--p", "2", "--q", "2", "--r", "2", "--lam", "1"],
+        ["branch", "--op", "restrict-o", "--lam=", "--p", "2", "--q", "4", "--r", "4"],
+        ["branch", "--op", "restrict-u", "--lam", "3", "--mu", "3", "--p", "2", "--q", "2", "--r", "1"],
+        ["branch", "--op", "vanishing-uo", "--lam", "5", "--mu", "1", "--p", "1", "--q", "1"],
+        ["branch", "--op", "tensor", "--kind", "O", "--p", "0", "--q", "2", "--params", "1,1"],
+        ["branch", "--op", "kobayashi", "--kind", "O", "--p", "2", "--q", "4", "--r", "-1", "--lam", "1"],
+        ["branch", "--op", "restrict-u", "--lam", "1", "--mu", "2,2", "--p", "2", "--q", "2", "--r", "3"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)
@@ -260,3 +280,75 @@ class TestConfig:
         proc = run("catalog", "--kind", "U", "--p", "1", "--q", "1",
                    "--config", str(cfg), check=False)
         assert proc.returncode == 64
+
+
+# Argument pools for the generated-argv contract.  None leaves the flag out
+# and True passes a bare switch.  Every pool mixes valid values with
+# malformed ones: negative, zero, huge, nan, a bad partition, and one or
+# three ';' pieces.  The huge value goes only where it costs no work: the
+# dimensions of jacobi, hessian, isolation and the branch boxes size loops
+# and arrays, so a huge one there is a valid but expensive query, and
+# --samples and --points stay small for the same reason.
+HUGE = "1000000000"
+SMALL = ["-1", "0", "1", "2", "3"]
+PART = [None, "", "-", "1", "2,1", "1,1,1", "9", "1,2", "a"]
+FLOAT = ["0", "2", "-1", "-3", "nan", "inf", "-inf", "1e6", "1e300"]
+GROUP = ["U:2,3", "U:2,2", "O:3,4", "O:3,3", "O:2,5", "U:0,2", "O:3"]
+POOLS = {
+    ("catalog",): {"--kind": ["U", "O"], "--p": SMALL + [HUGE], "--q": SMALL + [HUGE]},
+    ("isolation",): {"--kind": ["U", "O"], "--p": SMALL, "--q": SMALL, "--lam": PART, "--mu": PART},
+    ("lefschetz",): {
+        "--mode": ["restriction", "cup", "tensor", "modular-symbol"],
+        "--G": GROUP, "--H": [None, "U:2,2+U:1,3"] + GROUP,
+        "--degree": [None, "-1", "0", "2", HUGE], "--degrees": [None, "1,1", "1", "1,x"],
+        "--component": [None, "1", "-", "1,1,1", "1;2,1", "-;2,2", "2;1", "1;2;3", "9", "a"],
+        "--r": [None, "-1", "0", "1", "2", HUGE], "--l2": [None, True], "--strict": [None, True],
+    },
+    ("branch",): {
+        "--op": ["lr", "gl-to-o", "restrict-u", "restrict-o", "tensor", "kobayashi", "vanishing-uo"],
+        "--lam": PART, "--mu": PART, "--nu": PART,
+        "--n": [None, "-2", "0", "1", "3", HUGE], "--p": [None] + SMALL, "--q": [None] + SMALL,
+        "--r": [None, "-1", "0", "1", "2", HUGE], "--kind": [None, "U", "O"],
+        "--params": [None, "1,1", "1,1,1,1", "0,0,0,0", "-1,1", "1,x"],
+    },
+    ("geometry", "verify-integral"): {
+        "--s": FLOAT, "--p": ["-1", "0", "1", "2"], "--n": ["-1", "0", "1", "2"],
+        "--samples": ["-1", "0", "16", "200"], "--seed": [None, "-1", "3"],
+    },
+    ("geometry", "jacobi"): {"--p": SMALL[:4], "--q": SMALL[:4], "--r": SMALL[:4], "--seed": [None, "-1", "5"]},
+    ("geometry", "hessian"): {"--p": SMALL[:4], "--q": SMALL[:4], "--points": ["0", "1"], "--seed": [None, "3"]},
+    ("geometry", "volume"): {"--p": SMALL + [HUGE], "--q": SMALL + [HUGE], "--r": SMALL + [HUGE], "--t": FLOAT},
+    ("geometry", "thresholds"): {"--p": SMALL + [HUGE], "--q": SMALL + [HUGE], "--r": SMALL + [HUGE]},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(POOLS)))
+    argv = list(command)
+    for flag, pool in POOLS[command].items():
+        value = draw(st.sampled_from(pool))
+        if value is not None:
+            argv.append(flag if value is True else f"{flag}={value}")
+    return argv
+
+
+class TestArgvContract:
+    @given(argvs())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_exit_codes_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse errors
+                code = exc.code
+        assert code in (0, 2, 64, 65), (argv, code)
+        if code == 64:
+            assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, argv
+
+        def reject(constant):
+            raise AssertionError(f"{argv}: {constant} in the output")
+
+        if code in (0, 2):
+            json.loads(out.getvalue(), parse_constant=reject)

@@ -219,6 +219,12 @@ class TestGamma:
         res = geo.quotient_integral(10, 2, 2, 1)
         assert res["coefficient"] > 0
 
+    @pytest.mark.parametrize("s", [1e6, 1e17, 1e300])
+    def test_quotient_large_s(self, s):
+        # (p, q, r) = (2, 2, 1): pi Gamma((s-3)/2) / Gamma((s-1)/2) = pi / ((s-3)/2)
+        got = geo.quotient_integral(s, 2, 2, 1)["coefficient"]
+        assert abs(got / (math.pi / ((s - 3) / 2)) - 1.0) < 1e-12
+
 
 class TestMonteCarlo:
     def test_deterministic(self):

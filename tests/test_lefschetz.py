@@ -143,6 +143,19 @@ class TestVerdictHygiene:
         with pytest.raises(ValueError, match=match):
             lef.cup_verdict(G, H, component=component, r=r)
 
+    @pytest.mark.parametrize("case, match", [
+        ({"fn": "restriction", "G": "U:2,3", "H": "U:2,2", "component": [1]}, "reads a component 'lam;mu'"),
+        ({"fn": "restriction", "G": "O:3,4", "H": "O:3,3", "component": [[1], [2]]}, "reads a component 'lam'"),
+        ({"fn": "restriction", "G": "U:3,4", "H": "O:3,4", "component": [[], [1], [2]]}, "'lam or lam;mu'"),
+        ({"fn": "restriction", "G": "U:2,3", "H": "U:2,2", "component": [[2], [1]]}, "not contained"),
+        ({"fn": "restriction", "G": "U:2,3", "component": [9]}, "does not fit in 2x3"),
+        ({"fn": "cup", "G": "O:3,6", "H": "O:3,5", "component": [[1], [2]]}, "reads a component 'lam'"),
+        ({"fn": "classes", "G": "O:3,9", "k": 1, "l": 1, "components": [[1, 1, 1], [10]]}, "3x9"),
+    ])
+    def test_component_shape_and_box_checked_once(self, case, match):
+        with pytest.raises(ValueError, match=match):
+            replay(case)
+
     @pytest.mark.parametrize("text", ["X:3,4", "O:3", "O:a,b", "U:0,2", "U3,4"])
     def test_bad_group_text_raises(self, text):
         with pytest.raises(ValueError, match="bad group"):

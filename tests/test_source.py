@@ -14,3 +14,24 @@ def test_no_bare_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def test_usage_exit_only_at_the_cli_boundary():
+    # a malformed input is a ValueError wherever it is found; only main maps
+    # it to exit 64, and Parser.error does the same for argparse's own errors
+    tree = ast.parse((SRC / "cli.py").read_text())
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Name) and child.id == "EXIT_USAGE" and isinstance(child.ctx, ast.Load):
+                sites.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    assert sites == {"main", "Parser.error"}
+    names = {getattr(node, "id", getattr(node, "name", None)) for node in ast.walk(tree)}
+    assert "UsageError" not in names
