@@ -3,6 +3,7 @@
 histograms, and isolation tallies."""
 
 import argparse
+from collections import Counter
 
 from cohomrep import isolation as iso
 from cohomrep import partitions as pt
@@ -22,7 +23,7 @@ def main():
                 continue
             for kind in ("U", "O"):
                 mods = vz.catalog(kind, p, q)
-                hist = vz.primitive_degree_histogram(kind, p, q)
+                hist = dict(sorted(Counter(m.degree for m in mods).items()))
                 if kind == "U":
                     isolated = sum(
                         iso.is_isolated_U(pt.compatible_pair(m.lam, m.mu, BoxContext(p, q)))

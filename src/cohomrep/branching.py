@@ -18,11 +18,12 @@ from typing import Optional
 from .partitions import (
     BoxContext,
     Partition,
+    _complement,
     _conjugate,
+    _contains,
     as_partition,
-    complement,
+    boxed,
     conjugate,
-    contains,
     inscribes,
     ortho_classify,
     pad,
@@ -43,7 +44,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition, use_cache: bool
     content nu (semistandard filling whose reverse reading word is a lattice
     word).  Zero unless |lam| = |mu| + |nu| and mu <= lam."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    if weight(lam) != weight(mu) + weight(nu) or not contains(lam, mu):
+    if weight(lam) != weight(mu) + weight(nu) or not _contains(lam, mu):
         return 0
     # __wrapped__ is the undecorated counter, which bypasses the cache
     count = _count_lr_tableaux if use_cache else _count_lr_tableaux.__wrapped__
@@ -93,7 +94,7 @@ def even_row_partitions(max_weight: int, max_len: int):
         for v in range(2, min(maxpart, rem) + 1, 2):
             if len(prefix) < max_len:
                 cur = prefix + [v]
-                out.add(as_partition(cur))
+                out.add(tuple(cur))
                 gen(cur, rem - v, v)
 
     gen([], max_weight, max_weight - max_weight % 2)
@@ -127,10 +128,11 @@ def restrict_U_pair(lam: Partition, mu: Partition, ctx: BoxContext, r: int) -> d
     """Restriction of the lowest K-type V(lam, mu) of U(p,q) under
     GL_q -> GL_{q-r}: contains the K-type of (lam, mu - (r^p)) for the
     smaller group, with multiplicity one, exactly when (r^p) fits in the
-    skew mu/lam; no other same-degree K-type occurs.  r must lie in 0..q."""
+    skew mu/lam; no other same-degree K-type occurs.  lam <= mu must fit
+    in the box and r lie in 0..q."""
+    lam, mu = boxed(ctx.p, ctx.q, lam, mu)
     if not 0 <= r <= ctx.q:
         raise ValueError(f"r = {r} is outside 0..{ctx.q}")
-    lam, mu = as_partition(lam), as_partition(mu)
     ok = inscribes(r, lam, mu, ctx.p)
     target = (lam, subtract_rows(mu, r, ctx.p)) if ok else None
     return {"contains": ok, "multiplicity": 1 if ok else 0, "target": target}
@@ -146,8 +148,8 @@ def restrict_O(lam: Partition, ctx: BoxContext, r: int) -> dict:
     orth = ortho_classify(lam, ctx)
     if orth is None:
         raise ValueError(f"{lam} is not orthogonal in {ctx.p}x{ctx.q}")
-    lam_hat = complement(lam, ctx.p, ctx.q)
-    ok = inscribes(r, lam, lam_hat, ctx.p)
+    lam = orth.lam
+    ok = inscribes(r, lam, _complement(lam, ctx.p, ctx.q), ctx.p)
     if ok and ortho_classify(lam, BoxContext(ctx.p, ctx.q - r)) is None:
         raise RuntimeError(f"{lam} fits (r^p) but is not orthogonal in {ctx.p}x{ctx.q - r}")
     return {"contains": ok, "multiplicity": 1 if ok else 0}
@@ -155,9 +157,10 @@ def restrict_O(lam: Partition, ctx: BoxContext, r: int) -> dict:
 
 def restrict_UO_vanishing(lam: Partition, mu: Partition, ctx: BoxContext) -> bool:
     """Whether the restriction of V(lam, mu) from U(p,q) to O(p,q) can be
-    nontrivial: true iff lam = 0 or mu is the full box."""
-    lam, mu = as_partition(lam), as_partition(mu)
-    return lam == () or mu == as_partition((ctx.q,) * ctx.p)
+    nontrivial: true iff lam = 0 or mu is the full box.  lam <= mu must fit
+    in the box."""
+    lam, mu = boxed(ctx.p, ctx.q, lam, mu)
+    return lam == () or mu == (ctx.q,) * ctx.p
 
 
 def tensor_contains(kind: str, p: int, q: int, params) -> dict:
@@ -167,7 +170,11 @@ def tensor_contains(kind: str, p: int, q: int, params) -> dict:
     and A((k^p),((q-l)^p)) contains A(((i+k)^p),((q-j-l)^p)) with
     multiplicity one.  O: for (k, l) with k+l <= q/2 the product of
     A((k^p))^± and A((l^p))^± contains A(((k+l)^p))^± with multiplicity one.
+    p, q >= 1, and params has four entries for U and two for O.
     """
+    boxed(p, q)
+    if kind in ("U", "O") and len(params) != (4 if kind == "U" else 2):
+        raise ValueError(f"tensor needs params i,j,k,l for U and k,l for O, not {list(params)}")
     if kind == "U":
         i, j, k, l = params
         ok = i + j + k + l <= q and min(i, j, k, l) >= 0
@@ -186,14 +193,14 @@ def kobayashi_admissible(kind: str, p: int, q: int, r: int, lam: Partition, mu: 
     symmetric subgroup U(p,q-r) x U(r) (resp. SO(p,q-r) x SO(r)), 2r <= q.
 
     U: admissible iff lam_i (q - mu_i) = 0 for every row i.
-    O: admissible iff lam fits in the half-height box [p/2] x q."""
+    O: admissible iff lam fits in the half-height box [p/2] x q.  lam (and
+    mu, also for O when given) must fit in the p x q box, lam inside mu."""
+    lam, mu = boxed(p, q, lam, mu)
     if not 0 <= 2 * r <= q:
         raise ValueError("need 0 <= 2r <= q")
-    lam = as_partition(lam)
     if kind == "U":
         if mu is None:
             raise ValueError("U needs mu")
-        mu = as_partition(mu)
         return all(part(lam, i) * (q - part(mu, i)) == 0 for i in range(1, p + 1))
     if kind == "O":
         return len(lam) <= p // 2

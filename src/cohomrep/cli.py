@@ -22,7 +22,7 @@ import types
 
 from . import serialize as ser
 from .config import make_config
-from .partitions import BoxContext, CapExceededError, as_partition, compatible_pair, contains, in_box, ortho_classify
+from .partitions import BoxContext, CapExceededError, as_partition, compatible_pair, ortho_classify
 
 
 def _lazy_module(name: str) -> types.ModuleType:
@@ -76,18 +76,6 @@ def parse_partition(text: str):
 def int_list(text: str) -> tuple[int, ...]:
     """Comma-separated integers, as an argparse type."""
     return tuple(int(v) for v in text.split(","))
-
-
-def boxed(p: int, q: int, lam=(), mu=None) -> BoxContext:
-    """The p x q box, once p, q >= 1, lam (and mu) fit in it and lam <= mu."""
-    if p < 1 or q < 1:
-        raise ValueError(f"box {p}x{q}: p and q must be >= 1")
-    for name, part in (("lam", lam), ("mu", mu)):
-        if part is not None and not in_box(part, p, q):
-            raise ValueError(f"{name} {list(part)} does not fit in the {p}x{q} box")
-    if mu is not None and not contains(mu, lam):
-        raise ValueError(f"lam {list(lam)} is not contained in mu {list(mu)}")
-    return BoxContext(p, q)
 
 
 def _require(args, command: str, *flags: str) -> None:
@@ -147,7 +135,6 @@ def _cell(v) -> str:
 
 def cmd_catalog(args, cfg) -> int:
     rows = []
-    boxed(args.p, args.q)
     for mod in vz.catalog(args.kind, args.p, args.q, cap=cfg.enum_cap):
         row = ser.module_to_json(mod)
         row["provenance"] = "computed"
@@ -163,20 +150,19 @@ def cmd_isolation(args, cfg) -> int:
         lam = parse_partition(args.lam)
         if args.kind == "U":
             mu = parse_partition(args.mu)
-            cp = compatible_pair(lam, mu, boxed(args.p, args.q, lam, mu))
+            cp = compatible_pair(lam, mu, BoxContext(args.p, args.q))
             if cp is None:
                 raise ValueError("not a compatible pair")
             rows.append({"kind": "U", "lam": list(lam), "mu": list(mu),
                          "isolated": iso.is_isolated_U(cp), "provenance": "Prop Uisol"})
         else:
-            orth = ortho_classify(lam, boxed(args.p, args.q, lam))
+            orth = ortho_classify(lam, BoxContext(args.p, args.q))
             if orth is None:
                 raise ValueError("not an orthogonal partition")
             rows.append({"kind": "O", "lam": list(lam),
                          "isolated": iso.is_isolated_O(orth),
                          "degree": sum(lam), "provenance": "Prop Oisol"})
     else:
-        boxed(args.p, args.q)
         th = iso.min_degree_nonisolated(args.kind, args.p, args.q)
         row = {"kind": args.kind, "p": args.p, "q": args.q, "rank": th.rank,
                "bound": th.bound, "witness": list(th.witness) if th.witness else None,
@@ -209,7 +195,7 @@ def cmd_lefschetz(args, cfg) -> int:
             raise ValueError("tensor mode needs --degrees k,l")
         v = lef.cup_classes_verdict(G, *args.degrees, components=component)
     else:
-        v = lef.modular_symbol_verdict(G.kind, G.p, G.q, args.r or 1)
+        v = lef.modular_symbol_verdict(G.kind, G.p, G.q, 1 if args.r is None else args.r)
     row = ser.verdict_to_json(v)
     row["provenance"] = v.anchor
     sys.stdout.write(render([row], cfg.format, command="lefschetz", mode=args.mode,
@@ -244,35 +230,31 @@ def cmd_branch(args, cfg) -> int:
                      "provenance": "computed"})
     elif args.op == "restrict-u":
         mu = parse_partition(args.mu)
-        res = br.restrict_U_pair(lam, mu, boxed(args.p, args.q, lam, mu), args.r)
+        res = br.restrict_U_pair(lam, mu, BoxContext(args.p, args.q), args.r)
         rows.append({"op": "restrict-u", "lam": list(lam), "mu": list(mu),
                      "r": args.r, "contains": res["contains"],
                      "multiplicity": res["multiplicity"],
                      "target": {"lam": list(res["target"][0]), "mu": list(res["target"][1])} if res["target"] else None,
                      "provenance": "computed"})
     elif args.op == "restrict-o":
-        res = br.restrict_O(lam, boxed(args.p, args.q), args.r)
+        res = br.restrict_O(lam, BoxContext(args.p, args.q), args.r)
         rows.append({"op": "restrict-o", "lam": list(lam), "r": args.r,
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
                      "provenance": "computed"})
     elif args.op == "tensor":
-        boxed(args.p, args.q)
-        if len(args.params) != (4 if args.kind == "U" else 2):
-            raise ValueError("tensor needs --params i,j,k,l for U and k,l for O")
         res = br.tensor_contains(args.kind, args.p, args.q, args.params)
         rows.append({"op": "tensor", "kind": args.kind, "params": list(args.params),
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
                      "provenance": "computed"})
     elif args.op == "kobayashi":
         mu = parse_partition(args.mu) if args.mu else None
-        boxed(args.p, args.q, lam, mu)
         ok = br.kobayashi_admissible(args.kind, args.p, args.q, args.r, lam, mu)
         rows.append({"op": "kobayashi", "kind": args.kind, "lam": list(lam),
                      "mu": list(mu) if mu else None, "admissible": ok,
                      "provenance": "Thm kobaU" if args.kind == "U" else "Thm kobaO"})
     elif args.op == "vanishing-uo":
         mu = parse_partition(args.mu)
-        ok = br.restrict_UO_vanishing(lam, mu, boxed(args.p, args.q, lam, mu))
+        ok = br.restrict_UO_vanishing(lam, mu, BoxContext(args.p, args.q))
         rows.append({"op": "vanishing-uo", "lam": list(lam), "mu": list(mu),
                      "can_be_nontrivial": ok, "provenance": "computed"})
     sys.stdout.write(render(rows, cfg.format, command="branch"))

@@ -18,12 +18,12 @@ from .partitions import (
     BoxContext,
     Partition,
     _complement,
-    _contains,
-    _in_box,
+    _skew_decompose,
     as_partition,
+    boxed,
     inscribes,
-    is_compatible,
     ortho_classify,
+    pad,
     subtract_rows,
 )
 
@@ -127,13 +127,10 @@ def _component(component, shape: str, p: int, q: int) -> tuple[Partition, ...]:
     pieces = tuple(component) if component and isinstance(component[0], (tuple, list)) else (component,)
     if len(pieces) not in _PIECES[shape]:
         raise ValueError(f"this query reads a component {shape!r}, not {component!r}")
-    pieces = tuple(as_partition(c) for c in pieces)
-    for c in pieces:
-        if not _in_box(c, p, q):
-            raise ValueError(f"component {list(c)} does not fit in {p}x{q}")
-    if shape != "lam;lam" and len(pieces) == 2 and not _contains(pieces[1], pieces[0]):
-        raise ValueError(f"lam {list(pieces[0])} is not contained in mu {list(pieces[1])}")
-    return pieces
+    if shape == "lam;lam":
+        return tuple(boxed(p, q, c)[0] for c in pieces)
+    lam, mu = boxed(p, q, *pieces)
+    return (lam,) if mu is None else (lam, mu)
 
 
 def _hyperplane_pair(G: Group, H) -> bool:
@@ -343,7 +340,7 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
                        target_component=_lam_plus_rp(lam, rr, p) if ok else None,
                        criterion_value=ok, qualifier="L2 cohomology" if l2 else None)
     lam, mu = _component(component, "lam;mu", p, qq)
-    ok = is_compatible(lam, mu, BoxContext(p, qq)) and inscribes(rr, lam, mu, p)
+    ok = _skew_decompose(lam, mu, BoxContext(p, qq)) is not None and inscribes(rr, lam, mu, p)
     anchor = "Conj conjl2" if l2 else "Conj conj2"
     return Verdict(CONJECTURED, anchor, f"criterion (r^p) fits in mu/lam: {ok}",
                    target_component=(_lam_plus_rp(lam, rr, p), mu) if ok else None,
@@ -364,8 +361,8 @@ def cup_box(G: Group, H=None, r: Optional[int] = None) -> tuple[int, int]:
 
 
 def _lam_plus_rp(lam: Partition, r: int, p: int) -> Partition:
-    from .partitions import pad
-    return as_partition(tuple(v + r for v in pad(lam, p)))
+    """lam + (r^p) for a normalized lam and r >= 1."""
+    return tuple(v + r for v in pad(lam, p))
 
 
 def cup_classes_verdict(G: Group, k: int, l: int, components=None) -> Verdict:
@@ -434,7 +431,9 @@ def l2_cup_threshold(p: int, q: int, r: int) -> L2CupThresholds:
 
 def modular_symbol_verdict(kind: str, p: int, q: int, r: int) -> Verdict:
     """Nontriviality of the modular-symbol class of the (p,q)-subgroup in
-    the (p,q+r)-group, and of its strongly primitive projection."""
+    the (p,q+r)-group, and of its strongly primitive projection; r >= 0."""
+    if r < 0:
+        raise ValueError(f"r = {r} must be >= 0")
     if kind == "O":
         ok = q >= r + 2 and p + q - r >= 5 and p >= 2 and q >= 2
         target = as_partition((r,) * p)

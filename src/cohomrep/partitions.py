@@ -17,6 +17,7 @@ block (a, b), a, b >= 1, whose tie blocks are the skew rectangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterator, Optional, Sequence
 
 Partition = tuple[int, ...]
@@ -48,12 +49,29 @@ def as_partition(parts: Sequence[int]) -> Partition:
     return t
 
 
+def boxed(p: int, q: int, lam: Sequence[int] = (),
+          mu: Optional[Sequence[int]] = None) -> tuple[Partition, Optional[Partition]]:
+    """(lam, mu) normalized, once p, q >= 1, each fits in the p x q box and
+    lam lies inside mu; mu stays None when not given.  Every public entry
+    point that takes partitions of a box calls this once and passes on what
+    it returns to the underscored twins below, which check nothing."""
+    if p < 1 or q < 1:
+        raise ValueError(f"box {p}x{q}: p and q must be >= 1")
+    lam = as_partition(lam)
+    if len(lam) > p or (lam and lam[0] > q):
+        raise ValueError(f"lam {list(lam)} does not fit in {p}x{q}")
+    if mu is None:
+        return lam, None
+    mu = as_partition(mu)
+    if len(mu) > p or (mu and mu[0] > q):
+        raise ValueError(f"mu {list(mu)} does not fit in {p}x{q}")
+    if not _contains(mu, lam):
+        raise ValueError(f"lam {list(lam)} is not contained in mu {list(mu)}")
+    return lam, mu
+
+
 def weight(lam: Partition) -> int:
     return sum(lam)
-
-
-def length(lam: Partition) -> int:
-    return len(as_partition(lam))
 
 
 def part(lam: Sequence[int], i: int) -> int:
@@ -69,10 +87,6 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return _contains(as_partition(outer), as_partition(inner))
 
 
-def in_box(lam: Partition, p: int, q: int) -> bool:
-    return _in_box(as_partition(lam), p, q)
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram: (lam*)_j = #{i : lam_i >= j}."""
     return _conjugate(as_partition(lam))
@@ -80,20 +94,14 @@ def conjugate(lam: Partition) -> Partition:
 
 def complement(lam: Partition, p: int, q: int) -> Partition:
     """180-degree rotated complement of lam inside the p x q rectangle."""
-    lam = as_partition(lam)
-    if not _in_box(lam, p, q):
-        raise ValueError(f"{lam} does not fit in a {p}x{q} box")
+    lam, _ = boxed(p, q, lam)
     return _complement(lam, p, q)
 
 
 # the underscored twins take normalized partitions: internal callers use them,
 # so that as_partition runs only at public entry points
 def _contains(outer: Partition, inner: Partition) -> bool:
-    return len(inner) <= len(outer) and all(o >= i for o, i in zip(outer, inner))
-
-
-def _in_box(lam: Partition, p: int, q: int) -> bool:
-    return len(lam) <= p and (not lam or lam[0] <= q)
+    return len(inner) <= len(outer) and all(map(ge, outer, inner))
 
 
 def _conjugate(lam: Partition) -> Partition:
@@ -143,10 +151,6 @@ class OrthoPartition:
     central: Optional[tuple[int, int]]
     parity: str  # "odd" | "even"
     even_type: Optional[int]  # 1 | 2 | 3 for even parity, else None
-
-    @property
-    def lam_hat(self) -> Partition:
-        return complement(self.lam, self.ctx.p, self.ctx.q)
 
     @property
     def rect_count(self) -> int:
@@ -224,18 +228,16 @@ def skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[t
     corner-disjoint union of rectangles: the tie blocks of the pair's level
     word, top down, when that word maps back to (lam, mu).  lam == mu yields ().
     """
-    return _skew_decompose(as_partition(lam), as_partition(mu), ctx)
+    return _skew_decompose(*boxed(ctx.p, ctx.q, lam, mu), ctx)
 
 
 def _skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[tuple[Level, ...]]:
-    if not (_contains(mu, lam) and _in_box(mu, ctx.p, ctx.q)):
-        raise ValueError(f"need lam <= mu <= {ctx.p}x{ctx.q}: {lam}, {mu}")
     word = _level_word(lam, mu, ctx.p, ctx.q)
     return _rects(word) if _pair_of_word(word, ctx.q) == (lam, mu) else None
 
 
 def compatible_pair(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[CompatiblePair]:
-    lam, mu = as_partition(lam), as_partition(mu)
+    lam, mu = boxed(ctx.p, ctx.q, lam, mu)
     rects = _skew_decompose(lam, mu, ctx)
     return None if rects is None else CompatiblePair(lam, mu, ctx, rects)
 
@@ -306,10 +308,8 @@ def ortho_classify(lam: Partition, ctx: BoxContext) -> Optional[OrthoPartition]:
     the total rectangle count is odd.  Even-parity partitions carry a type
     in {1, 2, 3} governing how many sign labels the module catalog attaches.
     """
-    lam = as_partition(lam)
     p, q = ctx.p, ctx.q
-    if not _in_box(lam, p, q):
-        raise ValueError(f"{lam} does not fit in {p}x{q}")
+    lam, _ = boxed(p, q, lam)
     lam_hat = _complement(lam, p, q)
     word = _level_word(lam, lam_hat, p, q)
     if _pair_of_word(word, q) != (lam, lam_hat):
@@ -355,7 +355,7 @@ def _even_type(lam: Partition, p: int, q: int) -> int:
         return 1
     if col_strict:
         return 2
-    raise AssertionError(f"even orthogonal {lam} in {p}x{q} with neither corner strict")
+    raise RuntimeError(f"even orthogonal {lam} in {p}x{q} with neither corner strict")
 
 
 def sign_multiplicity(orth: OrthoPartition) -> int:

@@ -27,11 +27,11 @@ from typing import Optional, Sequence
 
 from .partitions import (
     BoxContext,
+    CapExceededError,
     CompatiblePair,
     OrthoPartition,
     Partition,
-    _in_box,
-    as_partition,
+    boxed,
     part,
     weight,
 )
@@ -108,7 +108,6 @@ class RootSystemData:
     kind: str
     p: int
     q: int
-    pos_compact: tuple[tuple[tuple[int, ...], int], ...]  # (coordinate vector, multiplicity)
     noncompact_pairs: tuple[tuple[tuple[int, ...], int], ...]  # one per +- pair
     rho2: Weight  # 2rho = rho_c2 + rho_n2
     rho_c2: Weight
@@ -130,14 +129,10 @@ def ktype_weight_U(lam: Partition, mu: Partition, ctx: BoxContext) -> Weight:
     """Highest weight of the lowest K-type of A(lam, mu) for U(p, q):
     sum over boxes of lam of (x_i - y_j) minus the reflected sum over the
     complement of mu.  Coefficients: x_i -> lam_i + mu_i - q,
-    y_j -> p - lam*_j - mu*_j.
+    y_j -> p - lam*_j - mu*_j.  Raises ValueError unless lam <= mu fit in
+    the box.
     """
-    p, q = ctx.p, ctx.q
-    lam, mu = as_partition(lam), as_partition(mu)
-    for nu in (lam, mu):
-        if not _in_box(nu, p, q):
-            raise ValueError(f"{nu} does not fit in the {p}x{q} box")
-    return _ktype_weight_U(lam, mu, p, q)
+    return _ktype_weight_U(*boxed(ctx.p, ctx.q, lam, mu), ctx.p, ctx.q)
 
 
 def _ktype_weight_U(lam: Partition, mu: Partition, p: int, q: int) -> Weight:
@@ -304,8 +299,7 @@ def _chamber_orders(kind: str, p: int, q: int):
     vector is the standard order x_1 > ... > x_r > y_s > ... > y_1 > 0."""
     r, s = _shape(kind, p, q)
     m = r + s
-    x_signs = (1, -1) if kind == "O" and p % 2 == 0 and r else (1,)
-    y_signs = (1, -1) if kind == "O" and q % 2 == 0 and s else (1,)
+    x_signs, y_signs = _free_signs(kind, p, q)
     for xmags in itertools.combinations(range(m, 0, -1), r):
         ymags = sorted(set(range(1, m + 1)).difference(xmags))
         for sx, sy in itertools.product(x_signs, y_signs):
@@ -315,6 +309,14 @@ def _chamber_orders(kind: str, p: int, q: int):
             if s:
                 v[r] *= sy
             yield v
+
+
+def _free_signs(kind: str, p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The signs of x_r and of y_1 that `_chamber_orders` tries: both for an
+    even orthogonal factor of rank >= 1, else only +1."""
+    r, s = _shape(kind, p, q)
+    return ((1, -1) if kind == "O" and p % 2 == 0 and r else (1,),
+            (1, -1) if kind == "O" and q % 2 == 0 and s else (1,))
 
 
 _ORDER_CHUNK = 4096  # orders per sign matrix, which bounds its memory
@@ -354,7 +356,7 @@ def root_system(kind: str, p: int, q: int) -> RootSystemData:
         return Weight.make(v[:r], v[r:], conv)
 
     rho_c2, rho_n2 = half_sum2(compact), half_sum2(noncompact)
-    return RootSystemData(kind, p, q, tuple(compact), tuple(noncompact), rho_c2 + rho_n2, rho_c2, rho_n2)
+    return RootSystemData(kind, p, q, tuple(noncompact), rho_c2 + rho_n2, rho_c2, rho_n2)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +377,11 @@ def _chambers(kind: str, p: int, q: int):
     4*||rho||^2, and the largest |entry| of rho_n2 plus that of rho_c2."""
     import numpy as np
 
+    r, s = _shape(kind, p, q)
+    x_signs, y_signs = _free_signs(kind, p, q)
+    orders = math.comb(r + s, r) * len(x_signs) * len(y_signs)
+    if orders > WEYL_CAP:
+        raise CapExceededError(f"Dirac chamber orders of {kind}({p},{q})", orders, WEYL_CAP)
     rs = root_system(kind, p, q)
     rho_c2 = rs.rho_c2.xs + rs.rho_c2.ys
     rho4 = sum(v * v for v in rs.rho2.xs + rs.rho2.ys)
@@ -430,21 +437,13 @@ def dirac_bound(kind: str, p: int, q: int, chi: Weight) -> Fraction:
     systems is returned, each evaluated with w the compact Weyl element
     making w(chi - rho_n) dominant.  Nonpositive for unitarizable modules
     with vanishing Casimir; zero exactly at the lowest K-types 2rho(u cap p).
-    The chambers are built once per (kind, p, q); raises ValueError when chi
-    is too large to evaluate exactly in int64.
+    The chambers are built once per (kind, p, q) from C(r+s, r) orders of
+    the torus coordinates times the free signs; raises CapExceededError when
+    those orders exceed WEYL_CAP, and ValueError when chi is too large to
+    evaluate exactly in int64.
     """
     r, s = _shape(kind, p, q)
-    if kind == "U":
-        if math.comb(p + q, p) > WEYL_CAP:
-            raise CapError(p, q)
-    elif 2 ** (r + s) * math.factorial(r + s) > WEYL_CAP:
-        raise CapError(p, q)
     conv = "U" if kind == "U" else _conv_O(p, q)
     if chi.conv != conv or (len(chi.xs), len(chi.ys)) != (r, s):
         raise ValueError(f"weight {chi.conv} of shape {(len(chi.xs), len(chi.ys))} does not fit {kind}({p},{q})")
     return _dirac_max(kind, p, q, chi)
-
-
-class CapError(ValueError):
-    def __init__(self, p, q):
-        super().__init__(f"Weyl iteration cap exceeded for (p, q) = ({p}, {q})")

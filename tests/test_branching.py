@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cohomrep import branching as br
 from cohomrep import partitions as pt
+from cohomrep import rootdata as rd
 from cohomrep.partitions import BoxContext
 
 
@@ -262,3 +263,24 @@ class TestCharacterSymmetry:
             char = br.gl_character(hw, n)
             for w, m in char.items():
                 assert char[tuple(sorted(w, reverse=True))] == m
+
+
+class TestEntryPointsCheckTheBox:
+    # each call answered out of its domain before the entry points checked
+    # box and nesting through partitions.boxed
+    @pytest.mark.parametrize("call, match", [
+        (lambda: br.restrict_U_pair((3,), (3,), BoxContext(2, 2), 1), "does not fit in 2x2"),
+        (lambda: br.restrict_UO_vanishing((5,), (1,), BoxContext(1, 1)), "does not fit in 1x1"),
+        (lambda: br.kobayashi_admissible("U", 2, 4, 1, (9,), (9,)), "does not fit in 2x4"),
+        (lambda: br.kobayashi_admissible("O", 2, 4, 1, (5,)), "does not fit in 2x4"),
+        (lambda: br.tensor_contains("O", 0, 2, (1, 1)), "must be >= 1"),
+        (lambda: rd.ktype_weight_U((2,), (1,), BoxContext(2, 2)), "is not contained in"),
+    ], ids=["restrict-u", "vanishing-uo", "kobayashi-U", "kobayashi-O", "tensor", "ktype-U"])
+    def test_out_of_domain_raises(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    @pytest.mark.parametrize("kind, params", [("U", (1, 1)), ("O", (1, 1, 1, 1))])
+    def test_tensor_params_length(self, kind, params):
+        with pytest.raises(ValueError, match="tensor needs params"):
+            br.tensor_contains(kind, 2, 3, params)

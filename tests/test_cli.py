@@ -67,6 +67,13 @@ class TestLefschetz:
         # argparse errors are one line too, with no usage block
         assert proc.stderr == "cohomrep: error: unrecognized arguments: --bogus-flag\n"
 
+    def test_modular_symbol_reads_r_zero(self):
+        # --r 0 is a query of its own; only an omitted --r means r = 1
+        base = ["lefschetz", "--mode", "modular-symbol", "--G", "O:3,5"]
+        r0, r1 = run(*base, "--r", "0").stdout, run(*base, "--r", "1").stdout
+        assert r0 != r1 and run(*base).stdout == r1
+        assert json.loads(r0)["data"][0]["threshold"].startswith("q >= r+2: 5 >= 2;")
+
 
 class TestPartitionArguments:
     # malformed partitions, nesting and boxes are rejected before any
@@ -140,6 +147,7 @@ class TestPartitionArguments:
         ["branch", "--op", "tensor", "--kind", "O", "--p", "0", "--q", "2", "--params", "1,1"],
         ["branch", "--op", "kobayashi", "--kind", "O", "--p", "2", "--q", "4", "--r", "-1", "--lam", "1"],
         ["branch", "--op", "restrict-u", "--lam", "1", "--mu", "2,2", "--p", "2", "--q", "2", "--r", "3"],
+        ["lefschetz", "--mode", "modular-symbol", "--G", "O:3,5", "--r", "-1"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)
@@ -158,6 +166,13 @@ class TestPartitionArguments:
 
         row = json.loads(run(*args).stdout, parse_constant=reject)["data"][0]
         assert row["r"] == int(args[args.index("--r") + 1])
+
+    def test_empty_partition_spellings_agree(self):
+        # argparse reads a separate "-;4,4" token as an option, so the empty
+        # partition is "()" there, or "-" joined to the flag with "="
+        base = ["lefschetz", "--mode", "restriction", "--G", "U:2,4", "--H", "U:2,2"]
+        a = run(*base, "--component", "();4,4").stdout
+        assert a and run(*base, "--component=-;4,4").stdout == a
 
     def test_incompatible_cup_component_still_answers(self):
         out = json.loads(run("lefschetz", "--mode", "cup", "--G", "U:2,4", "--H", "U:2,2",

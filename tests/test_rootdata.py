@@ -218,8 +218,14 @@ class TestDirac:
         assert rd.dirac_bound("U", 1, 2, chi) == 0
 
     def test_cap(self):
-        with pytest.raises(rd.CapError):
+        with pytest.raises(pt.CapExceededError):
             rd.dirac_bound("U", 15, 15, rd.Weight.make([0] * 15, [0] * 15, "U"))
+
+    def test_cap_counts_the_orders_walked(self):
+        # O(8,8) walks C(8,4) * 2 * 2 = 280 chamber orders, far below the cap
+        mods = vz.catalog("O", 8, 8, cap=64)
+        for mod in (mods[0], mods[len(mods) // 2], mods[-1]):
+            assert rd.dirac_bound("O", 8, 8, mod.lowest_ktype) == 0, mod.label
 
 
 class TestOptimizedMode:

@@ -35,3 +35,22 @@ def test_usage_exit_only_at_the_cli_boundary():
     assert sites == {"main", "Parser.error"}
     names = {getattr(node, "id", getattr(node, "name", None)) for node in ast.walk(tree)}
     assert "UsageError" not in names
+
+
+def test_box_and_nesting_rule_lives_in_one_function():
+    # "lam and mu fit the p x q box, lam inside mu" is decided by
+    # partitions.boxed alone; every other entry point calls it
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+                if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                        and ("does not fit in" in child.value or "is not contained in" in child.value)):
+                    sites.add(f"{path.stem}.{'.'.join(scope)}")
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), ())
+    assert sites == {"partitions.boxed"}
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert "boxed" not in {node.name for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)}
