@@ -12,6 +12,7 @@ highest weights.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from typing import Optional
 
@@ -19,16 +20,15 @@ from .partitions import (
     BoxContext,
     Partition,
     _complement,
-    _conjugate,
     _contains,
+    _inscribes,
+    _subtract_rows,
     as_partition,
     boxed,
     conjugate,
-    inscribes,
     ortho_classify,
     pad,
     part,
-    subtract_rows,
     weight,
 )
 
@@ -133,8 +133,8 @@ def restrict_U_pair(lam: Partition, mu: Partition, ctx: BoxContext, r: int) -> d
     lam, mu = boxed(ctx.p, ctx.q, lam, mu)
     if not 0 <= r <= ctx.q:
         raise ValueError(f"r = {r} is outside 0..{ctx.q}")
-    ok = inscribes(r, lam, mu, ctx.p)
-    target = (lam, subtract_rows(mu, r, ctx.p)) if ok else None
+    ok = _inscribes(r, lam, mu, ctx.p)
+    target = (lam, _subtract_rows(mu, r, ctx.p)) if ok else None
     return {"contains": ok, "multiplicity": 1 if ok else 0, "target": target}
 
 
@@ -149,7 +149,7 @@ def restrict_O(lam: Partition, ctx: BoxContext, r: int) -> dict:
     if orth is None:
         raise ValueError(f"{lam} is not orthogonal in {ctx.p}x{ctx.q}")
     lam = orth.lam
-    ok = inscribes(r, lam, _complement(lam, ctx.p, ctx.q), ctx.p)
+    ok = _inscribes(r, lam, _complement(lam, ctx.p, ctx.q), ctx.p)
     if ok and ortho_classify(lam, BoxContext(ctx.p, ctx.q - r)) is None:
         raise RuntimeError(f"{lam} fits (r^p) but is not orthogonal in {ctx.p}x{ctx.q - r}")
     return {"contains": ok, "multiplicity": 1 if ok else 0}
@@ -235,39 +235,76 @@ def gl_weyl_dim(hw, n: int) -> int:
 
 def gl_character(hw, n: int, cap: int = DIM_CAP) -> FormalCharacter:
     """Weight multiplicities of the irreducible GL_n module with highest
-    weight hw (weakly decreasing integers, negatives allowed)."""
+    weight hw (weakly decreasing integers, negatives allowed).  Every call
+    returns a fresh character, built from the per-process memo."""
     hw = tuple(int(v) for v in hw)
     if len(hw) != n:
         raise ValueError(f"highest weight must have length {n}: {hw}")
     if any(hw[i] < hw[i + 1] for i in range(n - 1)):
         raise ValueError(f"not dominant for GL_{n}: {hw}")
-    shift = hw[-1] if hw else 0
-    lam = tuple(v - shift for v in hw)
     if gl_weyl_dim(hw, n) > cap:
         raise ValueError(f"dimension cap exceeded for {hw}")
-    char = FormalCharacter("GL", n)
-    rows = len(as_partition(lam))
-    lamp = pad(as_partition(lam), rows)
+    return FormalCharacter("GL", n, _gl_weights(hw, n))
 
-    def fill(cells, grid, counts):
-        if not cells:
-            w = tuple(c + shift for c in counts)
-            char[w] += 1
+
+#: entries kept by each GL-character memo
+GL_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=GL_MEMO_SIZE)
+def _gl_weights(hw: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
+    """The weights of gl_character(hw, n): every permutation of a dominant
+    weight nu + hw_n carries the Kostka number of nu."""
+    shift = hw[-1] if hw else 0
+    out = {}
+    for nu, mult in _kostka_numbers(as_partition(tuple(v - shift for v in hw)), n).items():
+        for w in _orbit(pad(nu, n)):
+            out[tuple(v + shift for v in w) if shift else w] = mult
+    return out
+
+
+@functools.lru_cache(maxsize=GL_MEMO_SIZE)
+def _kostka_numbers(lam: Partition, n: int) -> dict[Partition, int]:
+    """{nu: K_{lam,nu}} over the partitions nu with at most n parts: the
+    number of semistandard tableaux of shape lam and content nu.  Read nu
+    with its smallest part last; the cells holding the largest letter form a
+    horizontal strip lam/mu of that size, and the rest is a tableau of shape
+    mu with content nu minus that part (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.5).  The recursion depth is at most |lam|."""
+    if not lam:
+        return {(): 1}
+    out: dict[Partition, int] = {}
+    if n == 0:
+        return out
+    size = sum(lam)
+    # mu interlaces lam: lam_1 >= mu_1 >= lam_2 >= ... >= mu_l >= 0
+    for mu in itertools.product(*(range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,)))):
+        strip = size - sum(mu)
+        if not strip:
+            continue
+        for nu, k in _kostka_numbers(mu if mu[-1] else mu[:-1], n - 1).items():
+            if not nu or nu[-1] >= strip:
+                key = nu + (strip,)
+                out[key] = out.get(key, 0) + k
+    return out
+
+
+def _orbit(w: tuple[int, ...]):
+    """Every distinct permutation of the weakly decreasing w, in increasing
+    lexicographic order (Narayana's next-permutation step)."""
+    w = list(reversed(w))
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        (i, j), rest = cells[0], cells[1:]
-        lo = grid[(i, j - 1)] if j > 0 else 0
-        for c in range(lo, n):
-            if i > 0 and grid[(i - 1, j)] >= c:
-                continue
-            grid[(i, j)] = c
-            counts[c] += 1
-            fill(rest, grid, counts)
-            counts[c] -= 1
-            del grid[(i, j)]
-
-    cells = [(i, j) for i in range(rows) for j in range(lamp[i])]
-    fill(cells, {}, [0] * n)
-    return char
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = reversed(w[i + 1:])
 
 
 def gl_restrict_drop(char: FormalCharacter, keep: tuple[int, ...]) -> FormalCharacter:
@@ -320,12 +357,27 @@ def ktype_gl_pair_hw(lam: Partition, mu: Partition, ctx: BoxContext) -> tuple[tu
     the standard descending convention.  The GL_q part is listed so that its
     first coordinates correspond to the columns dropped by the block
     embedding GL_{q-r} -> GL_q."""
-    p, q = ctx.p, ctx.q
-    lam, mu = as_partition(lam), as_partition(mu)
-    lc, mc = _conjugate(lam), _conjugate(mu)
-    a = tuple(part(lam, i) + part(mu, i) - q for i in range(1, p + 1))
-    b_asc = [p - part(lc, j) - part(mc, j) for j in range(1, q + 1)]
-    return a, tuple(reversed(b_asc))
+    return _gl_pair_hw(as_partition(lam), as_partition(mu), ctx.p, ctx.q)
+
+
+def _gl_pair_hw(lam: Partition, mu: Partition, p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """ktype_gl_pair_hw for normalized lam, mu, in O(p+q): the GL_p part is
+    lam_i + mu_i - q on the first p rows, and the GL_q part, read from column
+    q down to column 1, is p - lam*_j - mu*_j, where the column lengths
+    lam*_j + mu*_j are tail sums of one count of the parts by size."""
+    a = [-q] * p
+    count = [0] * (q + 1)  # parts of lam and mu by size, those above q at q
+    for nu in (lam, mu):
+        for i, v in enumerate(nu):
+            if i < p:
+                a[i] += v
+            count[min(v, q)] += 1
+    b = []
+    longer = 0  # parts >= j
+    for j in range(q, 0, -1):
+        longer += count[j]
+        b.append(p - longer)
+    return tuple(a), tuple(b)
 
 
 def restrict_U_pair_oracle_mult(lam: Partition, mu: Partition, ctx: BoxContext, r: int,
@@ -333,8 +385,10 @@ def restrict_U_pair_oracle_mult(lam: Partition, mu: Partition, ctx: BoxContext, 
     """Multiplicity of V(alpha, beta) (box p x (q-r)) in the restriction of
     V(lam, mu) (box p x q) to GL_p x GL_{q-r}, computed from characters."""
     p, q = ctx.p, ctx.q
-    a_big, b_big = ktype_gl_pair_hw(lam, mu, ctx)
-    a_small, b_small = ktype_gl_pair_hw(alpha, beta, BoxContext(p, q - r))
+    if not 0 <= r < q:
+        raise ValueError(f"r = {r} is outside 0..{q - 1}")
+    a_big, b_big = _gl_pair_hw(as_partition(lam), as_partition(mu), p, q)
+    a_small, b_small = _gl_pair_hw(as_partition(alpha), as_partition(beta), p, q - r)
     if a_big != a_small:
         return 0
     return gl_branching_mult(b_big, q, r, b_small)

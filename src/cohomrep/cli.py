@@ -145,10 +145,15 @@ def cmd_catalog(args, cfg) -> int:
 
 
 def cmd_isolation(args, cfg) -> int:
+    if args.mu is not None and args.kind == "O":
+        raise ValueError("isolation --kind O does not read --mu")
+    if args.mu is not None and args.lam is None:
+        raise ValueError("isolation --mu needs --lam")
     rows = []
     if args.lam is not None:
         lam = parse_partition(args.lam)
         if args.kind == "U":
+            _require(args, "isolation --kind U --lam", "mu")
             mu = parse_partition(args.mu)
             cp = compatible_pair(lam, mu, BoxContext(args.p, args.q))
             if cp is None:
@@ -206,9 +211,9 @@ def cmd_lefschetz(args, cfg) -> int:
 
 
 # flags without a default that each branch op reads
-BRANCH_FLAGS = {"lr": (), "gl-to-o": ("n",), "restrict-u": ("p", "q", "r"), "restrict-o": ("p", "q", "r"),
-                "tensor": ("kind", "p", "q", "params"), "kobayashi": ("kind", "p", "q", "r"),
-                "vanishing-uo": ("p", "q")}
+BRANCH_FLAGS = {"lr": (), "gl-to-o": ("n",), "restrict-u": ("mu", "p", "q", "r"),
+                "restrict-o": ("p", "q", "r"), "tensor": ("kind", "p", "q", "params"),
+                "kobayashi": ("kind", "p", "q", "r"), "vanishing-uo": ("mu", "p", "q")}
 
 
 def cmd_branch(args, cfg) -> int:

@@ -18,13 +18,13 @@ from .partitions import (
     BoxContext,
     Partition,
     _complement,
+    _inscribes,
     _skew_decompose,
+    _subtract_rows,
     as_partition,
     boxed,
-    inscribes,
     ortho_classify,
     pad,
-    subtract_rows,
 )
 
 GUARANTEED = "guaranteed"
@@ -196,8 +196,8 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
         rr = q - H.q if r is None else r
         if rr < 0:
             raise ValueError("subgroup larger than the group")
-        ok = inscribes(rr, lam, mu, p)
-        target = (lam, subtract_rows(mu, rr, p)) if ok else None
+        ok = _inscribes(rr, lam, mu, p)
+        target = (lam, _subtract_rows(mu, rr, p)) if ok else None
         if not l2:
             return Verdict(GUARANTEED if ok else FAILS, "Thm analogue",
                            f"(r^p) = ({rr}^{p}) fits in mu/lam: {ok}",
@@ -217,7 +217,7 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
             raise ValueError("subgroup larger than the group")
         if ortho_classify(lam, BoxContext(p, q)) is None:
             raise ValueError(f"{lam} is not orthogonal in {p}x{q}")
-        ok = inscribes(rr, lam, _complement(lam, p, q), p)
+        ok = _inscribes(rr, lam, _complement(lam, p, q), p)
         if _is_ip_column(lam, p):
             i = lam[0] if lam else 0
             hyp = 2 * i <= q - rr - 2 and p + q - rr - 2 * i >= 5 and p >= 2 and q >= 2
@@ -334,13 +334,13 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
     if G.kind == "O":
         lam, = _component(component, "lam", p, qq)
         ok = (ortho_classify(lam, BoxContext(p, qq)) is not None
-              and inscribes(rr, lam, _complement(lam, p, qq), p))
+              and _inscribes(rr, lam, _complement(lam, p, qq), p))
         anchor = "Conj conjl2O" if l2 else "Conj C100"
         return Verdict(CONJECTURED, anchor, f"criterion (r^p) fits in complement(lam)/lam: {ok}",
                        target_component=_lam_plus_rp(lam, rr, p) if ok else None,
                        criterion_value=ok, qualifier="L2 cohomology" if l2 else None)
     lam, mu = _component(component, "lam;mu", p, qq)
-    ok = _skew_decompose(lam, mu, BoxContext(p, qq)) is not None and inscribes(rr, lam, mu, p)
+    ok = _skew_decompose(lam, mu, BoxContext(p, qq)) is not None and _inscribes(rr, lam, mu, p)
     anchor = "Conj conjl2" if l2 else "Conj conj2"
     return Verdict(CONJECTURED, anchor, f"criterion (r^p) fits in mu/lam: {ok}",
                    target_component=(_lam_plus_rp(lam, rr, p), mu) if ok else None,

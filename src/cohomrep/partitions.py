@@ -25,6 +25,8 @@ Partition = tuple[int, ...]
 #: default ceiling on p*q for exhaustive enumeration
 DEFAULT_ENUM_CAP = 42
 
+_EXACT_INT = {int}
+
 
 class CapExceededError(ValueError):
     """An enumeration request exceeded the configured cap."""
@@ -37,7 +39,11 @@ class CapExceededError(ValueError):
 
 
 def as_partition(parts: Sequence[int]) -> Partition:
-    """Normalize ``parts`` to a partition tuple (strip trailing zeros)."""
+    """Normalize ``parts`` to a partition tuple (strip trailing zeros).  A
+    tuple of exact ints that is already a partition is returned as it is."""
+    if type(parts) is tuple and (not parts or (
+            set(map(type, parts)) == _EXACT_INT and parts[-1] > 0 and all(map(ge, parts, parts[1:])))):
+        return parts
     t = tuple(int(x) for x in parts)
     for a, b in zip(t, t[1:]):
         if a < b:
@@ -285,17 +291,26 @@ def inscribes(r: int, lam: Partition, mu: Partition, p: int) -> bool:
     lam, mu = as_partition(lam), as_partition(mu)
     if not _contains(mu, lam):
         raise ValueError(f"need lam <= mu: {lam}, {mu}")
-    mup = pad(mu, p)
-    return all(mup[i] - r >= part(lam, i + 1) for i in range(p))
+    return _inscribes(r, lam, mu, p)
 
 
 def subtract_rows(mu: Partition, r: int, p: int) -> Partition:
     """mu - (r^p) componentwise on p rows (requires the result valid)."""
-    mup = pad(as_partition(mu), p)
-    shifted = tuple(v - r for v in mup)
-    if any(v < 0 for v in shifted):
+    nu = as_partition(mu)
+    if any(v < r for v in pad(nu, p)):
         raise ValueError(f"{mu} - ({r}^{p}) has negative parts")
-    return as_partition(shifted)
+    return _subtract_rows(nu, r, p)
+
+
+def _inscribes(r: int, lam: Partition, mu: Partition, p: int) -> bool:
+    # r >= 0 and lam <= mu, as the callers' boxed check leaves them
+    lam, mu = pad(lam, p), pad(mu, p)
+    return all(mu[i] - r >= lam[i] for i in range(p))
+
+
+def _subtract_rows(mu: Partition, r: int, p: int) -> Partition:
+    # parts weakly decrease, so dropping the rows equal to r strips trailing zeros
+    return tuple(v - r for v in pad(mu, p) if v > r)
 
 
 def ortho_classify(lam: Partition, ctx: BoxContext) -> Optional[OrthoPartition]:

@@ -7,6 +7,7 @@ from cohomrep import branching as br
 from cohomrep import partitions as pt
 from cohomrep import rootdata as rd
 from cohomrep.partitions import BoxContext
+from _branching_reference import gl_character_by_cells
 
 
 def partitions_up_to(n):
@@ -108,6 +109,73 @@ class TestCharacterOracle:
     def test_dim_formula_matches_enumeration(self, a, b):
         hw = (a + b, b, 0)
         assert br.gl_character(hw, 3).dim() == br.gl_weyl_dim(hw, 3)
+
+
+def dominant_weights(n, spread, shifts):
+    """Every dominant GL_n weight with hw_1 - hw_n <= spread and hw_n in shifts."""
+    if n == 0:
+        yield ()
+        return
+    for lam in itertools.product(range(spread + 1), repeat=n - 1):
+        if all(a >= b for a, b in zip(lam, lam[1:])):
+            for shift in shifts:
+                yield tuple(v + shift for v in lam + (0,))
+
+
+class TestCharacterAgainstCells:
+    # gl_character counts tableaux through Kostka numbers of a memoized
+    # horizontal-strip recursion; the per-cell enumerator is its oracle
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_the_cell_enumerator(self, n):
+        for hw in dominant_weights(n, 4, range(-2, 2)):
+            char = br.gl_character(hw, n)
+            assert char == gl_character_by_cells(hw, n), hw
+            assert sum(char.values()) == br.gl_weyl_dim(hw, n), hw
+            assert char.kind == "GL" and char.rank == n
+
+    def test_mutating_a_result_leaves_the_memo_alone(self):
+        want = gl_character_by_cells((2, 1, 0), 3)
+        char = br.gl_character((2, 1, 0), 3)
+        char[(2, 1, 0)] += 5
+        char[(9, 9, 9)] = 1
+        del char[(0, 1, 2)]
+        assert br.gl_character((2, 1, 0), 3) == want
+        assert br.gl_character((2, 1, 0), 3) is not br.gl_character((2, 1, 0), 3)
+
+    @pytest.mark.parametrize("hw, n, match", [
+        ((1, 0), 3, "must have length 3"),
+        ((0, 1), 2, "not dominant"),
+        ((60, 30, 0, 0), 4, "dimension cap exceeded"),
+    ])
+    def test_every_call_validates(self, hw, n, match):
+        br.gl_character((1, 0, 0), 3)  # a filled memo changes nothing
+        with pytest.raises(ValueError, match=match):
+            br.gl_character(hw, n)
+
+    def test_cap_argument(self):
+        assert br.gl_character((2, 0), 2, cap=3).dim() == 3
+        with pytest.raises(ValueError, match="dimension cap exceeded"):
+            br.gl_character((2, 0), 2, cap=2)
+
+    def test_large_rank_small_shape(self):
+        # the recursion is as deep as |lam|, not n
+        char = br.gl_character((1,) + (0,) * 199, 200)
+        assert char.dim() == 200 and char[(0,) * 199 + (1,)] == 1
+
+    def test_gl_pair_hw_matches_the_conjugate_formula(self, compatible_by_box):
+        def by_conjugates(lam, mu, p, q):
+            lc, mc = pt.conjugate(lam), pt.conjugate(mu)
+            a = tuple(pt.part(lam, i) + pt.part(mu, i) - q for i in range(1, p + 1))
+            b_asc = [p - pt.part(lc, j) - pt.part(mc, j) for j in range(1, q + 1)]
+            return a, tuple(reversed(b_asc))
+
+        for p, q in itertools.product(range(1, 5), repeat=2):
+            for cp in compatible_by_box[(p, q)]:
+                assert br.ktype_gl_pair_hw(cp.lam, cp.mu, BoxContext(p, q)) == by_conjugates(cp.lam, cp.mu, p, q)
+
+    def test_oracle_mult_r_range(self):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            br.restrict_U_pair_oracle_mult((), (2, 2), BoxContext(2, 2), 2, (), ())
 
 
 class TestRestrictU:

@@ -148,12 +148,29 @@ class TestPartitionArguments:
         ["branch", "--op", "kobayashi", "--kind", "O", "--p", "2", "--q", "4", "--r", "-1", "--lam", "1"],
         ["branch", "--op", "restrict-u", "--lam", "1", "--mu", "2,2", "--p", "2", "--q", "2", "--r", "3"],
         ["lefschetz", "--mode", "modular-symbol", "--G", "O:3,5", "--r", "-1"],
+        # an omitted or unread --mu is named, never read as the empty partition
+        ["isolation", "--kind", "U", "--p", "2", "--q", "2", "--lam", "1"],
+        ["isolation", "--kind", "U", "--p", "2", "--q", "2", "--mu", "2,2"],
+        ["isolation", "--kind", "O", "--p", "3", "--q", "4", "--mu", "2,2"],
+        ["isolation", "--kind", "O", "--p", "3", "--q", "4", "--lam", "3,1", "--mu", "3,1"],
+        ["branch", "--op", "restrict-u", "--lam", "1", "--p", "2", "--q", "2", "--r", "1"],
+        ["branch", "--op", "vanishing-uo", "--p", "2", "--q", "2"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)
         assert proc.returncode == 64, proc.stderr
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args, flag", [
+        (["isolation", "--kind", "U", "--p", "2", "--q", "2", "--lam", "1"], "needs --mu"),
+        (["isolation", "--kind", "U", "--p", "2", "--q", "2", "--mu", "2,2"], "needs --lam"),
+        (["isolation", "--kind", "O", "--p", "3", "--q", "4", "--lam", "3,1", "--mu", "3,1"], "does not read --mu"),
+        (["branch", "--op", "restrict-u", "--lam", "1", "--p", "2", "--q", "2", "--r", "1"], "needs --mu"),
+        (["branch", "--op", "vanishing-uo", "--p", "2", "--q", "2"], "needs --mu"),
+    ])
+    def test_message_names_the_mu_flag(self, args, flag):
+        assert flag in run(*args, check=False).stderr
 
     @pytest.mark.parametrize("args", [
         ["geometry", "thresholds", "--p", "2", "--q", "3", "--r", "0"],

@@ -47,6 +47,41 @@ class TestBasics:
         with pytest.raises(ValueError):
             pt.as_partition((1, 2))
 
+    def test_as_partition_keeps_its_conversions_and_errors(self):
+        import numpy as np
+
+        def converted(parts):
+            # the conversion before the fast path for exact tuples existed
+            t = tuple(int(x) for x in parts)
+            for a, b in zip(t, t[1:]):
+                if a < b:
+                    raise ValueError(f"not weakly decreasing: {t}")
+            if t and t[-1] < 0:
+                raise ValueError(f"negative part in {t}")
+            while t and t[-1] == 0:
+                t = t[:-1]
+            return t
+
+        def outcome(f, parts):
+            try:
+                out = f(parts)
+            except ValueError as exc:
+                return "error", str(exc)
+            return out, [type(v) for v in out]
+
+        inputs = [(), (0,), (0, 0), (3, 1), (3, 1, 0), (2, 2, 2), (1, 2), (0, 1), (2, -1), (-1,),
+                  (-2, -3), (3, 0, 1), [3, 1], [3, 1, 0], [], [1, 2], (True, True), (True, False),
+                  [True], (2.0, 1.0), (2.5, 1), [2.0, 0.0], (np.int64(3), np.int64(1)),
+                  np.array([2, 1, 0]), (np.int32(1), np.int32(2)), (3, np.int64(1)), (3, 1.0)]
+        for parts in inputs:
+            assert outcome(pt.as_partition, parts) == outcome(converted, parts), parts
+        for make in (lambda: (v for v in (2, 1, 0)), lambda: iter([1, 3]), lambda: range(3, 0, -1)):
+            assert outcome(pt.as_partition, make()) == outcome(converted, make())
+
+    def test_as_partition_returns_a_partition_tuple_as_it_is(self):
+        lam = (4, 2, 2, 1)
+        assert pt.as_partition(lam) is lam
+
     @given(boxed_partitions())
     @settings(max_examples=60)
     def test_conjugate_involution(self, bp):
@@ -151,6 +186,23 @@ class TestInscribes:
                 for r in range(0, q + 1):
                     rect_form = r == 0 or (full_height and all(b >= r for _, b in cp.rects))
                     assert pt.inscribes(r, cp.lam, cp.mu, p) == rect_form, (p, q, cp, r)
+
+
+    def test_twins_agree_with_the_checked_forms(self, compatible_by_box):
+        for (p, q), pairs in compatible_by_box.items():
+            for cp in pairs:
+                for r in range(0, q + 1):
+                    ok = pt._inscribes(r, cp.lam, cp.mu, p)
+                    assert ok == pt.inscribes(r, cp.lam, cp.mu, p)
+                    if ok:
+                        assert pt._subtract_rows(cp.mu, r, p) == pt.subtract_rows(cp.mu, r, p)
+
+    def test_checked_forms_keep_their_errors(self):
+        with pytest.raises(ValueError, match=r"^need lam <= mu: \(2,\), \(1,\)$"):
+            pt.inscribes(1, [2], [1], 1)
+        with pytest.raises(ValueError, match=r"^\[2, 1\] - \(2\^2\) has negative parts$"):
+            pt.subtract_rows([2, 1], 2, 2)
+        assert pt.subtract_rows([3, 2, 0], 1, 2) == (2, 1)
 
 
 class TestOrtho:

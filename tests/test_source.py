@@ -54,3 +54,32 @@ def test_box_and_nesting_rule_lives_in_one_function():
     assert sites == {"partitions.boxed"}
     cli = ast.parse((SRC / "cli.py").read_text())
     assert "boxed" not in {node.name for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)}
+
+
+def test_gl_character_oracle_shares_no_code_with_the_fast_route():
+    # the GL-character oracle checks restrict_U_pair only while it reaches
+    # none of the predicate's combinatorics: follow every branching-level
+    # function the oracle names and collect what each one references
+    tree = ast.parse((SRC / "branching.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    roots = ["gl_character", "gl_decompose", "gl_branching_mult",
+             "restrict_U_pair_oracle_mult", "ktype_gl_pair_hw"]
+    seen, todo, names = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ref:
+                names.add(ref)
+                if ref in defs:
+                    todo.append(ref)
+    assert {"_gl_weights", "_kostka_numbers", "_orbit", "_gl_pair_hw"} <= seen
+    banned = {"inscribes", "_inscribes", "subtract_rows", "_subtract_rows", "_skew_decompose",
+              "skew_decompose", "rootdata", "rd", "ktype_weight_U", "_ktype_weight_U",
+              "restrict_U_pair"}
+    assert not names & banned, sorted(names & banned)
+    imported = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
+    assert "rootdata" not in imported
