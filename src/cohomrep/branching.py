@@ -51,7 +51,11 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition, use_cache: bool
     return count(lam, mu, nu)
 
 
-@functools.lru_cache(maxsize=None)
+#: (lam, mu, nu) entries kept by the LR-coefficient memo
+LR_MEMO_SIZE = 1 << 16
+
+
+@functools.lru_cache(maxsize=LR_MEMO_SIZE)
 def _count_lr_tableaux(lam: Partition, mu: Partition, nu: Partition) -> int:
     rows = len(lam)
     lamp, mup = pad(lam, rows), pad(mu, rows)
@@ -223,14 +227,27 @@ class FormalCharacter(Counter):
         return sum(self.values())
 
 
-def gl_weyl_dim(hw, n: int) -> int:
-    """Weyl dimension formula for GL_n with weakly decreasing hw."""
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
+def gl_weyl_dim(hw, n: int, cap: Optional[int] = None) -> int:
+    """Weyl dimension formula for GL_n with weakly decreasing hw: the
+    product over i < j of (hw_i - hw_j + j - i)/(j - i).  Completed one j at
+    a time it is the dimension for GL_{j+1} and hw[:j+1], an exact integer
+    that never decreases, as every factor is at least 1.  With a cap the
+    first of these above cap is returned, so the result exceeds cap iff the
+    dimension does.  The factors with hw_i == hw_j are 1 and skipped: they
+    are the run of entries equal to hw_j just before j, where i stops."""
+    dim = 1
+    run = 0  # first index of the run of entries equal to hw_j
+    for j in range(n):
+        if hw[j] != hw[run]:
+            run = j
+        num = den = 1
+        for i in range(run):
             num *= hw[i] - hw[j] + j - i
             den *= j - i
-    return num // den
+        dim = dim * num // den
+        if cap is not None and dim > cap:
+            break
+    return dim
 
 
 def gl_character(hw, n: int, cap: int = DIM_CAP) -> FormalCharacter:
@@ -242,7 +259,7 @@ def gl_character(hw, n: int, cap: int = DIM_CAP) -> FormalCharacter:
         raise ValueError(f"highest weight must have length {n}: {hw}")
     if any(hw[i] < hw[i + 1] for i in range(n - 1)):
         raise ValueError(f"not dominant for GL_{n}: {hw}")
-    if gl_weyl_dim(hw, n) > cap:
+    if gl_weyl_dim(hw, n, cap) > cap:
         raise ValueError(f"dimension cap exceeded for {hw}")
     return FormalCharacter("GL", n, _gl_weights(hw, n))
 

@@ -29,10 +29,11 @@ def _lazy_module(name: str) -> types.ModuleType:
     """The module `name`, in sys.modules and bound on its package, whose
     source runs on its first attribute access; an already loaded module is
     returned as it is.  A cold command then pays only for the layers it
-    uses, and numpy loads only with `geometry`.  Unlike an import inside
-    each cmd_*, the module is in sys.modules from `import cohomrep.cli` on,
-    so code that wraps the loaded layers right after that import (the
-    benchmark's tracer) finds, loads and wraps it."""
+    uses, and numpy loads only with `geometry`, never with the numpy-free
+    `closedforms`.  Unlike an import inside each cmd_*, the module is in
+    sys.modules from `import cohomrep.cli` on, so code that wraps the loaded
+    layers right after that import (the benchmark's tracer) finds, loads and
+    wraps it."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -46,6 +47,7 @@ def _lazy_module(name: str) -> types.ModuleType:
 
 
 br = _lazy_module(f"{__package__}.branching")
+cf = _lazy_module(f"{__package__}.closedforms")
 geo = _lazy_module(f"{__package__}.geometry")
 iso = _lazy_module(f"{__package__}.isolation")
 lef = _lazy_module(f"{__package__}.lefschetz")
@@ -59,6 +61,10 @@ EXIT_CAP = 65
 
 class Parser(argparse.ArgumentParser):
     def error(self, message):
+        if message.endswith("expected one argument"):
+            # argparse reads a separate value token that starts with "-" as an option
+            message += ("; a value starting with '-' needs '=', as in --component=-;4,4,"
+                        " or write the empty partition as (), as in '();4,4'")
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(EXIT_USAGE)
 
@@ -267,8 +273,6 @@ def cmd_branch(args, cfg) -> int:
 
 
 def cmd_geometry(args, cfg) -> int:
-    import numpy as np
-
     rows = []
     if args.geo_op == "verify-integral":
         if args.samples is not None and args.samples < 1:
@@ -283,6 +287,8 @@ def cmd_geometry(args, cfg) -> int:
         res["provenance"] = "computed"
         rows.append(res)
     elif args.geo_op == "jacobi":
+        import numpy as np
+
         _at_least(args, 1, "p", "q", "r")
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
         M = rng.normal(size=(args.r, args.p))
@@ -301,6 +307,8 @@ def cmd_geometry(args, cfg) -> int:
             "provenance": "computed",
         })
     elif args.geo_op == "hessian":
+        import numpy as np
+
         _at_least(args, 1, "p", "points")
         _at_least(args, 0, "q")
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
@@ -315,14 +323,14 @@ def cmd_geometry(args, cfg) -> int:
         _at_least(args, 1, "p", "q")
         _at_least(args, 0, "r")
         _finite(args, "t")
-        res = geo.volume_growth(args.t, args.p, args.q, args.r)
+        res = cf.volume_growth(args.t, args.p, args.q, args.r)
         rows.append({"p": args.p, "q": args.q, "r": args.r, "t": args.t,
                      "value": res["value"], "exact_shape": res["exact"],
                      "provenance": "computed"})
     elif args.geo_op == "thresholds":
         _at_least(args, 1, "p", "q")
         _at_least(args, 0, "r")
-        th = geo.dx_threshold(args.p, args.q, args.r)
+        th = cf.dx_threshold(args.p, args.q, args.r)
         l2 = lef.l2_cup_threshold(args.p, args.q, args.r)
         rows.append({
             "p": args.p, "q": args.q, "r": args.r,

@@ -6,11 +6,10 @@ allowed); command-line flags override file values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     enum_cap: int = 42
     mc_samples: int = 1_000_000
     mc_batches: int = 16
@@ -29,7 +28,7 @@ class Config:
 def load_config(path: str) -> dict:
     """Parse ``key = value`` lines; types inferred from Config defaults.
     An unreadable file raises ValueError, as a malformed one does."""
-    types = {f.name: type(f.default) for f in fields(Config)}
+    types = {name: type(default) for name, default in Config._field_defaults.items()}
     out = {}
     try:
         fh = open(path)

@@ -5,18 +5,20 @@ tr((1 - Z tZ)^{-1} dZ (1 - tZ Z)^{-1} d tZ).  The first q rows single out
 the totally geodesic X_V = { Z_2 = 0 } of type X_{p,q}; A = det(1 - tZ Z)
 and B = det(1 - tZ_1 Z_1) control the distance to X_V through the
 G_V-invariant ratio B/A.  Everything here is numerical-with-exact-anchors:
-curvature by literal brackets, Gamma-product integrals in log space,
-Monte Carlo verification by seeded rejection sampling, Riemannian Hessians
-by finite differences with explicit Christoffel symbols.
+curvature by literal brackets, Monte Carlo verification of the
+Gamma-product integrals by seeded rejection sampling, Riemannian Hessians
+by finite differences with explicit Christoffel symbols.  The closed forms
+that need no numpy live in `closedforms`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .closedforms import gamma_integral_X
 
 BOUNDARY_TOL = 1e-12
 
@@ -25,21 +27,18 @@ BOUNDARY_TOL = 1e-12
 # points, determinants, metric
 
 
-@dataclass
 class PointZ:
     """A point of the bounded model with the q | r row split and cached
     determinants A = det(1 - tZ Z), B = det(1 - tZ_1 Z_1)."""
 
-    Z: np.ndarray
-    q: int
-
-    def __post_init__(self):
-        self.Z = np.asarray(self.Z, dtype=float)
+    def __init__(self, Z: np.ndarray, q: int):
+        self.Z = np.asarray(Z, dtype=float)
+        self.q = q
         n, p = self.Z.shape
-        if not (0 <= self.q <= n):
+        if not (0 <= q <= n):
             raise ValueError("row split q out of range")
         self.log_A = log_det_one_minus_gram(self.Z)
-        self.log_B = log_det_one_minus_gram(self.Z[: self.q])
+        self.log_B = log_det_one_minus_gram(self.Z[:q])
 
     @property
     def A(self) -> float:
@@ -320,26 +319,7 @@ def lemma_jacobi_multiset(lam: Sequence, p: int, q: int, r: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# volume growth
-
-
-def volume_growth(t: float, p: int, q: int, r: int) -> dict:
-    """Volume density of the distance-t hypersurface around X_V, normalized
-    to 1 at t = 1.  Exact shape sinh^{p-1} cosh^q for r = 1; for r > 1 an
-    upper bound (1 + t^{p(q+r)}) e^{(p+q+r-1) sqrt(m) t}, m = min(r, p).
-    Raises ValueError for t < 0 and when the value overflows a float."""
-    if t < 0:
-        raise ValueError("the distance t must be >= 0")
-    try:
-        if r == 1:
-            val = (math.sinh(t) / math.sinh(1.0)) ** (p - 1) * (math.cosh(t) / math.cosh(1.0)) ** q
-        else:
-            val = (1.0 + t ** (p * (q + r))) * math.exp((p + q + r - 1) * math.sqrt(min(r, p)) * t)
-    except OverflowError:
-        val = math.inf
-    if math.isinf(val):
-        raise ValueError(f"the volume density at t = {t} overflows a float")
-    return {"value": val, "exact": r == 1}
+# volume growth from the Jacobi spectrum
 
 
 def volume_growth_from_jacobi(t: float, lam: Sequence[float], p: int, q: int, r: int) -> float:
@@ -365,59 +345,7 @@ def volume_growth_from_jacobi(t: float, lam: Sequence[float], p: int, q: int, r:
 
 
 # ---------------------------------------------------------------------------
-# Gamma-product integrals and Monte Carlo verification
-
-
-# Above this s the lgamma difference in log_gamma_integral_X loses digits to
-# cancellation (all of them once s + p + i + 1 rounds to s + i + 1, near
-# s = 1e16); every x there is at least 51.
-LGAMMA_RATIO_CUTOFF = 100.0
-
-
-def _log_gamma_ratio_large(x: float, p: int) -> float:
-    """log Gamma(x) / Gamma(x + p/2) for x >= 51, without cancellation.
-
-    The integer part of p/2 is the exact product 1 / (x (x+1) ... (x+m-1));
-    an odd p adds log Gamma(y) / Gamma(y + 1/2), y = x + m, from its
-    asymptotic series -log(y)/2 + 1/(8y) - 1/(192y^3) + 1/(640y^5)
-    - 17/(14336y^7), whose next term is below 1e-18 at y = 51."""
-    m = p // 2
-    out = -math.fsum(math.log(x + j) for j in range(m))
-    if p % 2:
-        y = x + m
-        u = 1.0 / y
-        u2 = u * u
-        out += -0.5 * math.log(y) + u * (1 / 8 - u2 * (1 / 192 - u2 * (1 / 640 - u2 * (17 / 14336))))
-    return out
-
-
-def log_gamma_integral_X(s: float, p: int, n: int) -> float:
-    """log of int_X A^{s/2} dZ over X = { Z in M_{n,p} : tZ Z < 1 }:
-    pi^{pn/2} prod_{i=1}^n Gamma((s+i+1)/2) / Gamma((s+p+i+1)/2),
-    convergent for s > -2.  Up to s = LGAMMA_RATIO_CUTOFF each ratio is an
-    lgamma difference, above it `_log_gamma_ratio_large`."""
-    if s <= -2:
-        raise ValueError("diverges for s <= -2")
-    out = 0.5 * p * n * math.log(math.pi)
-    for i in range(1, n + 1):
-        if s > LGAMMA_RATIO_CUTOFF:
-            out += _log_gamma_ratio_large((s + i + 1) / 2.0, p)
-        else:
-            out += math.lgamma((s + i + 1) / 2.0) - math.lgamma((s + p + i + 1) / 2.0)
-    return out
-
-
-def gamma_integral_X(s: float, p: int, n: int) -> float:
-    return math.exp(log_gamma_integral_X(s, p, n))
-
-
-def quotient_integral(s: float, p: int, q: int, r: int) -> dict:
-    """int over a cocompact quotient of (A/B)^{s/2} dv_X: equals
-    pi^{rp/2} prod_{i=1}^r Gamma((s-p-q-r+i+1)/2)/Gamma((s-q-r+i+1)/2)
-    times vol(C_V), convergent for s > p+q+r-2.  This is the integral over
-    the r x p matrix ball at s - p - q - r, so log_gamma_integral_X gives it
-    without cancellation at large s."""
-    return {"coefficient": math.exp(log_gamma_integral_X(s - p - q - r, p, r)), "times": "vol(C_V)"}
+# Monte Carlo verification of the Gamma-product integrals
 
 
 def _ball_log_A(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -571,67 +499,3 @@ def hessian_numeric_check(Z: np.ndarray, q: int, h: float = 1e-4) -> dict:
     want = np.array(hessian_profile_distance(F, p, q))
     return {"distance": F, "eigenvalues": got.tolist(), "profile": want.tolist(),
             "max_deviation": float(np.abs(got - want).max())}
-
-
-# ---------------------------------------------------------------------------
-# spectral bounds: Donnelly-Xavier combination and thresholds
-
-
-def dx_bound(eigs: Sequence[float], k: int) -> float:
-    """sum(gamma_i) - 2k max(gamma_i): a positive value bounds the form
-    Laplacian on degree-k forms away from zero."""
-    eigs = list(eigs)
-    return math.fsum(eigs) - 2 * k * max(eigs)
-
-
-def dx_threshold(p: int, q: int, r: int) -> dict:
-    """Degree thresholds for the spectral gap.
-
-    The limit profile of the Hessian of (1/2) log(B/A) has q + pr - 1
-    eigenvalues tending to 1 and the rest to 0, so the limit bound is
-    (q + pr - 1) - 2k, positive iff k < (q + pr - 1)/2.  The companion
-    convention (p + qr - 1)/2 is recorded as well; queries must state which
-    one they used."""
-    return {
-        "limit_ones": q + p * r - 1,
-        "threshold_qpr": (q + p * r - 1) / 2.0,
-        "threshold_pqr": (p + q * r - 1) / 2.0,
-        "limit_bound": lambda k: (q + p * r - 1) - 2 * k,
-        "convention": "k < (q+pr-1)/2",
-    }
-
-
-# ---------------------------------------------------------------------------
-# counting and Poincare series
-
-
-def counting_bound(p: int, q: int, r: int, t: float) -> float:
-    """Upper bound (up to a point-dependent constant) on the number of orbit
-    points within distance t of X_V:
-    int_0^{t+1} (1 + u^N) e^{a u} du with N = p(q+r), a = (p+q+r-1) sqrt(m)."""
-    N = p * (q + r)
-    m = min(r, p)
-    a = (p + q + r - 1) * math.sqrt(m)
-    upper = t + 1.0
-
-    def poly_exp_integral(n, a, x):
-        # int_0^x u^n e^{au} du by the usual reduction
-        total = 0.0
-        coef = 1.0
-        for k in range(n + 1):
-            total += (-1) ** k * coef * x ** (n - k) / a ** (k + 1)
-            coef *= (n - k)
-        total *= math.exp(a * x)
-        total -= (-1) ** n * math.factorial(n) / a ** (n + 1)
-        return total
-
-    return (math.exp(a * upper) - 1.0) / a + poly_exp_integral(N, a, upper)
-
-
-def poincare_converges(w: float, p: int, q: int, r: int) -> bool:
-    """Convergence of the Poincare series of a form with pointwise norm
-    bounded by (A/B)^w: requires w > (p+q+r-1) sqrt(m)/2, m = min(r, p)."""
-    if r == 0:
-        return True
-    m = min(r, p)
-    return w > (p + q + r - 1) * math.sqrt(m) / 2.0

@@ -12,8 +12,7 @@ is isolated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import rootdata as rd
 from .partitions import (
@@ -135,8 +134,7 @@ def is_isolated_O(orth: OrthoPartition) -> bool:
     return not _cond3_violated(orth)
 
 
-@dataclass(frozen=True)
-class DegreeThreshold:
+class DegreeThreshold(NamedTuple):
     kind: str
     p: int
     q: int

@@ -11,8 +11,7 @@ query; its criterion value is reported but never upgraded), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .partitions import (
     BoxContext,
@@ -72,8 +71,7 @@ CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
     status: str
     anchor: str
     threshold: str
@@ -81,19 +79,25 @@ class Verdict:
     qualifier: Optional[str] = None
     criterion_value: Optional[bool] = None  # for iff-criteria and conjectures
 
-    def __post_init__(self):
-        if self.anchor not in CITATIONS and self.status != NOT_COVERED:
-            raise ValueError(f"unknown anchor {self.anchor!r}")
-        if self.status not in (GUARANTEED, CONJECTURED, NOT_COVERED, FAILS):
-            raise ValueError(f"unknown status {self.status!r}")
+
+class Verdict(_VerdictFields):
+    __slots__ = ()
+
+    def __new__(cls, status: str, anchor: str, threshold: str, target_component=None,
+                qualifier: Optional[str] = None, criterion_value: Optional[bool] = None):
+        if anchor not in CITATIONS and status != NOT_COVERED:
+            raise ValueError(f"unknown anchor {anchor!r}")
+        if status not in (GUARANTEED, CONJECTURED, NOT_COVERED, FAILS):
+            raise ValueError(f"unknown status {status!r}")
+        return _VerdictFields.__new__(cls, status, anchor, threshold, target_component,
+                                      qualifier, criterion_value)
 
     @property
     def citation(self) -> str:
         return CITATIONS.get(self.anchor, "")
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     kind: str  # "U" | "O"
     p: int
     q: int
@@ -138,7 +142,8 @@ def _hyperplane_pair(G: Group, H) -> bool:
     or None meaning 'use the standard pair'."""
     if H is None:
         return True
-    if isinstance(H, (tuple, list)) and len(H) == 2:
+    # a Group is itself a tuple, so it is excluded by name
+    if not isinstance(H, Group) and isinstance(H, (tuple, list)) and len(H) == 2:
         a, b = H
         return {(a.kind, a.p, a.q), (b.kind, b.p, b.q)} == {(G.kind, G.p, G.q - 1), (G.kind, G.p - 1, G.q)}
     return False
@@ -405,8 +410,7 @@ def theta_rank_condition(kind: str, p: int, q: int, r: int) -> bool:
     return q >= r
 
 
-@dataclass(frozen=True)
-class L2CupThresholds:
+class L2CupThresholds(NamedTuple):
     p: int
     q: int
     r: int

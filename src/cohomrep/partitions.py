@@ -16,9 +16,8 @@ block (a, b), a, b >= 1, whose tie blocks are the skew rectangles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ge
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 Partition = tuple[int, ...]
 
@@ -118,20 +117,23 @@ def _complement(lam: Partition, p: int, q: int) -> Partition:
     return tuple(q - v for v in reversed(pad(lam, p)) if v < q)
 
 
-@dataclass(frozen=True)
-class BoxContext:
-    """The ambient p x q rectangle (p rows, q columns)."""
-
+class _BoxFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+
+class BoxContext(_BoxFields):
+    """The ambient p x q rectangle (p rows, q columns)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int):
+        if p < 1 or q < 1:
             raise ValueError("box dimensions must be positive")
+        return _BoxFields.__new__(cls, p, q)
 
 
-@dataclass(frozen=True)
-class CompatiblePair:
+class CompatiblePair(NamedTuple):
     """Nested pair lambda <= mu <= p x q whose skew is a corner-disjoint
     union of rectangles, listed top-down as (rows_i, cols_i)."""
 
@@ -145,8 +147,7 @@ class CompatiblePair:
         return self.lam == self.mu
 
 
-@dataclass(frozen=True)
-class OrthoPartition:
+class OrthoPartition(NamedTuple):
     """Orthogonal partition with the palindromic decomposition of the skew
     complement(lam)/lam: pairs (a_i x b_i) repeated symmetrically around an
     optional central rectangle (p0 x q0)."""

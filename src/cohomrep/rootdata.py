@@ -21,9 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .partitions import (
     BoxContext,
@@ -38,13 +37,15 @@ from .partitions import (
 
 WEYL_CAP = 10**6
 
+#: (kind, p, q) entries kept by the Dirac chamber memo
+CHAMBER_MEMO_SIZE = 64
+
 
 def _conv_O(p: int, q: int) -> str:
     return f"O-{'even' if p % 2 == 0 else 'odd'}-{'even' if q % 2 == 0 else 'odd'}"
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """Integer vector in the fixed torus coordinates."""
 
     xs: tuple[int, ...]
@@ -103,8 +104,7 @@ def _integers(vals: Sequence) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(NamedTuple):
     kind: str
     p: int
     q: int
@@ -370,7 +370,7 @@ def root_system(kind: str, p: int, q: int) -> RootSystemData:
 _INT64_MAX = 2**63 - 1
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CHAMBER_MEMO_SIZE)
 def _chambers(kind: str, p: int, q: int):
     """(rho_n2, rho_c2, rho4, reach) for (kind, p, q): the int64 matrix whose
     rows are 2*rho_n^w over the chambers, the int64 vector 2*rho_c, the int

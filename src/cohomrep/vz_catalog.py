@@ -11,8 +11,7 @@ group, flagged rather than listed separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import partitions as pt
 from . import rootdata as rd
@@ -21,8 +20,7 @@ from .partitions import BoxContext, CapExceededError, CompatiblePair, OrthoParti
 LeviFactor = tuple[str, int, int]  # ("U", a, b) or ("O", p0, q0)
 
 
-@dataclass(frozen=True)
-class VZModule:
+class VZModule(NamedTuple):
     kind: str  # "U" | "O"
     p: int
     q: int

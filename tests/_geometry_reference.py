@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from cohomrep.geometry import gamma_integral_X
+from cohomrep.closedforms import gamma_integral_X
 
 
 def mc_verify_integral_eigvalsh(s: float, p: int, n: int, samples: int, seed: int,

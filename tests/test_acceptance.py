@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from cohomrep import branching as br
+from cohomrep import closedforms as cf
 from cohomrep import geometry as geo
 from cohomrep import isolation as iso
 from cohomrep import lefschetz as lef
@@ -198,14 +199,14 @@ def test_criterion_5_ktype_weight_formulas():
 def test_criterion_6_gamma_integrals():
     t0 = time.time()
     import math
-    assert abs(geo.gamma_integral_X(0, 1, 1) - 2.0) < 1e-12
-    assert abs(geo.gamma_integral_X(0, 2, 1) - math.pi) < 1e-12
-    assert abs(geo.gamma_integral_X(0, 1, 2) - math.pi) < 1e-12
+    assert abs(cf.gamma_integral_X(0, 1, 1) - 2.0) < 1e-12
+    assert abs(cf.gamma_integral_X(0, 2, 1) - math.pi) < 1e-12
+    assert abs(cf.gamma_integral_X(0, 1, 2) - math.pi) < 1e-12
     for s in range(0, 9):
         for n in range(2, 7):
             for p in range(1, 7):
-                lhs = geo.log_gamma_integral_X(s, p, n)
-                rhs = geo.log_gamma_integral_X(s + 1, p, n - 1) + geo.log_gamma_integral_X(s, p, 1)
+                lhs = cf.log_gamma_integral_X(s, p, n)
+                rhs = cf.log_gamma_integral_X(s + 1, p, n - 1) + cf.log_gamma_integral_X(s, p, 1)
                 assert abs(lhs - rhs) < 1e-12
     results = []
     for s, p, n in [(2, 1, 2), (4, 2, 2), (2, 2, 3)]:

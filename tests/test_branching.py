@@ -1,4 +1,8 @@
 import itertools
+import math
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +165,41 @@ class TestCharacterAgainstCells:
         # the recursion is as deep as |lam|, not n
         char = br.gl_character((1,) + (0,) * 199, 200)
         assert char.dim() == 200 and char[(0,) * 199 + (1,)] == 1
+
+    def test_weyl_dim_matches_the_full_product(self):
+        def full_product(hw, n):
+            num = den = 1
+            for i in range(n):
+                for j in range(i + 1, n):
+                    num *= hw[i] - hw[j] + j - i
+                    den *= j - i
+            return num // den
+
+        for n in range(6):
+            for hw in dominant_weights(n, 3, (-1, 0, 2)):
+                dim = full_product(hw, n)
+                assert br.gl_weyl_dim(hw, n) == dim
+                for cap in (1, 2, 7, 64):
+                    assert (br.gl_weyl_dim(hw, n, cap) > cap) == (dim > cap), (hw, cap)
+        assert br.gl_weyl_dim((7,) + (0,) * 59, 60) == math.comb(66, 7)
+        assert br.gl_weyl_dim((1,) * 40 + (0,) * 60, 100) == math.comb(100, 40)
+
+    def test_large_rank_answers_or_hits_the_cap_quickly(self):
+        # the factors of equal entries are skipped, and the cap check stops
+        # once the running dimension passes the cap; the full product of
+        # all n(n-1)/2 factors never returned here
+        code = textwrap.dedent("""
+            from cohomrep import branching as br
+            assert br.gl_character((1,) + (0,) * 1999, 2000).dim() == 2000
+            for hw in ((1,) * 1000 + (0,) * 1000, tuple(range(1999, -1, -1))):
+                try:
+                    br.gl_character(hw, 2000)
+                except ValueError as exc:
+                    assert "dimension cap exceeded" in str(exc)
+                else:
+                    raise AssertionError(hw)
+        """)
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=10)
 
     def test_gl_pair_hw_matches_the_conjugate_formula(self, compatible_by_box):
         def by_conjugates(lam, mu, p, q):
@@ -352,3 +391,8 @@ class TestEntryPointsCheckTheBox:
     def test_tensor_params_length(self, kind, params):
         with pytest.raises(ValueError, match="tensor needs params"):
             br.tensor_contains(kind, 2, 3, params)
+
+
+def test_memos_are_bounded():
+    for memo in (br._count_lr_tableaux, br._gl_weights, br._kostka_numbers, rd._chambers):
+        assert memo.cache_info().maxsize is not None, memo.__name__

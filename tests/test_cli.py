@@ -155,6 +155,8 @@ class TestPartitionArguments:
         ["isolation", "--kind", "O", "--p", "3", "--q", "4", "--lam", "3,1", "--mu", "3,1"],
         ["branch", "--op", "restrict-u", "--lam", "1", "--p", "2", "--q", "2", "--r", "1"],
         ["branch", "--op", "vanishing-uo", "--p", "2", "--q", "2"],
+        # argparse reads a separate token that starts with "-" as an option
+        ["lefschetz", "--mode", "restriction", "--G", "U:2,4", "--H", "U:2,2", "--component", "-;4,4"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)
@@ -190,6 +192,9 @@ class TestPartitionArguments:
         base = ["lefschetz", "--mode", "restriction", "--G", "U:2,4", "--H", "U:2,2"]
         a = run(*base, "--component", "();4,4").stdout
         assert a and run(*base, "--component=-;4,4").stdout == a
+        # the separate token exits 64 with a hint naming both spellings
+        err = run(*base, "--component", "-;4,4", check=False).stderr
+        assert "expected one argument" in err and "--component=-;4,4" in err and "();4,4" in err
 
     def test_incompatible_cup_component_still_answers(self):
         out = json.loads(run("lefschetz", "--mode", "cup", "--G", "U:2,4", "--H", "U:2,2",
@@ -250,18 +255,40 @@ class TestLazyLayers:
         return proc.stdout
 
     def test_numpy_loads_only_for_geometry(self):
+        # thresholds and volume are closed forms; jacobi needs numpy
         out = self.probe("""
             import contextlib, io, sys
             from cohomrep import cli
             loaded = ["numpy" in sys.modules]
             for argv in (["catalog", "--kind", "U", "--p", "2", "--q", "2"],
-                         ["geometry", "thresholds", "--p", "2", "--q", "2", "--r", "1"]):
+                         ["geometry", "thresholds", "--p", "2", "--q", "2", "--r", "1"],
+                         ["geometry", "volume", "--p", "2", "--q", "2", "--r", "1", "--t", "1"],
+                         ["geometry", "jacobi", "--p", "2", "--q", "2", "--r", "1"]):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0
                 loaded.append("numpy" in sys.modules)
             print(loaded)
         """)
-        assert out == "[False, False, True]\n"
+        assert out == "[False, False, False, False, True]\n"
+
+    def test_cold_commands_skip_dataclasses(self):
+        # the records are NamedTuples: no command pays for dataclasses and
+        # the inspect machinery it imports
+        out = self.probe("""
+            import contextlib, io, sys
+            from cohomrep import cli
+            loaded = []
+            for argv in (["catalog", "--kind", "O", "--p", "2", "--q", "2"],
+                         ["isolation", "--kind", "O", "--p", "3", "--q", "4"],
+                         ["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--degree", "3"],
+                         ["branch", "--op", "lr", "--lam", "2,1", "--mu", "1", "--nu", "1,1"],
+                         ["geometry", "thresholds", "--p", "2", "--q", "5", "--r", "1"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                loaded.append(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+            print(loaded)
+        """)
+        assert out == "[[], [], [], [], []]\n"
 
     def test_loaded_layer_is_reused(self):
         out = self.probe("""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from _geometry_reference import mc_verify_integral_eigvalsh
 
+from cohomrep import closedforms as cf
 from cohomrep import geometry as geo
 
 
@@ -145,39 +146,39 @@ class TestVolume:
         # f(t) ~ c t^{p-1} as t -> 0 for r = 1
         p, q = 3, 2
         t = 1e-4
-        val = geo.volume_growth(t, p, q, 1)["value"]
+        val = cf.volume_growth(t, p, q, 1)["value"]
         ref = (t / math.sinh(1.0)) ** (p - 1) / math.cosh(1.0) ** q
         assert abs(val / ref - 1.0) < 1e-6
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            geo.volume_growth(-5.0, 2, 2, 1)
-        assert geo.volume_growth(0.0, 2, 2, 1)["value"] == 0.0
+            cf.volume_growth(-5.0, 2, 2, 1)
+        assert cf.volume_growth(0.0, 2, 2, 1)["value"] == 0.0
 
     def test_p1_pure_cosh(self):
         for t in (0.5, 1.5):
-            val = geo.volume_growth(t, 1, 4, 1)["value"]
+            val = cf.volume_growth(t, 1, 4, 1)["value"]
             assert abs(val - (math.cosh(t) / math.cosh(1.0)) ** 4) < 1e-12
 
     def test_jacobi_product_matches(self):
         for t in (0.5, 1.2, 2.5):
-            a = geo.volume_growth(t, 2, 2, 1)["value"]
+            a = cf.volume_growth(t, 2, 2, 1)["value"]
             b = geo.volume_growth_from_jacobi(t, [1.0, 0.0], 2, 2, 1)
             assert abs(a - b) / a < 5e-3
 
 
 class TestGamma:
     def test_trivial_values(self):
-        assert abs(geo.gamma_integral_X(0, 1, 1) - 2.0) < 1e-12
-        assert abs(geo.gamma_integral_X(0, 2, 1) - math.pi) < 1e-12
-        assert abs(geo.gamma_integral_X(0, 1, 2) - math.pi) < 1e-12
+        assert abs(cf.gamma_integral_X(0, 1, 1) - 2.0) < 1e-12
+        assert abs(cf.gamma_integral_X(0, 2, 1) - math.pi) < 1e-12
+        assert abs(cf.gamma_integral_X(0, 1, 2) - math.pi) < 1e-12
 
     def test_recurrence_log_space(self):
         for s in range(0, 9):
             for n in range(2, 7):
                 for p in range(1, 7):
-                    lhs = geo.log_gamma_integral_X(s, p, n)
-                    rhs = geo.log_gamma_integral_X(s + 1, p, n - 1) + geo.log_gamma_integral_X(s, p, 1)
+                    lhs = cf.log_gamma_integral_X(s, p, n)
+                    rhs = cf.log_gamma_integral_X(s + 1, p, n - 1) + cf.log_gamma_integral_X(s, p, 1)
                     assert abs(lhs - rhs) < 1e-12
 
     @staticmethod
@@ -200,29 +201,29 @@ class TestGamma:
         for p in (2, 4, 6):
             for n in range(1, 6):
                 want = self.log_integral_even_p(s, p, n)
-                assert abs(geo.log_gamma_integral_X(s, p, n) - want) <= 1e-12 * abs(want)
+                assert abs(cf.log_gamma_integral_X(s, p, n) - want) <= 1e-12 * abs(want)
                 # the integral is symmetric in (p, n): this checks odd p
                 # through the half-integer series
-                assert abs(geo.log_gamma_integral_X(s, n, p) - want) <= 1e-12 * abs(want)
+                assert abs(cf.log_gamma_integral_X(s, n, p) - want) <= 1e-12 * abs(want)
 
     def test_below_cutoff_is_the_lgamma_difference(self):
-        for s in (0, 2.5, 37, geo.LGAMMA_RATIO_CUTOFF):
+        for s in (0, 2.5, 37, cf.LGAMMA_RATIO_CUTOFF):
             for p, n in itertools.product(range(1, 6), repeat=2):
                 want = 0.5 * p * n * math.log(math.pi)
                 for i in range(1, n + 1):
                     want += math.lgamma((s + i + 1) / 2.0) - math.lgamma((s + p + i + 1) / 2.0)
-                assert geo.log_gamma_integral_X(s, p, n) == want
+                assert cf.log_gamma_integral_X(s, p, n) == want
 
     def test_quotient_convergence_guard(self):
         with pytest.raises(ValueError):
-            geo.quotient_integral(3, 2, 2, 1)
-        res = geo.quotient_integral(10, 2, 2, 1)
+            cf.quotient_integral(3, 2, 2, 1)
+        res = cf.quotient_integral(10, 2, 2, 1)
         assert res["coefficient"] > 0
 
     @pytest.mark.parametrize("s", [1e6, 1e17, 1e300])
     def test_quotient_large_s(self, s):
         # (p, q, r) = (2, 2, 1): pi Gamma((s-3)/2) / Gamma((s-1)/2) = pi / ((s-3)/2)
-        got = geo.quotient_integral(s, 2, 2, 1)["coefficient"]
+        got = cf.quotient_integral(s, 2, 2, 1)["coefficient"]
         assert abs(got / (math.pi / ((s - 3) / 2)) - 1.0) < 1e-12
 
 
@@ -335,27 +336,27 @@ class TestHessian:
 class TestDX:
     def test_bound_arithmetic(self):
         eigs = [1.0] * 6 + [0.0] * 3
-        assert geo.dx_bound(eigs, 2) == 2.0
-        assert geo.dx_bound(eigs, 3) == 0.0
-        assert geo.dx_bound(eigs, 0) == 6.0
+        assert cf.dx_bound(eigs, 2) == 2.0
+        assert cf.dx_bound(eigs, 3) == 0.0
+        assert cf.dx_bound(eigs, 0) == 6.0
 
     def test_threshold_record(self):
-        th = geo.dx_threshold(2, 5, 1)
+        th = cf.dx_threshold(2, 5, 1)
         assert th["limit_ones"] == 6
         assert th["threshold_qpr"] == 3.0
         assert th["threshold_pqr"] == 3.0
-        th = geo.dx_threshold(2, 3, 2)
+        th = cf.dx_threshold(2, 3, 2)
         assert th["threshold_qpr"] != th["threshold_pqr"]
 
     def test_counting_bound_monotone(self):
-        vals = [geo.counting_bound(2, 2, 1, t) for t in (0.5, 1.0, 2.0)]
+        vals = [cf.counting_bound(2, 2, 1, t) for t in (0.5, 1.0, 2.0)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_poincare(self):
         thr = (2 + 5 + 1 - 1) * 1.0 / 2.0
-        assert geo.poincare_converges(thr + 1, 2, 5, 1) is True
-        assert geo.poincare_converges(thr - 0.5, 2, 5, 1) is False
-        assert geo.poincare_converges(0, 2, 5, 0) is True
+        assert cf.poincare_converges(thr + 1, 2, 5, 1) is True
+        assert cf.poincare_converges(thr - 0.5, 2, 5, 1) is False
+        assert cf.poincare_converges(0, 2, 5, 0) is True
 
 
 class TestPointZ:

@@ -83,3 +83,32 @@ def test_gl_character_oracle_shares_no_code_with_the_fast_route():
     assert not names & banned, sorted(names & banned)
     imported = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
     assert "rootdata" not in imported
+
+
+def _imported_roots(node):
+    """Top-level package names an import statement loads, else an empty set."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_cold_imports_skip_dataclasses_and_load_numpy_only_with_geometry():
+    # what a module imports outside its functions, every command that loads
+    # it pays for: dataclasses pulls in inspect, ast, dis and tokenize, and
+    # numpy belongs to the geometry commands that compute with it
+    def module_level(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from module_level(child)
+
+    numpy_at_top = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            assert "dataclasses" not in _imported_roots(node), f"{path.name}:{node.lineno}"
+        if any("numpy" in _imported_roots(node) for node in module_level(tree)):
+            numpy_at_top.add(path.name)
+    assert numpy_at_top == {"geometry.py"}
