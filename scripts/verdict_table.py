@@ -37,7 +37,8 @@ def main():
     print("| --- | --- | --- | --- |")
     for row in rows:
         v = replay(row["query"])
-        assert v.status == row["expect"]["status"]
+        if v.status != row["expect"]["status"]:
+            sys.exit(f"{describe(row['query'])}: status {v.status}, golden {row['expect']['status']}")
         print(f"| {describe(row['query'])} | {v.status} | {v.anchor} | {v.threshold} |")
 
 

@@ -39,16 +39,14 @@ DIM_CAP = 10**6
 # Littlewood-Richardson coefficients
 
 
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition, use_cache: bool = True) -> int:
+def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """c^lam_{mu,nu}: the number of LR skew tableaux of shape lam/mu with
     content nu (semistandard filling whose reverse reading word is a lattice
     word).  Zero unless |lam| = |mu| + |nu| and mu <= lam."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     if weight(lam) != weight(mu) + weight(nu) or not _contains(lam, mu):
         return 0
-    # __wrapped__ is the undecorated counter, which bypasses the cache
-    count = _count_lr_tableaux if use_cache else _count_lr_tableaux.__wrapped__
-    return count(lam, mu, nu)
+    return _count_lr_tableaux(lam, mu, nu)
 
 
 #: (lam, mu, nu) entries kept by the LR-coefficient memo
@@ -332,7 +330,11 @@ def gl_restrict_drop(char: FormalCharacter, keep: tuple[int, ...]) -> FormalChar
     return out
 
 
-def gl_decompose(char: FormalCharacter, cap_iters: int = 10**5) -> Counter:
+#: highest weights gl_decompose peels before it gives up
+DECOMPOSE_CAP = 10**5
+
+
+def gl_decompose(char: FormalCharacter) -> Counter:
     """Decompose a nonvirtual GL character into irreducibles by repeatedly
     peeling the lexicographically greatest weight."""
     n = char.rank
@@ -341,7 +343,7 @@ def gl_decompose(char: FormalCharacter, cap_iters: int = 10**5) -> Counter:
     iters = 0
     while work:
         iters += 1
-        if iters > cap_iters:
+        if iters > DECOMPOSE_CAP:
             raise RuntimeError("decomposition did not terminate")
         top = max(work)
         mult = work[top]

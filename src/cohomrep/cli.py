@@ -4,9 +4,11 @@ Subcommands: catalog, isolation, lefschetz, branch, geometry (with
 verify-integral / jacobi / hessian / volume / thresholds).  Data goes to
 stdout in the selected format (json, csv, md), logs to stderr.  Exit codes:
 0 success, 2 criterion-failure verdicts under --strict, 64 usage errors,
-65 enumeration cap exceeded.  A usage error is any ValueError, raised by
-the argument checks here or by the library, and main reports it on one
-line.  Identical argv and config produce byte-identical output.
+65 enumeration cap exceeded.  Each flag's argparse type converts and checks
+its value, so the commands read typed values and None means "omitted".  A
+usage error is an argparse error, or a ValueError raised by the cross-flag
+rules here or by the library, and either is reported on one line.
+Identical argv and config produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -69,14 +71,41 @@ class Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def parse_partition(text: str):
-    text = (text or "").strip()
+def partition(text: str):
+    """A partition flag: comma-separated parts; "", "-" or "()" is the empty one."""
+    text = text.strip()
     if text in ("", "-", "()"):
         return ()
     try:
         return as_partition(tuple(int(v) for v in text.split(",")))
     except ValueError as exc:
-        raise ValueError(f"bad partition {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from None
+
+
+def component(text: str):
+    """--component: 'lam' or 'lam;mu'; the verdict engine decides which shape it reads."""
+    pieces = [partition(t) for t in text.split(";")]
+    if len(pieces) > 2:
+        raise argparse.ArgumentTypeError(f"takes 'lam' or 'lam;mu', got {text!r}")
+    return pieces[0] if len(pieces) == 1 else tuple(pieces)
+
+
+def at_least(low: int):
+    """The argparse type of an int flag that must be >= low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return integer
+
+
+def finite(text: str) -> float:
+    """A finite float flag: nan or inf would reach the JSON as a bare NaN or Infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return value
 
 
 def int_list(text: str) -> tuple[int, ...]:
@@ -84,25 +113,19 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+def int_pair(text: str) -> tuple[int, int]:
+    """Exactly two comma-separated integers, k,l."""
+    values = int_list(text)
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"takes k,l, got {text!r}")
+    return values
+
+
 def _require(args, command: str, *flags: str) -> None:
     """Raise ValueError naming the flags among `flags` that args leaves unset."""
     missing = [f"--{f}" for f in flags if getattr(args, f) is None]
     if missing:
         raise ValueError(f"{command} needs {' '.join(missing)}")
-
-
-def _at_least(args, low: int, *flags: str) -> None:
-    """Raise ValueError unless every flag in `flags` is >= low."""
-    for f in flags:
-        if getattr(args, f) < low:
-            raise ValueError(f"--{f} must be >= {low}")
-
-
-def _finite(args, flag: str) -> None:
-    """Raise ValueError when the float flag is nan or infinite, which
-    would reach the JSON output as a bare NaN or Infinity."""
-    if not math.isfinite(getattr(args, flag)):
-        raise ValueError(f"--{flag} must be a finite number")
 
 
 def render(rows: list[dict], fmt: str, **meta) -> str:
@@ -151,16 +174,15 @@ def cmd_catalog(args, cfg) -> int:
 
 
 def cmd_isolation(args, cfg) -> int:
-    if args.mu is not None and args.kind == "O":
+    lam, mu = args.lam, args.mu
+    if mu is not None and args.kind == "O":
         raise ValueError("isolation --kind O does not read --mu")
-    if args.mu is not None and args.lam is None:
+    if mu is not None and lam is None:
         raise ValueError("isolation --mu needs --lam")
     rows = []
-    if args.lam is not None:
-        lam = parse_partition(args.lam)
+    if lam is not None:
         if args.kind == "U":
             _require(args, "isolation --kind U --lam", "mu")
-            mu = parse_partition(args.mu)
             cp = compatible_pair(lam, mu, BoxContext(args.p, args.q))
             if cp is None:
                 raise ValueError("not a compatible pair")
@@ -191,20 +213,13 @@ def cmd_lefschetz(args, cfg) -> int:
     G = lef.parse_group(args.G)
     groups = [lef.parse_group(t) for t in args.H.split("+")] if args.H else []
     H = groups[0] if len(groups) == 1 else (tuple(groups) or None)
-    component = None
-    if args.component:
-        # the verdict engine decides which shape each query reads
-        pieces = [parse_partition(t) for t in args.component.split(";")]
-        if len(pieces) > 2:
-            raise ValueError("--component takes 'lam' or 'lam;mu'")
-        component = pieces[0] if len(pieces) == 1 else tuple(pieces)
     if args.mode in ("restriction", "cup"):
         verdict = lef.restriction_verdict if args.mode == "restriction" else lef.cup_verdict
-        v = verdict(G, H, degree=args.degree, component=component, r=args.r, l2=args.l2)
+        v = verdict(G, H, degree=args.degree, component=args.component, r=args.r, l2=args.l2)
     elif args.mode == "tensor":
-        if args.degrees is None or len(args.degrees) != 2:
+        if args.degrees is None:
             raise ValueError("tensor mode needs --degrees k,l")
-        v = lef.cup_classes_verdict(G, *args.degrees, components=component)
+        v = lef.cup_classes_verdict(G, *args.degrees, components=args.component)
     else:
         v = lef.modular_symbol_verdict(G.kind, G.p, G.q, 1 if args.r is None else args.r)
     row = ser.verdict_to_json(v)
@@ -224,23 +239,20 @@ BRANCH_FLAGS = {"lr": (), "gl-to-o": ("n",), "restrict-u": ("mu", "p", "q", "r")
 
 def cmd_branch(args, cfg) -> int:
     _require(args, f"branch --op {args.op}", *BRANCH_FLAGS[args.op])
-    if args.op == "gl-to-o":
-        _at_least(args, 1, "n")
-    lam = parse_partition(args.lam)
+    lam, mu = args.lam, args.mu
+    if mu is None and args.op in ("lr", "gl-to-o"):
+        mu = ()  # these ops read an omitted --mu as the empty partition
     rows = []
     if args.op == "lr":
-        mu, nu = parse_partition(args.mu), parse_partition(args.nu)
-        rows.append({"op": "lr", "lam": list(lam), "mu": list(mu), "nu": list(nu),
-                     "coefficient": br.lr_coefficient(lam, mu, nu), "provenance": "computed"})
+        rows.append({"op": "lr", "lam": list(lam), "mu": list(mu), "nu": list(args.nu),
+                     "coefficient": br.lr_coefficient(lam, mu, args.nu), "provenance": "computed"})
     elif args.op == "gl-to-o":
-        mu = parse_partition(args.mu)
         val = br.gl_to_o_mult(lam, mu, args.n)
         rows.append({"op": "gl-to-o", "lam": list(lam), "mu": list(mu), "n": args.n,
                      "multiplicity": val,
                      "note": None if val is not None else "outside stable range: needs character oracle",
                      "provenance": "computed"})
     elif args.op == "restrict-u":
-        mu = parse_partition(args.mu)
         res = br.restrict_U_pair(lam, mu, BoxContext(args.p, args.q), args.r)
         rows.append({"op": "restrict-u", "lam": list(lam), "mu": list(mu),
                      "r": args.r, "contains": res["contains"],
@@ -258,13 +270,11 @@ def cmd_branch(args, cfg) -> int:
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
                      "provenance": "computed"})
     elif args.op == "kobayashi":
-        mu = parse_partition(args.mu) if args.mu else None
         ok = br.kobayashi_admissible(args.kind, args.p, args.q, args.r, lam, mu)
         rows.append({"op": "kobayashi", "kind": args.kind, "lam": list(lam),
-                     "mu": list(mu) if mu else None, "admissible": ok,
+                     "mu": None if mu is None else list(mu), "admissible": ok,
                      "provenance": "Thm kobaU" if args.kind == "U" else "Thm kobaO"})
     elif args.op == "vanishing-uo":
-        mu = parse_partition(args.mu)
         ok = br.restrict_UO_vanishing(lam, mu, BoxContext(args.p, args.q))
         rows.append({"op": "vanishing-uo", "lam": list(lam), "mu": list(mu),
                      "can_be_nontrivial": ok, "provenance": "computed"})
@@ -275,11 +285,6 @@ def cmd_branch(args, cfg) -> int:
 def cmd_geometry(args, cfg) -> int:
     rows = []
     if args.geo_op == "verify-integral":
-        if args.samples is not None and args.samples < 1:
-            raise ValueError("--samples must be >= 1")
-        _finite(args, "s")
-        _at_least(args, 1, "p")
-        _at_least(args, 0, "n")
         res = geo.mc_verify_integral(args.s, args.p, args.n,
                                      cfg.mc_samples if args.samples is None else args.samples,
                                      args.seed if args.seed is not None else cfg.seed,
@@ -289,7 +294,6 @@ def cmd_geometry(args, cfg) -> int:
     elif args.geo_op == "jacobi":
         import numpy as np
 
-        _at_least(args, 1, "p", "q", "r")
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
         M = rng.normal(size=(args.r, args.p))
         M /= np.linalg.norm(M)
@@ -309,8 +313,6 @@ def cmd_geometry(args, cfg) -> int:
     elif args.geo_op == "hessian":
         import numpy as np
 
-        _at_least(args, 1, "p", "points")
-        _at_least(args, 0, "q")
         rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
         devs = []
         for _ in range(args.points):
@@ -320,16 +322,11 @@ def cmd_geometry(args, cfg) -> int:
                      "step": cfg.fd_step, "max_deviation": max(devs),
                      "provenance": "computed"})
     elif args.geo_op == "volume":
-        _at_least(args, 1, "p", "q")
-        _at_least(args, 0, "r")
-        _finite(args, "t")
         res = cf.volume_growth(args.t, args.p, args.q, args.r)
         rows.append({"p": args.p, "q": args.q, "r": args.r, "t": args.t,
                      "value": res["value"], "exact_shape": res["exact"],
                      "provenance": "computed"})
     elif args.geo_op == "thresholds":
-        _at_least(args, 1, "p", "q")
-        _at_least(args, 0, "r")
         th = cf.dx_threshold(args.p, args.q, args.r)
         l2 = lef.l2_cup_threshold(args.p, args.q, args.r)
         rows.append({
@@ -360,6 +357,7 @@ def build_parser() -> Parser:
     common.add_argument("--strict", action="store_true", default=argparse.SUPPRESS,
                         help="exit 2 on criterion-failure verdicts")
 
+    positive, natural = at_least(1), at_least(0)
     top = Parser(prog="cohomrep", description=__doc__, parents=[common])
     top.set_defaults(config=None, format=None, strict=False)
     sub = top.add_subparsers(dest="command", required=True)
@@ -378,8 +376,8 @@ def build_parser() -> Parser:
     i.add_argument("--kind", required=True, choices=("U", "O"))
     i.add_argument("--p", type=int, required=True)
     i.add_argument("--q", type=int, required=True)
-    i.add_argument("--lam")
-    i.add_argument("--mu")
+    i.add_argument("--lam", type=partition)
+    i.add_argument("--mu", type=partition)
 
     l = add("lefschetz", cmd_lefschetz, help="injectivity verdicts with citations")
     l.add_argument("--mode", required=True,
@@ -387,8 +385,8 @@ def build_parser() -> Parser:
     l.add_argument("--G", required=True, help="group, e.g. O:3,4")
     l.add_argument("--H", help="subgroup(s), e.g. U:2,2 or U:2,2+U:1,3")
     l.add_argument("--degree", type=int)
-    l.add_argument("--degrees", type=int_list, help="k,l for tensor mode")
-    l.add_argument("--component", help="partition '2,1' or pair '2,1;3,2'")
+    l.add_argument("--degrees", type=int_pair, help="k,l for tensor mode")
+    l.add_argument("--component", type=component, help="partition '2,1' or pair '2,1;3,2'")
     l.add_argument("--r", type=int)
     l.add_argument("--l2", action="store_true", help="L2/cuspidal variants")
 
@@ -396,10 +394,10 @@ def build_parser() -> Parser:
     b.add_argument("--op", required=True,
                    choices=("lr", "gl-to-o", "restrict-u", "restrict-o",
                             "tensor", "kobayashi", "vanishing-uo"))
-    b.add_argument("--lam", default="")
-    b.add_argument("--mu")
-    b.add_argument("--nu")
-    b.add_argument("--n", type=int)
+    b.add_argument("--lam", type=partition, default=())
+    b.add_argument("--mu", type=partition)
+    b.add_argument("--nu", type=partition, default=())
+    b.add_argument("--n", type=positive)
     b.add_argument("--p", type=int)
     b.add_argument("--q", type=int)
     b.add_argument("--r", type=int)
@@ -409,30 +407,30 @@ def build_parser() -> Parser:
     g = add("geometry", cmd_geometry, help="numerical geometry on X_{p,q+r}")
     gsub = g.add_subparsers(dest="geo_op", required=True)
     vi = gsub.add_parser("verify-integral", parents=[common])
-    vi.add_argument("--s", type=float, required=True)
-    vi.add_argument("--p", type=int, required=True)
-    vi.add_argument("--n", type=int, required=True)
-    vi.add_argument("--samples", type=int)
+    vi.add_argument("--s", type=finite, required=True)
+    vi.add_argument("--p", type=positive, required=True)
+    vi.add_argument("--n", type=natural, required=True)
+    vi.add_argument("--samples", type=positive)
     vi.add_argument("--seed", type=int)
     ja = gsub.add_parser("jacobi", parents=[common])
-    ja.add_argument("--p", type=int, required=True)
-    ja.add_argument("--q", type=int, required=True)
-    ja.add_argument("--r", type=int, required=True)
+    ja.add_argument("--p", type=positive, required=True)
+    ja.add_argument("--q", type=positive, required=True)
+    ja.add_argument("--r", type=positive, required=True)
     ja.add_argument("--seed", type=int)
     he = gsub.add_parser("hessian", parents=[common])
-    he.add_argument("--p", type=int, required=True)
-    he.add_argument("--q", type=int, required=True)
-    he.add_argument("--points", type=int, default=5)
+    he.add_argument("--p", type=positive, required=True)
+    he.add_argument("--q", type=natural, required=True)
+    he.add_argument("--points", type=positive, default=5)
     he.add_argument("--seed", type=int)
     vo = gsub.add_parser("volume", parents=[common])
-    vo.add_argument("--p", type=int, required=True)
-    vo.add_argument("--q", type=int, required=True)
-    vo.add_argument("--r", type=int, required=True)
-    vo.add_argument("--t", type=float, required=True)
+    vo.add_argument("--p", type=positive, required=True)
+    vo.add_argument("--q", type=positive, required=True)
+    vo.add_argument("--r", type=natural, required=True)
+    vo.add_argument("--t", type=finite, required=True)
     th = gsub.add_parser("thresholds", parents=[common])
-    th.add_argument("--p", type=int, required=True)
-    th.add_argument("--q", type=int, required=True)
-    th.add_argument("--r", type=int, required=True)
+    th.add_argument("--p", type=positive, required=True)
+    th.add_argument("--q", type=positive, required=True)
+    th.add_argument("--r", type=natural, required=True)
     return top
 
 

@@ -21,6 +21,17 @@ def run(*args, check=True):
     return proc
 
 
+def call(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestCatalog:
     def test_u11_json(self):
         out = json.loads(run("catalog", "--kind", "U", "--p", "1", "--q", "1",
@@ -157,6 +168,9 @@ class TestPartitionArguments:
         ["branch", "--op", "vanishing-uo", "--p", "2", "--q", "2"],
         # argparse reads a separate token that starts with "-" as an option
         ["lefschetz", "--mode", "restriction", "--G", "U:2,4", "--H", "U:2,2", "--component", "-;4,4"],
+        # a malformed value is rejected on a flag the op does not read
+        ["branch", "--op", "lr", "--lam", "2,1", "--mu", "1", "--nu", "1,1", "--n", "0"],
+        ["branch", "--op", "restrict-u", "--lam", "1", "--mu", "2,2", "--p", "2", "--q", "2", "--r", "1", "--nu", "a"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)
@@ -187,14 +201,33 @@ class TestPartitionArguments:
         assert row["r"] == int(args[args.index("--r") + 1])
 
     def test_empty_partition_spellings_agree(self):
+        # "", "-" and "()" spell one partition on every partition flag
+        queries = [
+            ["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--H", "O:3,3", "--component={}"],
+            ["lefschetz", "--mode", "restriction", "--G", "U:2,4", "--H", "U:2,2", "--component={};4,4"],
+            ["branch", "--op", "kobayashi", "--kind", "U", "--p", "2", "--q", "4", "--r", "1",
+             "--lam=", "--mu={}"],
+            ["isolation", "--kind", "O", "--p", "3", "--q", "4", "--lam={}"],
+            ["branch", "--op", "restrict-o", "--lam={}", "--p", "2", "--q", "4", "--r", "1"],
+        ]
+        for query in queries:
+            outs = {call([arg.format(spelling) for arg in query])[:2] for spelling in ("", "-", "()")}
+            assert len(outs) == 1 and outs.pop()[0] == 0, query
         # argparse reads a separate "-;4,4" token as an option, so the empty
-        # partition is "()" there, or "-" joined to the flag with "="
+        # partition is "()" there, or "-" joined to the flag with "=": the
+        # separate token exits 64 with a hint naming both spellings
         base = ["lefschetz", "--mode", "restriction", "--G", "U:2,4", "--H", "U:2,2"]
-        a = run(*base, "--component", "();4,4").stdout
-        assert a and run(*base, "--component=-;4,4").stdout == a
-        # the separate token exits 64 with a hint naming both spellings
         err = run(*base, "--component", "-;4,4", check=False).stderr
         assert "expected one argument" in err and "--component=-;4,4" in err and "();4,4" in err
+
+    @pytest.mark.parametrize("kind, mu, shown", [
+        ("U", ["--mu="], []), ("O", ["--mu=-"], []), ("O", [], None),
+    ])
+    def test_kobayashi_row_tells_empty_mu_from_omitted(self, kind, mu, shown):
+        code, out, err = call(["branch", "--op", "kobayashi", "--kind", kind, "--p", "2", "--q", "4",
+                               "--r", "1", "--lam="] + mu)
+        assert code == 0, err
+        assert json.loads(out)["data"][0]["mu"] == shown
 
     def test_incompatible_cup_component_still_answers(self):
         out = json.loads(run("lefschetz", "--mode", "cup", "--G", "U:2,4", "--H", "U:2,2",
@@ -235,7 +268,8 @@ class TestGeometry:
         proc = run("geometry", "verify-integral", "--s", "0", "--p", "2", "--n", "1",
                    "--samples", samples, check=False)
         assert proc.returncode == 64
-        assert proc.stdout == "" and proc.stderr == "--samples must be >= 1\n"
+        assert proc.stdout == ""
+        assert proc.stderr == "cohomrep geometry verify-integral: error: argument --samples: must be >= 1\n"
 
     def test_thresholds(self):
         out = json.loads(run("geometry", "thresholds", "--p", "2", "--q", "5",
@@ -396,18 +430,13 @@ class TestArgvContract:
     @given(argvs())
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_exit_codes_and_output(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse errors
-                code = exc.code
+        code, out, err = call(argv)
         assert code in (0, 2, 64, 65), (argv, code)
         if code == 64:
-            assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, argv
+            assert out == "" and len(err.splitlines()) == 1, argv
 
         def reject(constant):
             raise AssertionError(f"{argv}: {constant} in the output")
 
         if code in (0, 2):
-            json.loads(out.getvalue(), parse_constant=reject)
+            json.loads(out, parse_constant=reject)
