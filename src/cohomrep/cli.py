@@ -211,7 +211,7 @@ def cmd_isolation(args, cfg) -> int:
 
 def cmd_lefschetz(args, cfg) -> int:
     G = lef.parse_group(args.G)
-    groups = [lef.parse_group(t) for t in args.H.split("+")] if args.H else []
+    groups = [lef.parse_group(t) for t in args.H.split("+")] if args.H is not None else []
     H = groups[0] if len(groups) == 1 else (tuple(groups) or None)
     if args.mode in ("restriction", "cup"):
         verdict = lef.restriction_verdict if args.mode == "restriction" else lef.cup_verdict

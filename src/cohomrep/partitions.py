@@ -217,17 +217,28 @@ def _rects(word: Sequence[Level]) -> tuple[Level, ...]:
     return tuple((a, b) for a, b in word if a and b)
 
 
-def _level_words(p: int, q: int) -> Iterator[tuple[Level, ...]]:
-    """Every level word with p rows and q columns, each once.  Each maps to a
-    distinct compatible pair of the p x q box, and each pair arises."""
-    if not p and not q:
-        yield ()
-        return
-    for a in range(p + 1):
-        for b in range(q + 1):
-            if _is_level(a, b):
-                for rest in _level_words(p - a, q - b):
-                    yield ((a, b),) + rest
+def _pair_table(p: int, q: int) -> dict[tuple[int, int], list]:
+    """For every sub-box (i, j) <= (p, q), the entries (|lam|, lam, mu, rects)
+    of all its level words, one each.  A word is its first level (a, b)
+    followed by a word of the (i - a, j - b) box, so each entry is a sub-box
+    entry with the rows (j - b,) * a of lam, the rows (j,) * a of mu and, for
+    a tie block, the rectangle (a, b) put in front (zero rows stripped)."""
+    table = {(0, 0): [(0, (), (), ())]}
+    for i in range(p + 1):
+        for j in range(q + 1):
+            if not i and not j:
+                continue
+            # a free column lies right of every row: the (i, j - 1) pairs as they are
+            entries = list(table[i, j - 1]) if j else []
+            for a in range(1, i + 1):
+                mu_rows = (j,) * a if j else ()
+                for b in range(0 if a == 1 else 1, j + 1):  # (a, 0) is a level only as a free row
+                    lam_rows = (j - b,) * a if j > b else ()
+                    w, rect = a * (j - b), ((a, b),) if b else ()
+                    entries += [(w + v, lam_rows + lam, mu_rows + mu, rect + rects)
+                                for v, lam, mu, rects in table[i - a, j - b]]
+            table[i, j] = entries
+    return table
 
 
 def skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[tuple[tuple[int, int], ...]]:
@@ -332,12 +343,12 @@ def ortho_classify(lam: Partition, ctx: BoxContext) -> Optional[OrthoPartition]:
         return None
     if word != word[::-1]:
         raise ValueError(f"level word of {lam} in {p}x{q} is not a palindrome: {word}")
-    return _orthogonal(lam, word, ctx)
+    return _orthogonal(lam, _rects(word), ctx)
 
 
-def _orthogonal(lam: Partition, word: tuple[Level, ...], ctx: BoxContext) -> OrthoPartition:
-    """The orthogonal partition lam with palindromic level word `word`."""
-    rects = _rects(word)
+def _orthogonal(lam: Partition, rects: tuple[Level, ...], ctx: BoxContext) -> OrthoPartition:
+    """The orthogonal partition lam whose palindromic level word has the tie
+    blocks `rects`."""
     m = len(rects)
     if m % 2 == 1:
         return OrthoPartition(lam, ctx, rects[: m // 2], rects[m // 2], "odd", None)
@@ -397,30 +408,37 @@ def partitions_in_box(p: int, q: int) -> Iterator[Partition]:
 def enumerate_compatible(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[CompatiblePair]:
     """All compatible pairs in the box, one per level word, ordered by
     (|lam|, lam, mu)."""
-    if ctx.p * ctx.q > cap:
-        raise CapExceededError("enumeration box area p*q", ctx.p * ctx.q, cap)
-    out = [CompatiblePair(*_pair_of_word(word, ctx.q), ctx, _rects(word))
-           for word in _level_words(ctx.p, ctx.q)]
-    out.sort(key=lambda c: (weight(c.lam), c.lam, c.mu))
-    return out
+    p, q = ctx.p, ctx.q
+    if p * q > cap:
+        raise CapExceededError("enumeration box area p*q", p * q, cap)
+    entries = _pair_table(p, q)[p, q]
+    entries.sort()  # (|lam|, lam, mu) is unique, so rects are never compared
+    return [CompatiblePair(lam, mu, ctx, rects) for _, lam, mu, rects in entries]
 
 
 def enumerate_orthogonal(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[OrthoPartition]:
     """All orthogonal partitions in the box, one per palindromic level word
-    (a half word, its mirror image and between them at most one central
-    level), ordered by (|lam|, lam)."""
+    (a half word of an a x b box, its mirror image and between them at most
+    one central level), ordered by (|lam|, lam).
+
+    Read with q columns, the half word gives the top rows (q - b) + lam_h of
+    its pair (lam_h, mu_h) in the a x b box, a central level of c0 rows gives
+    rows b, and the mirror image, which is the level word of
+    (complement(mu_h), complement(lam_h)) in the a x b box, gives the rest."""
     p, q = ctx.p, ctx.q
     if p * q > cap:
         raise CapExceededError("enumeration box area p*q", p * q, cap)
-    out = []
+    table = _pair_table(p // 2, q // 2)
+    found = []
     for a in range(p // 2 + 1):
         for b in range(q // 2 + 1):
             centre = (p - 2 * a, q - 2 * b)
             if centre != (0, 0) and not _is_level(*centre):
                 continue
-            mid = (centre,) if centre != (0, 0) else ()
-            for half in _level_words(a, b):
-                word = half + mid + half[::-1]
-                out.append(_orthogonal(_pair_of_word(word, q)[0], word, ctx))
-    out.sort(key=lambda o: (weight(o.lam), o.lam))
-    return out
+            mid_rows = (b,) * centre[0] if b else ()
+            mid_rect = (centre,) if centre[0] and centre[1] else ()
+            for _, lam_h, mu_h, rects in table[a, b]:
+                lam = tuple(q - b + v for v in pad(lam_h, a)) + mid_rows + _complement(mu_h, a, b)
+                found.append((sum(lam), lam, rects + mid_rect + rects[::-1]))
+    found.sort()  # lam is unique
+    return [_orthogonal(lam, rects, ctx) for _, lam, rects in found]

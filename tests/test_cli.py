@@ -159,6 +159,8 @@ class TestPartitionArguments:
         ["branch", "--op", "kobayashi", "--kind", "O", "--p", "2", "--q", "4", "--r", "-1", "--lam", "1"],
         ["branch", "--op", "restrict-u", "--lam", "1", "--mu", "2,2", "--p", "2", "--q", "2", "--r", "3"],
         ["lefschetz", "--mode", "modular-symbol", "--G", "O:3,5", "--r", "-1"],
+        # an empty group text is a malformed group, not an omitted --H
+        ["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--H=", "--degree", "3"],
         # an omitted or unread --mu is named, never read as the empty partition
         ["isolation", "--kind", "U", "--p", "2", "--q", "2", "--lam", "1"],
         ["isolation", "--kind", "U", "--p", "2", "--q", "2", "--mu", "2,2"],

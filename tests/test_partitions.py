@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from cohomrep import partitions as pt
 from cohomrep.partitions import BoxContext
 
-from _partitions_reference import all_pairs_compatible, skew_rects
+from _partitions_reference import (all_pairs_compatible, compatible_by_words, level_words,
+                                   orthogonal_by_words, skew_rects)
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -259,9 +260,32 @@ class TestEnumeration:
         assert keys == sorted(keys)
         assert len(pairs) == len(set((c.lam, c.mu) for c in pairs))
 
-    def test_cap(self):
-        with pytest.raises(pt.CapExceededError):
-            pt.enumerate_compatible(BoxContext(7, 7))
+    def test_cap(self, monkeypatch):
+        # the cap is checked before any sub-box table is built
+        def refuse(p, q):
+            raise AssertionError(f"table built for {p}x{q}")
+        monkeypatch.setattr(pt, "_pair_table", refuse)
+        for enumerate_ in (pt.enumerate_compatible, pt.enumerate_orthogonal):
+            with pytest.raises(pt.CapExceededError):
+                enumerate_(BoxContext(7, 7))
+
+    def test_matches_the_level_word_walk(self):
+        # every catalog-sweep box: lists and order as the former walk gave them
+        for p in range(1, 43):
+            for q in range(p, 43):
+                ctx = BoxContext(p, q)
+                if p * q <= 25:
+                    assert pt.enumerate_compatible(ctx) == compatible_by_words(ctx), (p, q)
+                if p * q <= 42:
+                    assert pt.enumerate_orthogonal(ctx) == orthogonal_by_words(ctx), (p, q)
+
+    def test_reversed_word_is_the_complement_pair(self):
+        # the mirror half of a palindromic word reads as (complement(mu), complement(lam))
+        for a, b in itertools.product(range(6), repeat=2):
+            for word in level_words(a, b):
+                lam, mu = pt._pair_of_word(word, b)
+                assert pt._pair_of_word(word[::-1], b) == (pt._complement(mu, a, b),
+                                                           pt._complement(lam, a, b)), (a, b, word)
 
     def test_matches_all_pairs_scan(self, compatible_by_box):
         for (p, q), pairs in compatible_by_box.items():
