@@ -5,17 +5,26 @@ pairs, weights {"xs": [...], "ys": [...], "conv": ...} with integer arrays.
 Every top-level document carries {"schema": "v1"}.
 
 `dumps` writes exactly the text of ``json.dumps(doc, sort_keys=True,
-indent=2)`` plus a newline, in one recursive `str.join` pass: on Python 3.11
-``json.dumps`` with an indent always runs the pure-Python generator encoder,
-one generator step per token.  Exact str and int take a direct branch and
-an all-int list one C-level join; everything else follows json's
-`isinstance` order, so `numpy.float64` is written as a float and what json
-rejects raises TypeError.
+indent=2)`` plus a newline.  On Python 3.11 ``json.dumps`` with an indent
+always runs the pure-Python generator encoder, one generator step per token,
+so `dumps` writes a batch at a time instead of a value at a time: `_texts`
+takes all the values that sit at one indent and splits them by type.  A batch
+of exact str, int, float, bool or None is one `map` over a C function.  The
+items of a batch of lists are written as one batch, then cut back per list.
+A batch of dicts is grouped by key tuple and written column by column, one
+batch per key, each row from one `%` template.  The texts go back in the
+order of the values.  Other types are first turned into the plain values
+json writes them as, in json's `isinstance` order, so `numpy.float64` is
+written as a float, a NamedTuple record as an array, and what json rejects
+raises TypeError.  A batch longer than `_BLOCK` is written in blocks, which
+bounds the texts held at once.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii as _str
+from operator import eq, itemgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only: rendering a catalog loads no verdict engine
@@ -91,68 +100,111 @@ def document(payload, **meta) -> dict:
 def dumps(doc) -> str:
     """The JSON text of doc with sorted keys and a two-space indent, plus a
     newline; raises TypeError on what json cannot encode."""
-    return _value(doc, "\n") + "\n"
+    return _texts([doc], "\n")[0] + "\n"
 
 
-_INF = float("inf")
-_INT_ONLY = {int}
+#: values written per batch; longer batches go in blocks of this many, which
+#: bounds the texts of the flattened levels below them held at once
+_BLOCK = 256
+_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BOOL = {True: "true", False: "false"}
+_NONE = type(None)
 
 
-def _float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
+def _texts(values: list, nl: str) -> list:
+    """The texts of values, in order; every container among them has its
+    lines start with nl (newline plus the indent of the line it is on)."""
+    if len(values) > _BLOCK:
+        out = []
+        for i in range(0, len(values), _BLOCK):
+            out += _texts(values[i:i + _BLOCK], nl)
+        return out
+    return _grouped(_typed, values, list(map(type, values)), nl)
 
 
-def _value(o, nl: str) -> str:
-    """The text of o, whose container lines start with nl (newline plus the
-    indent of the line o is on)."""
-    t = type(o)
+def _grouped(write, values: list, labels: list, nl: str) -> list:
+    """write(label, group, nl) for each group of values with equal labels,
+    the texts merged back into the order of values."""
+    if not labels:
+        return []
+    if labels.count(labels[0]) == len(labels):
+        return write(labels[0], values, nl)
+    parts = {label: iter(write(label, list(compress(values, map(eq, labels, repeat(label)))), nl))
+             for label in dict.fromkeys(labels)}
+    return list(map(next, map(parts.__getitem__, labels)))
+
+
+def _typed(t: type, values: list, nl: str) -> list:
+    """The texts of values that are all of type t."""
     if t is str:
-        return _str(o)
+        return list(map(_str, values))
     if t is int:
-        return int.__repr__(o)
-    # json's isinstance order, which also decides how subclasses are written
+        return list(map(int.__repr__, values))
+    if t is float:
+        reprs = list(map(float.__repr__, values))
+        return list(map(_SPECIAL.get, reprs, reprs))
+    if t is bool:
+        return list(map(_BOOL.__getitem__, values))
+    if t is _NONE:
+        return ["null"] * len(values)
+    if t is list or t is tuple:
+        return _lists(values, nl)
+    if t is dict:
+        return _grouped(_dicts, values, list(map(tuple, values)), nl)
+    return _texts(list(map(_plain, values)), nl)
+
+
+def _plain(o):
+    """o as the exact str, int, float, list or dict that json writes it as,
+    found in json's isinstance order."""
     if isinstance(o, str):
-        return _str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
+        return str.__str__(o)
     if isinstance(o, int):
-        return int.__repr__(o)
+        return int.__int__(o)
     if isinstance(o, float):
-        return _float(o)
+        return float.__float__(o)
     if isinstance(o, (list, tuple)):
-        return _list(o, nl)
+        return list(o)
     if isinstance(o, dict):
-        return _dict(o, nl)
+        return dict(o.items())
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _list(o, nl: str) -> str:
-    if not o:
-        return "[]"
+def _lists(lists: list, nl: str) -> list:
+    """The texts of lists and tuples: all their items are written as one
+    batch, then cut back into one run of texts per list."""
     inner = nl + "  "
-    if set(map(type, o)) == _INT_ONLY:
-        body = ("," + inner).join(map(int.__repr__, o))
-    else:
-        body = ("," + inner).join([_value(v, inner) for v in o])
-    return "[" + inner + body + nl + "]"
+    lengths = list(map(len, lists))
+    items = iter(_texts(list(chain.from_iterable(lists)), inner))
+    bodies = map(("," + inner).join, map(islice, repeat(items), lengths))
+    texts = list(map(("[" + inner + "%s" + nl + "]").__mod__, bodies))
+    if 0 in lengths:  # an empty body leaves this text, which no item list makes
+        hollow = {"[" + inner + nl + "]": "[]"}
+        texts = list(map(hollow.get, texts, texts))
+    return texts
 
 
-def _dict(o, nl: str) -> str:
-    if not o:
-        return "{}"
+def _dicts(keys: tuple, dicts: list, nl: str) -> list:
+    """The texts of dicts whose key tuples all equal keys: with exact str
+    keys, one batch per key and one row template; otherwise one at a time,
+    since equal keys such as 1, 1.0 and True print differently."""
+    if not keys:
+        return ["{}"] * len(dicts)
+    if set(map(type, keys)) != {str}:
+        return [_dict(d, nl) for d in dicts]
     inner = nl + "  "
-    body = ("," + inner).join([(_str(k) if type(k) is str else _key(k)) + ": " + _value(v, inner)
-                               for k, v in sorted(o.items())])
+    keys = sorted(keys)
+    columns = [_texts(list(map(itemgetter(k), dicts)), inner) for k in keys]
+    row = ("," + inner).join([_str(k).replace("%", "%%") + ": %s" for k in keys])
+    return list(map(("{" + inner + row + nl + "}").__mod__, zip(*columns)))
+
+
+def _dict(d: dict, nl: str) -> str:
+    """The text of one dict, whose keys json may write as quoted scalars."""
+    inner = nl + "  "
+    items = sorted(d.items())
+    values = _texts([v for _, v in items], inner)
+    body = ("," + inner).join([_key(k) + ": " + v for (k, _), v in zip(items, values)])
     return "{" + inner + body + nl + "}"
 
 
@@ -160,14 +212,6 @@ def _key(k) -> str:
     """A non-str key as json writes it: the text of the scalar, quoted."""
     if isinstance(k, str):
         return _str(k)
-    if isinstance(k, float):
-        return _str(_float(k))
-    if k is True:
-        return '"true"'
-    if k is False:
-        return '"false"'
-    if k is None:
-        return '"null"'
-    if isinstance(k, int):
-        return _str(int.__repr__(k))
+    if isinstance(k, (int, float)) or k is None:
+        return _str(_texts([k], "")[0])
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")

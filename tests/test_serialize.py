@@ -1,12 +1,14 @@
 import json
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohomrep import serialize as ser
+from cohomrep import vz_catalog as vz
 from cohomrep.partitions import BoxContext, compatible_pair, ortho_classify
 from cohomrep.rootdata import Weight
 
@@ -44,14 +46,52 @@ def _json_oracle(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+# subclasses whose own text differs from what json writes for them
+class _Str(str):
+    def __str__(self):
+        return "str!"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "int!"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "float!"
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Record(NamedTuple):
+    a: object
+    b: object
+
+
 # text includes control characters and non-ASCII
 _text = st.text(st.characters(min_codepoint=0, max_codepoint=0x2FFF), max_size=6)
 _floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-7])
-_scalars = st.integers() | st.booleans() | st.none() | _floats | _floats.map(np.float64) | _text
+_scalars = (st.integers() | st.booleans() | st.none() | _floats | _floats.map(np.float64) | _text
+            | _text.map(_Str) | st.integers().map(_Int) | _floats.map(_Float))
+# a shared pool, so sibling dicts often have the same key set; the batch
+# writer turns every key into part of a `%` template
+_key_pool = st.sampled_from(["a", "b", "%", "%s", "{x}", '"q"', "\u00e9"])
+# equal keys that json prints differently
+_number_keys = st.sampled_from([1, 1.0, True, 0, 0.0, False, 2.5])
 _docs = st.recursive(_scalars, lambda inner: (
     st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
-    | st.dictionaries(_text, inner, max_size=5)), max_leaves=30)
+    | st.lists(inner, max_size=5).map(_List) | st.tuples(inner, inner).map(lambda t: _Record(*t))
+    | st.dictionaries(_text, inner, max_size=5) | st.dictionaries(_text, inner, max_size=3).map(_Dict)
+    | st.lists(st.dictionaries(_key_pool, inner, max_size=3), max_size=6)
+    | st.lists(st.dictionaries(_number_keys, inner, max_size=2), max_size=4)), max_leaves=30)
 
 
 @settings(max_examples=300, deadline=None)
@@ -60,12 +100,40 @@ def test_dumps_is_the_json_text(doc):
     assert ser.dumps(doc) == _json_oracle(doc)
 
 
+def _rows_across_a_block(n):
+    # two row shapes alternate, so both sit on either side of a block boundary
+    return [{"a": i, "%": [i, {}]} if i % 2 else {"a": None, "b": [[i]], "c": "x"} for i in range(n)]
+
+
+_B = ser._BLOCK
+
+
 @pytest.mark.parametrize("doc", [
     {}, [], (), [[], {}], {"a": [(), {}]}, {"\u00e9\x00\n": [1, 2, 3]}, [True, 1, False, 0],
     [1, 2.0], {"x": [np.float64("nan"), np.float64(-0.0)]}, {1: "a", 2: "b"}, {2.5: 1, -1.0: 2},
+    [{"%s": 1, "%": "%d"}, {'"{x}"': [{}]}], [{1: "a"}, {1.0: "b"}, {True: "c"}, {None: "d"}],
+    [_Str("s"), _Int(7), _Float(0.5), _List([1]), _Dict(b=1, a=2), _Record(1, [2])],
+    [{"a": 1}, [1, "x"], 2, "y", None, {"a": [3]}, [], True],
+    [{"a": 1}, {}, {"a": 2}, {}],
+    list(range(_B - 1)), list(range(_B)), list(range(_B + 1)),
+    _rows_across_a_block(_B - 1), _rows_across_a_block(_B), _rows_across_a_block(_B + 1),
+    [_rows_across_a_block(_B + 1), _rows_across_a_block(3)],
 ])
 def test_dumps_edge_cases(doc):
     assert ser.dumps(doc) == _json_oracle(doc)
+
+
+def test_dumps_writes_every_small_catalog_as_json_does():
+    # the documents `cohomrep catalog --format json` prints, for the boxes
+    # with U p*q <= 12 and O p*q <= 20, plus U(4,4)
+    boxes = ([("U", p, q) for p in range(1, 13) for q in range(p, 13) if p * q <= 12]
+             + [("O", p, q) for p in range(1, 21) for q in range(p, 21) if p * q <= 20]
+             + [("U", 4, 4)])
+    assert len(boxes) == 55
+    for kind, p, q in boxes:
+        rows = [dict(ser.module_to_json(m), provenance="computed") for m in vz.catalog(kind, p, q)]
+        doc = ser.document(rows, command="catalog", kind=kind, p=p, q=q)
+        assert ser.dumps(doc) == _json_oracle(doc), (kind, p, q)
 
 
 def test_dumps_rejects_what_json_rejects():

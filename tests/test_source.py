@@ -97,6 +97,19 @@ def _imported_roots(node):
     return set()
 
 
+def test_serialize_loads_no_cohomrep_module():
+    # rendering a catalog must not load the verdict engine: serialize imports
+    # the records it annotates only for type checkers
+    tree = ast.parse((SRC / "serialize.py").read_text())
+    guarded = {id(node) for block in ast.walk(tree)
+               if isinstance(block, ast.If) and getattr(block.test, "id", None) == "TYPE_CHECKING"
+               for stmt in block.body for node in ast.walk(stmt)}
+    ours = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and (getattr(node, "level", 0) or "cohomrep" in _imported_roots(node))]
+    assert ours
+    assert all(id(node) in guarded for node in ours), [node.lineno for node in ours if id(node) not in guarded]
+
+
 def test_cold_imports_skip_dataclasses_and_load_numpy_only_with_geometry():
     # what a module imports outside its functions, every command that loads
     # it pays for: dataclasses pulls in inspect, ast, dis and tokenize, and
