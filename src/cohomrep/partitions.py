@@ -8,14 +8,19 @@ whose skew diagram is a union of rectangles meeting only at corners -- and
 is itself compatible.  Compatible pairs index the cohomological modules of
 U(p,q), orthogonal partitions those of O(p,q).
 
-A compatible pair is the comparison pattern of one dominant torus element,
-read as a *level word*: the merged chain of rows (top down) and columns
-(right to left), one level per free row (1, 0), free column (0, 1) or tie
-block (a, b), a, b >= 1, whose tie blocks are the skew rectangles.
+A nested pair is compatible when, read top down in runs of rows with equal
+(lam_i, mu_i), every run with lam_i < mu_i (a skew rectangle) has mu_i at
+most the lam of the rectangle run above it.  A compatible pair is also the
+comparison pattern of one dominant torus element, read as a *level word*: the
+merged chain of rows (top down) and columns (right to left), one level per
+free row (1, 0), free column (0, 1) or tie block (a, b), a, b >= 1, whose tie
+blocks are the skew rectangles.  The enumerations build pairs from words, and
+the witness vector and the O torus chain read them off the word.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import ge
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -176,7 +181,8 @@ def _level_word(lam: Partition, mu: Partition, p: int, q: int) -> tuple[Level, .
     """Level word of a nested pair lam <= mu in the p x q box: row i comes
     next when column j lies inside lam_i, column j when it lies beyond mu_i,
     else a tie block of the rows sharing (lam_i, mu_i) and the columns down
-    to lam_i + 1.  The pair is compatible iff `_pair_of_word` maps it back."""
+    to lam_i + 1.  For a compatible pair the tie blocks are its rectangles;
+    `build_witness_X` and the O torus chain read their levels off the word."""
     lam, mu = pad(lam, p), pad(mu, p)
     word: list[Level] = []
     i, j = 0, q  # rows above i and columns right of j are placed
@@ -194,27 +200,6 @@ def _level_word(lam: Partition, mu: Partition, p: int, q: int) -> tuple[Level, .
             word.append((i - first, j - lam[first]))
             j = lam[first]
     return tuple(word) + ((0, 1),) * j
-
-
-def _pair_of_word(word: Sequence[Level], q: int) -> tuple[Partition, Partition]:
-    """(lam, mu) of a level word: the rows of a level with b columns, below
-    levels holding c columns, have lam_i = q - c - b and mu_i = q - c."""
-    lam: list[int] = []
-    mu: list[int] = []
-    top = q
-    for a, b in word:
-        # parts weakly decrease, so skipping zero parts strips trailing zeros
-        if top > b:
-            lam += [top - b] * a
-        if top:
-            mu += [top] * a
-        top -= b
-    return tuple(lam), tuple(mu)
-
-
-def _rects(word: Sequence[Level]) -> tuple[Level, ...]:
-    """The skew rectangles of a pair, top down: the tie blocks of its word."""
-    return tuple((a, b) for a, b in word if a and b)
 
 
 def _pair_table(p: int, q: int) -> dict[tuple[int, int], list]:
@@ -243,15 +228,26 @@ def _pair_table(p: int, q: int) -> dict[tuple[int, int], list]:
 
 def skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[tuple[tuple[int, int], ...]]:
     """Rectangle decomposition of mu/lam, or None when the skew is not a
-    corner-disjoint union of rectangles: the tie blocks of the pair's level
-    word, top down, when that word maps back to (lam, mu).  lam == mu yields ().
+    corner-disjoint union of rectangles: one rectangle per run of rows with
+    equal (lam_i, mu_i) and lam_i < mu_i, top down.  lam == mu yields ().
     """
     return _skew_decompose(*boxed(ctx.p, ctx.q, lam, mu), ctx)
 
 
 def _skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[tuple[Level, ...]]:
-    word = _level_word(lam, mu, ctx.p, ctx.q)
-    return _rects(word) if _pair_of_word(word, ctx.q) == (lam, mu) else None
+    # lam <= mu: a run of equal (lam_i, mu_i) rows with lam_i < mu_i is the
+    # rectangle (rows, mu_i - lam_i); it shares an edge with the rectangle
+    # above unless mu_i <= that rectangle's lam.  Below a free row mu is at
+    # most that row's lam, so free rows need no test.
+    rects = []
+    top = ctx.q
+    for (lam_i, mu_i), rows in groupby(zip(lam + (0,) * (len(mu) - len(lam)), mu)):
+        if lam_i < mu_i:
+            if mu_i > top:
+                return None
+            rects.append((len(list(rows)), mu_i - lam_i))
+            top = lam_i
+    return tuple(rects)
 
 
 def compatible_pair(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[CompatiblePair]:
@@ -329,8 +325,7 @@ def ortho_classify(lam: Partition, ctx: BoxContext) -> Optional[OrthoPartition]:
     """Classify lam as an orthogonal partition of the box, or None.
 
     The skew complement(lam)/lam of an orthogonal partition is centrally
-    symmetric, so the level word of (lam, complement(lam)) is a palindrome
-    and its rectangle list reads
+    symmetric, so its rectangle list is a palindrome and reads
     (a_1 x b_1) * ... * (p_0 x q_0) * ... * (a_1 x b_1); parity is odd when
     the total rectangle count is odd.  Even-parity partitions carry a type
     in {1, 2, 3} governing how many sign labels the module catalog attaches.
@@ -338,17 +333,19 @@ def ortho_classify(lam: Partition, ctx: BoxContext) -> Optional[OrthoPartition]:
     p, q = ctx.p, ctx.q
     lam, _ = boxed(p, q, lam)
     lam_hat = _complement(lam, p, q)
-    word = _level_word(lam, lam_hat, p, q)
-    if _pair_of_word(word, q) != (lam, lam_hat):
+    if not _contains(lam_hat, lam):
         return None
-    if word != word[::-1]:
-        raise ValueError(f"level word of {lam} in {p}x{q} is not a palindrome: {word}")
-    return _orthogonal(lam, _rects(word), ctx)
+    rects = _skew_decompose(lam, lam_hat, ctx)
+    if rects is None:
+        return None
+    if rects != rects[::-1]:
+        raise ValueError(f"rectangles of {lam} in {p}x{q} are not a palindrome: {rects}")
+    return _orthogonal(lam, rects, ctx)
 
 
 def _orthogonal(lam: Partition, rects: tuple[Level, ...], ctx: BoxContext) -> OrthoPartition:
-    """The orthogonal partition lam whose palindromic level word has the tie
-    blocks `rects`."""
+    """The orthogonal partition lam whose palindromic rectangle list, top
+    down, is `rects`."""
     m = len(rects)
     if m % 2 == 1:
         return OrthoPartition(lam, ctx, rects[: m // 2], rects[m // 2], "odd", None)

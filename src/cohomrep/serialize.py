@@ -10,14 +10,15 @@ always runs the pure-Python generator encoder, one generator step per token,
 so `dumps` writes a batch at a time instead of a value at a time: `_texts`
 takes all the values that sit at one indent and splits them by type.  A batch
 of exact str, int, float, bool or None is one `map` over a C function.  The
-items of a batch of lists are written as one batch, then cut back per list.
-A batch of dicts is grouped by key tuple and written column by column, one
-batch per key, each row from one `%` template.  The texts go back in the
-order of the values.  Other types are first turned into the plain values
-json writes them as, in json's `isinstance` order, so `numpy.float64` is
-written as a float, a NamedTuple record as an array, and what json rejects
-raises TypeError.  A batch longer than `_BLOCK` is written in blocks, which
-bounds the texts held at once.
+items of a batch of lists are written as one batch, then cut back per list;
+when all those items are exact ints, the lists of each length are written
+from one `%d` row template instead.  A batch of dicts is grouped by key tuple
+and written column by column, one batch per key, each row from one `%`
+template.  The texts go back in the order of the values.  Other types are
+first turned into the plain values json writes them as, in json's
+`isinstance` order, so `numpy.float64` is written as a float, a NamedTuple
+record as an array, and what json rejects raises TypeError.  A batch longer
+than `_BLOCK` is written in blocks, which bounds the texts held at once.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ _BLOCK = 256
 _SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _BOOL = {True: "true", False: "false"}
 _NONE = type(None)
+_INT = {int}
 
 
 def _texts(values: list, nl: str) -> list:
@@ -172,16 +174,31 @@ def _plain(o):
 
 def _lists(lists: list, nl: str) -> list:
     """The texts of lists and tuples: all their items are written as one
-    batch, then cut back into one run of texts per list."""
-    inner = nl + "  "
+    batch, then cut back into one run of texts per list.  When every item is
+    an exact int, the lists of each length are written from one template."""
+    flat = list(chain.from_iterable(lists))
     lengths = list(map(len, lists))
-    items = iter(_texts(list(chain.from_iterable(lists)), inner))
+    if set(map(type, flat)) == _INT:
+        return _grouped(_int_lists, lists, lengths, nl)
+    inner = nl + "  "
+    items = iter(_texts(flat, inner))
     bodies = map(("," + inner).join, map(islice, repeat(items), lengths))
     texts = list(map(("[" + inner + "%s" + nl + "]").__mod__, bodies))
     if 0 in lengths:  # an empty body leaves this text, which no item list makes
         hollow = {"[" + inner + nl + "]": "[]"}
         texts = list(map(hollow.get, texts, texts))
     return texts
+
+
+def _int_lists(k: int, lists: list, nl: str) -> list:
+    """The texts of lists of k exact ints each, from one `%d` row template:
+    `%d` writes an exact int as its repr, and past the digit limit raises
+    the ValueError json raises."""
+    if not k:
+        return ["[]"] * len(lists)
+    inner = nl + "  "
+    row = "[" + inner + ("," + inner).join(["%d"] * k) + nl + "]"
+    return list(map(row.__mod__, map(tuple, lists)))
 
 
 def _dicts(keys: tuple, dicts: list, nl: str) -> list:

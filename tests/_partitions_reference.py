@@ -1,40 +1,47 @@
 """Test-only oracles for compatible-pair and orthogonal enumeration.
 
-The library builds every compatible pair from one level word, and both
-enumerations from a bottom-up table of sub-box pairs.  This module keeps two
-former routes.  The first shares no code with the level word: decompose the
-skew row by row into maximal runs of equal (lam_i, mu_i), and scan all
-C(p+q, p)^2 pairs of partitions in the box.  The second is the recursive walk
-over the level words themselves, each word read back into its pair.
+The library decides compatibility in one scan of a pair's row runs, and
+builds both enumerations from a bottom-up table of sub-box pairs.  This
+module keeps two former routes.  The first is the level-word round trip: a
+nested pair is compatible iff its level word reads back as the pair, and the
+tie blocks of the word are its rectangles; `all_pairs_compatible` applies it
+to all C(p+q, p)^2 pairs of partitions in the box.  The second is the
+recursive walk over the level words themselves, each word read back into its
+pair.
 """
 
 import itertools
 
-from cohomrep.partitions import (BoxContext, CompatiblePair, _is_level, _orthogonal, _pair_of_word,
-                                 _rects, contains, pad, partitions_in_box, weight)
+from cohomrep.partitions import (BoxContext, CompatiblePair, _is_level, _level_word, _orthogonal,
+                                 contains, partitions_in_box, weight)
 
 
-def skew_rects(lam, mu, p):
-    """Rectangles of mu/lam top down, one per maximal run of rows with equal
-    (lam_i, mu_i) and lam_i < mu_i, or None when two vertically adjacent
-    rectangles would share an edge (mu below > lam above)."""
-    lp, mp = pad(lam, p), pad(mu, p)
-    rects = []
-    above = None  # lam_i of the run directly above, when that run was nonempty
-    i = 0
-    while i < p:
-        j = i
-        while j + 1 < p and (lp[j + 1], mp[j + 1]) == (lp[i], mp[i]):
-            j += 1
-        if lp[i] == mp[i]:
-            above = None
-        elif above is not None and mp[i] > above:
-            return None
-        else:
-            rects.append((j - i + 1, mp[i] - lp[i]))
-            above = lp[i]
-        i = j + 1
-    return tuple(rects)
+def pair_of_word(word, q):
+    """(lam, mu) of a level word: the rows of a level with b columns, below
+    levels holding c columns, have lam_i = q - c - b and mu_i = q - c."""
+    lam = []
+    mu = []
+    top = q
+    for a, b in word:
+        # parts weakly decrease, so skipping zero parts strips trailing zeros
+        if top > b:
+            lam += [top - b] * a
+        if top:
+            mu += [top] * a
+        top -= b
+    return tuple(lam), tuple(mu)
+
+
+def word_rects(word):
+    """The skew rectangles of a pair, top down: the tie blocks of its word."""
+    return tuple((a, b) for a, b in word if a and b)
+
+
+def round_trip_rects(lam, mu, p, q):
+    """Rectangles of the nested pair (lam, mu) in the p x q box, or None when
+    its level word does not read back as the pair."""
+    word = _level_word(lam, mu, p, q)
+    return word_rects(word) if pair_of_word(word, q) == (lam, mu) else None
 
 
 def all_pairs_compatible(ctx: BoxContext) -> list:
@@ -44,7 +51,7 @@ def all_pairs_compatible(ctx: BoxContext) -> list:
     out = []
     for lam, mu in itertools.product(parts, parts):
         if contains(mu, lam):
-            rects = skew_rects(lam, mu, ctx.p)
+            rects = round_trip_rects(lam, mu, ctx.p, ctx.q)
             if rects is not None:
                 out.append(CompatiblePair(lam, mu, ctx, rects))
     out.sort(key=lambda c: (weight(c.lam), c.lam, c.mu))
@@ -67,7 +74,7 @@ def level_words(p, q):
 def compatible_by_words(ctx: BoxContext) -> list:
     """All compatible pairs in the box, one per level word, ordered by
     (|lam|, lam, mu)."""
-    out = [CompatiblePair(*_pair_of_word(word, ctx.q), ctx, _rects(word))
+    out = [CompatiblePair(*pair_of_word(word, ctx.q), ctx, word_rects(word))
            for word in level_words(ctx.p, ctx.q)]
     out.sort(key=lambda c: (weight(c.lam), c.lam, c.mu))
     return out
@@ -87,6 +94,6 @@ def orthogonal_by_words(ctx: BoxContext) -> list:
             mid = (centre,) if centre != (0, 0) else ()
             for half in level_words(a, b):
                 word = half + mid + half[::-1]
-                out.append(_orthogonal(_pair_of_word(word, q)[0], _rects(word), ctx))
+                out.append(_orthogonal(pair_of_word(word, q)[0], word_rects(word), ctx))
     out.sort(key=lambda o: (weight(o.lam), o.lam))
     return out

@@ -11,7 +11,7 @@ from cohomrep import partitions as pt
 from cohomrep.partitions import BoxContext
 
 from _partitions_reference import (all_pairs_compatible, compatible_by_words, level_words,
-                                   orthogonal_by_words, skew_rects)
+                                   orthogonal_by_words, pair_of_word, round_trip_rects)
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -141,15 +141,16 @@ class TestSkewDecompose:
                 expected = (lam, mu) in realizable
                 assert pt.is_compatible(lam, mu, ctx) == expected, (p, q, lam, mu)
 
-    def test_matches_row_run_reference(self):
-        # every nested pair, compatible or not: the level-word round trip
-        # agrees with the row-run decomposition
+    def test_matches_level_word_round_trip(self):
+        # every nested pair, compatible or not: the row-run scan agrees with
+        # the level-word round trip
         for p, q in itertools.product(range(1, 6), repeat=2):
             ctx = BoxContext(p, q)
             parts = list(pt.partitions_in_box(p, q))
             for lam, mu in itertools.product(parts, parts):
                 if pt.contains(mu, lam):
-                    assert pt.skew_decompose(lam, mu, ctx) == skew_rects(lam, mu, p), (p, q, lam, mu)
+                    expected = round_trip_rects(lam, mu, p, q)
+                    assert pt.skew_decompose(lam, mu, ctx) == expected, (p, q, lam, mu)
 
 
 class TestWitness:
@@ -226,6 +227,8 @@ class TestOrtho:
     def test_box_1x1(self):
         # (1) is not orthogonal in 1x1: its complement () does not contain it
         assert [o.lam for o in pt.enumerate_orthogonal(BoxContext(1, 1))] == [()]
+        # the row-run scan assumes lam <= mu, so ortho_classify checks nesting first
+        assert pt.ortho_classify((1,), BoxContext(1, 1)) is None
 
     def test_palindrome_and_parity(self, orthogonal_by_box):
         for (p, q), orths in orthogonal_by_box.items():
@@ -283,9 +286,9 @@ class TestEnumeration:
         # the mirror half of a palindromic word reads as (complement(mu), complement(lam))
         for a, b in itertools.product(range(6), repeat=2):
             for word in level_words(a, b):
-                lam, mu = pt._pair_of_word(word, b)
-                assert pt._pair_of_word(word[::-1], b) == (pt._complement(mu, a, b),
-                                                           pt._complement(lam, a, b)), (a, b, word)
+                lam, mu = pair_of_word(word, b)
+                assert pair_of_word(word[::-1], b) == (pt._complement(mu, a, b),
+                                                       pt._complement(lam, a, b)), (a, b, word)
 
     def test_matches_all_pairs_scan(self, compatible_by_box):
         for (p, q), pairs in compatible_by_box.items():

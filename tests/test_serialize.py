@@ -118,9 +118,38 @@ _B = ser._BLOCK
     list(range(_B - 1)), list(range(_B)), list(range(_B + 1)),
     _rows_across_a_block(_B - 1), _rows_across_a_block(_B), _rows_across_a_block(_B + 1),
     [_rows_across_a_block(_B + 1), _rows_across_a_block(3)],
+    # batches of exact-int lists, written from one `%d` template per length
+    [[1, 2], [3], [], [4, 5]], [[True, 1], [1, True]], [(1, 2), [3, 4]], [[_Int(1), 2]],
+    [[-0, 10**30]], [list(range(i % 4)) for i in range(_B)], [list(range(i % 4)) for i in range(_B + 1)],
 ])
 def test_dumps_edge_cases(doc):
     assert ser.dumps(doc) == _json_oracle(doc)
+
+
+def test_dumps_rejects_an_int_past_the_digit_limit_as_json_does():
+    with pytest.raises(ValueError):
+        _json_oracle([[10**5000]])
+    with pytest.raises(ValueError):
+        ser.dumps([[10**5000]])
+
+
+def _nested(depth):
+    doc = []
+    for _ in range(depth - 1):
+        doc = [doc]
+    return doc
+
+
+def test_nesting_depth_limit():
+    # the batch writer spends a few frames per level, so it reaches fewer
+    # levels than json's encoder (see README); cohomrep documents nest five deep
+    doc = _nested(200)
+    assert ser.dumps(doc) == _json_oracle(doc)
+    doc = _nested(2000)
+    with pytest.raises(RecursionError):
+        _json_oracle(doc)
+    with pytest.raises(RecursionError):
+        ser.dumps(doc)
 
 
 def test_dumps_writes_every_small_catalog_as_json_does():

@@ -59,14 +59,10 @@ def test_box_and_nesting_rule_lives_in_one_function():
     assert "boxed" not in {node.name for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)}
 
 
-def test_gl_character_oracle_shares_no_code_with_the_fast_route():
-    # the GL-character oracle checks restrict_U_pair only while it reaches
-    # none of the predicate's combinatorics: follow every branching-level
-    # function the oracle names and collect what each one references
-    tree = ast.parse((SRC / "branching.py").read_text())
+def _reached(tree, roots):
+    """(functions, names): the module-level functions of tree that roots reach
+    through one another, and every name those functions reference."""
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    roots = ["gl_character", "gl_decompose", "gl_branching_mult",
-             "restrict_U_pair_oracle_mult", "ktype_gl_pair_hw"]
     seen, todo, names = set(), list(roots), set()
     while todo:
         name = todo.pop()
@@ -79,6 +75,16 @@ def test_gl_character_oracle_shares_no_code_with_the_fast_route():
                 names.add(ref)
                 if ref in defs:
                     todo.append(ref)
+    return seen, names
+
+
+def test_gl_character_oracle_shares_no_code_with_the_fast_route():
+    # the GL-character oracle checks restrict_U_pair only while it reaches
+    # none of the predicate's combinatorics: follow every branching-level
+    # function the oracle names and collect what each one references
+    tree = ast.parse((SRC / "branching.py").read_text())
+    seen, names = _reached(tree, ["gl_character", "gl_decompose", "gl_branching_mult",
+                                  "restrict_U_pair_oracle_mult", "ktype_gl_pair_hw"])
     assert {"_gl_weights", "_kostka_numbers", "_orbit", "_gl_pair_hw"} <= seen
     banned = {"inscribes", "_inscribes", "subtract_rows", "_subtract_rows", "_skew_decompose",
               "skew_decompose", "rootdata", "rd", "ktype_weight_U", "_ktype_weight_U",
@@ -128,3 +134,16 @@ def test_cold_imports_skip_dataclasses_and_load_numpy_only_with_geometry():
         if any("numpy" in _imported_roots(node) for node in module_level(tree)):
             numpy_at_top.add(path.name)
     assert numpy_at_top == {"geometry.py"}
+
+
+def test_compatibility_scan_stays_independent_of_the_level_word_oracle():
+    # the tests check the row-run scan against the level-word round trip, so
+    # the scan and every partitions function it reaches must not use the word
+    tree = ast.parse((SRC / "partitions.py").read_text())
+    seen, names = _reached(tree, ["compatible_pair", "skew_decompose", "_skew_decompose", "ortho_classify"])
+    assert {"boxed", "_skew_decompose", "_orthogonal"} <= seen
+    assert "_level_word" not in names
+    defined = {f"{path.name}:{node.name}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.FunctionDef) and node.name == "_pair_of_word"}
+    assert not defined, sorted(defined)
