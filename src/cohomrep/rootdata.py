@@ -22,6 +22,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .partitions import (
@@ -31,7 +32,6 @@ from .partitions import (
     OrthoPartition,
     Partition,
     boxed,
-    part,
     weight,
 )
 
@@ -136,21 +136,43 @@ def ktype_weight_U(lam: Partition, mu: Partition, ctx: BoxContext) -> Weight:
 
 
 def _ktype_weight_U(lam: Partition, mu: Partition, p: int, q: int) -> Weight:
-    """ktype_weight_U for normalized lam, mu in the p x q box, in O(p+q):
-    the column lengths lam*_j + mu*_j are the tail sums of one count of the
-    parts of lam and mu by size."""
-    xs = [-q] * p
+    """ktype_weight_U for normalized lam, mu in the p x q box."""
+    return _ktype_U(_shape_U(lam, p, q), _shape_U(mu, p, q))
+
+
+def _columns(nu: Partition, q: int) -> tuple[int, ...]:
+    """The q column lengths nu*_1..nu*_q of a normalized nu with parts <= q:
+    the tail sums of one count of its parts by size."""
     count = [0] * (q + 1)
-    for nu in (lam, mu):
-        for i, v in enumerate(nu):
-            xs[i] += v
-            count[v] += 1
-    ys = [0] * q
-    rest = p  # p minus the parts of lam and mu that are >= j
-    for j in range(q, 0, -1):
-        rest -= count[j]
-        ys[j - 1] = rest
-    return Weight(tuple(xs), tuple(ys), "U")
+    for v in nu:
+        count[v] += 1
+    return tuple(itertools.accumulate(count[:0:-1]))[::-1]
+
+
+class _ShapeU(NamedTuple):
+    """The K-type terms a normalized nu of the p x q box adds as lam,
+    (rows, -cols), and as mu, (rows - q, p - cols), where rows are its p
+    parts, zero-padded, and cols its q column lengths; and its size |nu|.
+    A catalog builds one per partition of a box, not one per pair."""
+
+    x_lam: tuple[int, ...]
+    y_lam: tuple[int, ...]
+    x_mu: tuple[int, ...]
+    y_mu: tuple[int, ...]
+    size: int
+
+
+def _shape_U(nu: Partition, p: int, q: int) -> _ShapeU:
+    cols = _columns(nu, q)
+    rows = nu + (0,) * (p - len(nu))
+    return _ShapeU(rows, tuple(map(neg, cols)), tuple(map(sub, rows, itertools.repeat(q))),
+                   tuple(map(sub, itertools.repeat(p), cols)), sum(nu))
+
+
+def _ktype_U(lam: _ShapeU, mu: _ShapeU) -> Weight:
+    """The lowest K-type of A(lam, mu) from the shapes of lam and mu: the
+    lam term plus the mu term, x_i = lam_i + mu_i - q, y_j = p - lam*_j - mu*_j."""
+    return Weight(tuple(map(add, lam.x_lam, mu.x_mu)), tuple(map(add, lam.y_lam, mu.y_mu)), "U")
 
 
 def _eps_weights(p: int, sign1: Optional[int]) -> list[tuple[int, int]]:
@@ -187,8 +209,11 @@ def _gamma_star_weights(q: int, sign2: Optional[int]) -> list[tuple[int, int]]:
 
 
 def ktype_weight_O(orth: OrthoPartition, sign1: Optional[int] = None, sign2: Optional[int] = None) -> Weight:
-    """Highest weight of the lowest K-type of A(lam)(signs) for O(p,q),
-    summed over the boxes of lam in the reordered eigenbases.
+    """Highest weight of the lowest K-type of A(lam)(signs) for O(p,q): the
+    sum over the boxes of lam in the reordered eigenbases, taken row by row
+    and column by column: row i adds c*lam_i to the x of the i-th basis
+    vector of C^p, and column j adds c*lam*_j to the y of the j-th dual
+    basis vector of C^q.
 
     sign1 acts on the C^p side (swap of the two central vectors), sign2 on
     the C^q side; each is only meaningful when the corresponding corner of
@@ -196,20 +221,14 @@ def ktype_weight_O(orth: OrthoPartition, sign1: Optional[int] = None, sign2: Opt
     """
     p, q = orth.ctx.p, orth.ctx.q
     _check_signs(orth, sign1, sign2)
-    eps = _eps_weights(p, sign1)
-    gam = _gamma_star_weights(q, sign2)
-    r, s = p // 2, q // 2
-    xs, ys = [0] * r, [0] * s
-    lam = orth.lam
-    for i in range(1, p + 1):
-        for j in range(1, part(lam, i) + 1):
-            a, ca = eps[i - 1]
-            b, cb = gam[j - 1]
-            if ca:
-                xs[a - 1] += ca
-            if cb:
-                ys[b - 1] += cb
-    return Weight.make(xs, ys, _conv_O(p, q))
+    xs, ys = [0] * (p // 2), [0] * (q // 2)
+    for (a, ca), v in zip(_eps_weights(p, sign1), orth.lam):
+        if ca:
+            xs[a - 1] += ca * v
+    for (b, cb), c in zip(_gamma_star_weights(q, sign2), _columns(orth.lam, q)):
+        if cb:
+            ys[b - 1] += cb * c
+    return Weight(tuple(xs), tuple(ys), _conv_O(p, q))
 
 
 def _check_signs(orth: OrthoPartition, sign1, sign2):
@@ -229,7 +248,12 @@ def _check_signs(orth: OrthoPartition, sign1, sign2):
 
 def degree_U(cp: CompatiblePair) -> int:
     """R = |lam| + |complement(mu)| = |lam| + pq - |mu| = dim(u cap p)."""
-    return weight(cp.lam) + cp.ctx.p * cp.ctx.q - weight(cp.mu)
+    return _degree_U(weight(cp.lam), weight(cp.mu), cp.ctx.p * cp.ctx.q)
+
+
+def _degree_U(lam_size: int, mu_size: int, pq: int) -> int:
+    """degree_U from the sizes |lam|, |mu| and the box area pq."""
+    return lam_size + pq - mu_size
 
 
 def degree_O(orth: OrthoPartition) -> int:

@@ -12,7 +12,11 @@ takes all the values that sit at one indent and splits them by type.  A batch
 of exact str, int, float, bool or None is one `map` over a C function.  The
 items of a batch of lists are written as one batch, then cut back per list;
 when all those items are exact ints, the lists of each length are written
-from one `%d` row template instead.  A batch of dicts is grouped by key tuple
+from one `%d` row template instead.  When all of them are exact ints or strs,
+each distinct list of the batch is written once and its text reused for the
+lists equal to it; bools, floats and subclasses are left out of that, since
+``True == 1``, ``1.0 == 1`` and ``-0.0 == 0.0`` print differently.  A batch
+of dicts is grouped by key tuple
 and written column by column, one batch per key, each row from one `%`
 template.  The texts go back in the order of the values.  Other types are
 first turned into the plain values json writes them as, in json's
@@ -54,16 +58,18 @@ def orth_to_json(o: OrthoPartition) -> dict:
             "parity": o.parity, "even_type": o.even_type}
 
 
+_SIGN = {1: "+", -1: "-", None: None}
+
+
 def module_to_json(m: VZModule) -> dict:
-    sign = {1: "+", -1: "-", None: None}
     return {
         "kind": m.kind, "p": m.p, "q": m.q,
         "label": m.label,
         "lam": list(m.lam),
         "mu": list(m.mu) if m.mu is not None else None,
-        "sign1": sign[m.sign1], "sign2": sign[m.sign2],
+        "sign1": _SIGN[m.sign1], "sign2": _SIGN[m.sign2],
         "degree": m.degree,
-        "levi": [[f[0], f[1], f[2]] for f in m.levi],
+        "levi": list(map(list, m.levi)),
         "lowest_ktype": weight_to_json(m.lowest_ktype),
         "discrete_series": m.discrete_series,
         "holomorphic": m.holomorphic,
@@ -111,6 +117,9 @@ _SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _BOOL = {True: "true", False: "false"}
 _NONE = type(None)
 _INT = {int}
+#: item types whose equal values have equal texts: not bool or float, since
+#: True == 1, 1.0 == 1 and -0.0 == 0.0 print differently
+_KEYED = {int, str}
 
 
 def _texts(values: list, nl: str) -> list:
@@ -175,19 +184,27 @@ def _plain(o):
 def _lists(lists: list, nl: str) -> list:
     """The texts of lists and tuples: all their items are written as one
     batch, then cut back into one run of texts per list.  When every item is
-    an exact int, the lists of each length are written from one template."""
-    flat = list(chain.from_iterable(lists))
+    an exact int or str, each distinct list is written once; when every item
+    is an exact int, the lists of each length are written from one template."""
+    types = set(map(type, chain.from_iterable(lists)))
+    keys = None
+    if types <= _KEYED:  # equal lists of exact ints and strs have equal texts
+        keys = list(map(tuple, lists))
+        lists = list(dict.fromkeys(keys))
     lengths = list(map(len, lists))
-    if set(map(type, flat)) == _INT:
-        return _grouped(_int_lists, lists, lengths, nl)
-    inner = nl + "  "
-    items = iter(_texts(flat, inner))
-    bodies = map(("," + inner).join, map(islice, repeat(items), lengths))
-    texts = list(map(("[" + inner + "%s" + nl + "]").__mod__, bodies))
-    if 0 in lengths:  # an empty body leaves this text, which no item list makes
-        hollow = {"[" + inner + nl + "]": "[]"}
-        texts = list(map(hollow.get, texts, texts))
-    return texts
+    if types == _INT:
+        texts = _grouped(_int_lists, lists, lengths, nl)
+    else:
+        inner = nl + "  "
+        items = iter(_texts(list(chain.from_iterable(lists)), inner))
+        bodies = map(("," + inner).join, map(islice, repeat(items), lengths))
+        texts = list(map(("[" + inner + "%s" + nl + "]").__mod__, bodies))
+        if 0 in lengths:  # an empty body leaves this text, which no item list makes
+            hollow = {"[" + inner + nl + "]": "[]"}
+            texts = list(map(hollow.get, texts, texts))
+    if keys is None:
+        return texts
+    return list(map(dict(zip(lists, texts)).__getitem__, keys))
 
 
 def _int_lists(k: int, lists: list, nl: str) -> list:

@@ -65,16 +65,24 @@ def levi_of_orth(orth: OrthoPartition) -> tuple[LeviFactor, ...]:
     return tuple(factors)
 
 
-def module_from_pair(cp: CompatiblePair) -> VZModule:
-    p, q = cp.ctx.p, cp.ctx.q
-    return VZModule(
-        kind="U", p=p, q=q, lam=cp.lam, mu=cp.mu, sign1=None, sign2=None,
-        degree=rd.degree_U(cp), levi=levi_of_pair(cp),
-        lowest_ktype=rd._ktype_weight_U(cp.lam, cp.mu, p, q),
-        discrete_series=cp.is_discrete_series,
-        holomorphic=(cp.mu == (q,) * p),
-        o_group_extension=False,
-    )
+def module_from_pair(cp: CompatiblePair,
+                     tables: Optional[tuple[dict, dict]] = None) -> VZModule:
+    """The module A(lam, mu) of a compatible pair.  A box holds far fewer
+    partitions and rectangle lists than pairs, so `catalog` passes tables
+    that live for one box, of each partition's shape (`rootdata._shape_U`)
+    and each rectangle list's Levi factors, to build each once per box."""
+    shapes, levis = tables if tables is not None else ({}, {})
+    lam, mu, ctx, rects = cp
+    p, q = ctx
+    if lam not in shapes:
+        shapes[lam] = rd._shape_U(lam, p, q)
+    if mu not in shapes:
+        shapes[mu] = rd._shape_U(mu, p, q)
+    if rects not in levis:
+        levis[rects] = levi_of_pair(cp)
+    ls, ms = shapes[lam], shapes[mu]
+    return VZModule("U", p, q, lam, mu, None, None, rd._degree_U(ls.size, ms.size, p * q),
+                    levis[rects], rd._ktype_U(ls, ms), lam == mu, mu == (q,) * p, False)
 
 
 def sign_slots(orth: OrthoPartition) -> list[tuple[Optional[int], Optional[int]]]:
@@ -113,7 +121,8 @@ def catalog(kind: str, p: int, q: int, cap: int = pt.DEFAULT_ENUM_CAP) -> list[V
     if p * q > cap:
         raise CapExceededError("catalog box area p*q", p * q, cap)
     if kind == "U":
-        return [module_from_pair(cp) for cp in pt.enumerate_compatible(ctx, cap)]
+        tables = ({}, {})
+        return [module_from_pair(cp, tables) for cp in pt.enumerate_compatible(ctx, cap)]
     if kind == "O":
         out = []
         for orth in pt.enumerate_orthogonal(ctx, cap):

@@ -1,9 +1,13 @@
 """Test-only oracles for the module catalog.
 
-Neither shares code with the route it checks:
+None shares code with the route it checks:
 
 - `ktype_box_sum_U` sums the lowest K-type of A(lam, mu) box by box, where
   `rootdata.ktype_weight_U` reads it off the column lengths in O(p+q).
+- `ktype_box_sum_O` sums the lowest K-type of A(lam)(signs) box by box, in
+  its own copy of the reordered eigenbases, where `rootdata.ktype_weight_O`
+  adds one term per row and one per column.  It uses no `rootdata` routine,
+  only the `Weight` record.
 - `brute_count_O` counts the distinct u cap p realized by dominant torus
   elements on a small level grid, independent of the partition and sign
   classification `vz_catalog.catalog("O", ...)` enumerates.
@@ -29,6 +33,50 @@ def ktype_box_sum_U(lam, mu, ctx: BoxContext) -> Weight:
             xs[p - i] -= 1
             ys[q - j] += 1
     return Weight.make(xs, ys, "U")
+
+
+def _basis_weights_p(p, sign1):
+    """(index a, coefficient c) of the torus weight c*x_a of each vector of
+    the reordered basis e_1..e_r, (e_0), bar e_r..bar e_1 of C^p; sign1 = -1
+    swaps e_r and bar e_r."""
+    r = p // 2
+    basis = [(a, 1) for a in range(1, r + 1)] + [(0, 0)] * (p % 2) + [(a, -1) for a in range(r, 0, -1)]
+    if sign1 == -1:
+        i, j = basis.index((r, 1)), basis.index((r, -1))
+        basis[i], basis[j] = basis[j], basis[i]
+    return basis
+
+
+def _dual_basis_weights_q(q, sign2):
+    """(index b, coefficient c) of the torus weight c*y_b of each dual vector
+    gamma_j^* of the reordered basis of C^q, ascending weights negated;
+    sign2 = -1 swaps f_1 and bar f_1."""
+    s = q // 2
+    basis = [(b, 1) for b in range(s, 0, -1)] + [(0, 0)] * (q % 2) + [(b, -1) for b in range(1, s + 1)]
+    if sign2 == -1:
+        i, j = basis.index((1, 1)), basis.index((1, -1))
+        basis[i], basis[j] = basis[j], basis[i]
+    return basis
+
+
+def ktype_box_sum_O(orth, sign1=None, sign2=None) -> Weight:
+    """The O lowest K-type weight by literal box summation."""
+    p, q = orth.ctx.p, orth.ctx.q
+    eps = _basis_weights_p(p, sign1)
+    gam = _dual_basis_weights_q(q, sign2)
+    r, s = p // 2, q // 2
+    xs, ys = [0] * r, [0] * s
+    lam = orth.lam
+    for i in range(1, p + 1):
+        for j in range(1, part(lam, i) + 1):
+            a, ca = eps[i - 1]
+            b, cb = gam[j - 1]
+            if ca:
+                xs[a - 1] += ca
+            if cb:
+                ys[b - 1] += cb
+    conv = f"O-{('even', 'odd')[p % 2]}-{('even', 'odd')[q % 2]}"
+    return Weight.make(xs, ys, conv)
 
 
 def brute_count_O(p: int, q: int) -> int:

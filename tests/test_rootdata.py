@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import _dirac_reference as ref
-from _catalog_reference import ktype_box_sum_U
+from _catalog_reference import ktype_box_sum_O, ktype_box_sum_U
 from cohomrep import partitions as pt
 from cohomrep import rootdata as rd
 from cohomrep import vz_catalog as vz
@@ -87,6 +87,15 @@ class TestKtypeO:
         assert plus.ys == (Fraction(2),) and minus.ys == (Fraction(-2),)
         with pytest.raises(ValueError):
             rd.ktype_weight_O(orth, -1, None)  # sign1 meaningless for type 2
+
+    def test_against_box_sum(self, orthogonal_by_box):
+        # every sign slot of every orthogonal partition with p, q <= 6
+        for (p, q), orths in orthogonal_by_box.items():
+            for o in orths:
+                for s1, s2 in vz.sign_slots(o):
+                    w = rd.ktype_weight_O(o, s1, s2)
+                    assert w == ktype_box_sum_O(o, s1, s2), (p, q, o.lam, s1, s2)
+                    assert {type(v) for v in w.xs + w.ys} <= {int}
 
     def test_all_variants_distinct_when_swaps_bite(self, orthogonal_by_box):
         for (p, q), orths in orthogonal_by_box.items():

@@ -86,7 +86,13 @@ _scalars = (st.integers() | st.booleans() | st.none() | _floats | _floats.map(np
 _key_pool = st.sampled_from(["a", "b", "%", "%s", "{x}", '"q"', "\u00e9"])
 # equal keys that json prints differently
 _number_keys = st.sampled_from([1, 1.0, True, 0, 0.0, False, 2.5])
-_docs = st.recursive(_scalars, lambda inner: (
+# lists over one pair of items, so that a batch draws from a pool of at most
+# six lists and equal lists repeat; the items of a pair compare equal but print
+# apart, or (for "1" and 1) print alike but differ
+_item_pairs = st.sampled_from([(0, False), (1, True), (1, 1.0), (0.0, -0.0), (0, 0.0), ("1", 1), (1, _Int(1))])
+_pooled_lists = _item_pairs.flatmap(
+    lambda pair: st.lists(st.lists(st.sampled_from(pair), min_size=1, max_size=2), min_size=2, max_size=8))
+_docs = st.recursive(_scalars | _pooled_lists, lambda inner: (
     st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
     | st.lists(inner, max_size=5).map(_List) | st.tuples(inner, inner).map(lambda t: _Record(*t))
     | st.dictionaries(_text, inner, max_size=5) | st.dictionaries(_text, inner, max_size=3).map(_Dict)
@@ -121,6 +127,12 @@ _B = ser._BLOCK
     # batches of exact-int lists, written from one `%d` template per length
     [[1, 2], [3], [], [4, 5]], [[True, 1], [1, True]], [(1, 2), [3, 4]], [[_Int(1), 2]],
     [[-0, 10**30]], [list(range(i % 4)) for i in range(_B)], [list(range(i % 4)) for i in range(_B + 1)],
+    # equal lists of exact ints and strs, written once per batch; equal
+    # lists with a bool, a float or a subclass among their items print apart
+    [[1, True], [1, 1], [True, 1]], [[1.0], [1]], [[0.0], [-0.0]], [["1"], [1]], [[_Int(1)], [1]],
+    [["U", 1, 1], ["U", 1, 1], ["U", 1, 2]], [[], [], [[]], [], ()], [[] for _ in range(_B + 1)],
+    [[i % 3] for i in range(_B + 5)], [["U", i % 3, 1] for i in range(2 * _B + 1)],
+    [[[i % 2, "x"]] for i in range(_B - 2, _B + 2)],
 ])
 def test_dumps_edge_cases(doc):
     assert ser.dumps(doc) == _json_oracle(doc)

@@ -147,3 +147,18 @@ def test_compatibility_scan_stays_independent_of_the_level_word_oracle():
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(node, ast.FunctionDef) and node.name == "_pair_of_word"}
     assert not defined, sorted(defined)
+
+
+def test_o_ktype_oracle_uses_only_the_weight_record_of_rootdata():
+    # ktype_box_sum_O checks rootdata.ktype_weight_O only while it builds the
+    # eigenbases and the sum itself: it may take the Weight record, nothing else
+    oracle = ast.parse((ROOT / "tests" / "_catalog_reference.py").read_text())
+    seen, names = _reached(oracle, ["ktype_box_sum_O"])
+    assert {"_basis_weights_p", "_dual_basis_weights_q"} <= seen
+    from_rootdata = {alias.name for node in ast.walk(oracle) if isinstance(node, ast.ImportFrom)
+                     and node.module in ("cohomrep.rootdata", "rootdata") for alias in node.names}
+    assert from_rootdata == {"Weight"}
+    rootdata = ast.parse((SRC / "rootdata.py").read_text())
+    routines = {node.name for node in rootdata.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    banned = (routines - {"Weight"}) | {"rootdata", "rd"}
+    assert not names & banned, sorted(names & banned)

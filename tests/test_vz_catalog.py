@@ -1,6 +1,6 @@
 import pytest
 
-from _catalog_reference import brute_count_O
+from _catalog_reference import brute_count_O, ktype_box_sum_O, ktype_box_sum_U
 from cohomrep import partitions as pt
 from cohomrep import rootdata as rd
 from cohomrep import vz_catalog as vz
@@ -69,6 +69,39 @@ class TestCatalogO:
                 same_lam = [m for m in vz.catalog("O", p, q) if m.lam == mod.lam]
                 kt = {(m.lowest_ktype.xs, m.lowest_ktype.ys) for m in same_lam}
                 assert len(kt) == len(same_lam)
+
+
+class TestCatalogAgainstOracles:
+    def test_U_modules(self, compatible_by_box):
+        for (p, q), pairs in compatible_by_box.items():
+            ctx = BoxContext(p, q)
+            mods = vz.catalog("U", p, q)
+            assert [(m.lam, m.mu) for m in mods] == [(cp.lam, cp.mu) for cp in pairs]
+            for m, cp in zip(mods, pairs):
+                assert m.lowest_ktype == ktype_box_sum_U(cp.lam, cp.mu, ctx), m.label
+                assert m.degree == sum(cp.lam) + p * q - sum(cp.mu)
+                assert m.levi == vz.levi_of_pair(cp)
+                assert (m.discrete_series, m.holomorphic) == (cp.lam == cp.mu, cp.mu == (q,) * p)
+                assert m == vz.module_from_pair(cp)
+
+    def test_O_modules(self, orthogonal_by_box):
+        for (p, q), orths in orthogonal_by_box.items():
+            mods = vz.catalog("O", p, q)
+            slots = [(o, s1, s2) for o in orths for s1, s2 in vz.sign_slots(o)]
+            assert len(mods) == len(slots)
+            for m, (o, s1, s2) in zip(mods, slots):
+                assert (m.lam, m.sign1, m.sign2) == (o.lam, s1, s2)
+                assert m.lowest_ktype == ktype_box_sum_O(o, s1, s2), m.label
+                assert m.degree == sum(o.lam)
+                assert m.levi == vz.levi_of_orth(o)
+
+    def test_each_partition_shape_is_built_once_per_box(self, monkeypatch):
+        # U(5,5) has 6,090 pairs over the 252 partitions of the 5 x 5 box
+        shaped = []
+        shape = rd._shape_U
+        monkeypatch.setattr(rd, "_shape_U", lambda nu, p, q: shaped.append(nu) or shape(nu, p, q))
+        assert len(vz.catalog("U", 5, 5)) == 6090
+        assert len(shaped) == len(set(shaped)) == 252
 
 
 class TestLevi:
