@@ -21,17 +21,14 @@ def main():
         for q in range(1, args.max_pq + 1):
             if p * q > args.max_pq:
                 continue
+            ctx = BoxContext(p, q)
             for kind in ("U", "O"):
                 mods = vz.catalog(kind, p, q)
                 hist = dict(sorted(Counter(m.degree for m in mods).items()))
                 if kind == "U":
-                    isolated = sum(
-                        iso.is_isolated_U(pt.compatible_pair(m.lam, m.mu, BoxContext(p, q)))
-                        for m in mods)
+                    isolated = sum(iso.is_isolated_U(pt.compatible_pair(m.lam, m.mu, ctx)) for m in mods)
                 else:
-                    isolated = sum(
-                        iso.is_isolated_O(pt.ortho_classify(m.lam, BoxContext(p, q)))
-                        for m in mods)
+                    isolated = sum(iso.is_isolated_O(pt.ortho_classify(m.lam, ctx)) for m in mods)
                 print(f"  {kind}({p},{q}) {len(mods):>8} {isolated:>9}  {hist}")
 
 

@@ -55,23 +55,31 @@ def _torus_chain(orth: OrthoPartition) -> list[tuple[int, str]]:
     Read off the level word of the pair (lam, complement(lam)), a
     palindrome: level k of L gets the value L - 1 - 2k, symmetric around 0,
     and the torus values are the levels of the first r rows and first s
-    columns."""
+    columns.  The values fall level by level, and a level's rows come
+    before its columns, so one walk over the first levels, until r rows
+    and s columns are taken, emits the chain in order."""
     p, q = orth.ctx.p, orth.ctx.q
     word = _level_word(orth.lam, _complement(orth.lam, p, q), p, q)
     if word != word[::-1]:
         raise ValueError(f"level word of {orth.lam} in {p}x{q} is not a palindrome: {word}")
     r, s = p // 2, q // 2
+    rows_left, cols_left = r, s
     chain: list[tuple[int, str]] = []
-    rows_seen = cols_seen = 0
-    for k, (nr, nc) in enumerate(word):
-        value = len(word) - 1 - 2 * k
-        chain += [(value, "x")] * max(0, min(nr, r - rows_seen))
-        chain += [(value, "y")] * max(0, min(nc, s - cols_seen))
-        rows_seen += nr
-        cols_seen += nc
-    if len(chain) != r + s or any(v < 0 for v, _ in chain):
+    value = len(word) - 1
+    for nr, nc in word:
+        if not (rows_left or cols_left):
+            break
+        if nr and rows_left:
+            take = nr if nr < rows_left else rows_left
+            chain += [(value, "x")] * take
+            rows_left -= take
+        if nc and cols_left:
+            take = nc if nc < cols_left else cols_left
+            chain += [(value, "y")] * take
+            cols_left -= take
+        value -= 2
+    if len(chain) != r + s or (chain and chain[-1][0] < 0):
         raise ValueError(f"torus chain of {orth.lam} in {p}x{q} is not r + s values >= 0: {chain}")
-    chain.sort(key=lambda t: (-t[0], t[1]))
     return chain
 
 

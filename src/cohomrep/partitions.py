@@ -14,8 +14,11 @@ most the lam of the rectangle run above it.  A compatible pair is also the
 comparison pattern of one dominant torus element, read as a *level word*: the
 merged chain of rows (top down) and columns (right to left), one level per
 free row (1, 0), free column (0, 1) or tie block (a, b), a, b >= 1, whose tie
-blocks are the skew rectangles.  The enumerations build pairs from words, and
-the witness vector and the O torus chain read them off the word.
+blocks are the skew rectangles.  The witness vector and the O torus chain
+read their levels off the word; the enumerations build no word but one table
+of the (|lam|, lam, mu, rects) entries of every sub-box, filled bottom-up
+(`_pair_table`), since a word is a first level followed by a word of a
+smaller box.
 """
 
 from __future__ import annotations
@@ -362,6 +365,8 @@ def _even_type(lam: Partition, p: int, q: int) -> int:
               or p odd, q even;
       type 3: p, q even with both strict.
     Both p and q odd never happens: those boxes only carry odd partitions.
+    lam*_s > lam*_{s+1} exactly when some row of lam has s boxes, so no
+    conjugate is built.
     """
     if p % 2 == 1 and q % 2 == 1:
         raise ValueError(f"even orthogonal partition {lam} in the odd x odd box {p}x{q}")
@@ -370,9 +375,8 @@ def _even_type(lam: Partition, p: int, q: int) -> int:
     if p % 2 == 1 and q % 2 == 0:
         return 2
     r, s = p // 2, q // 2
-    conj = _conjugate(lam)
     row_strict = part(lam, r) > part(lam, r + 1)
-    col_strict = part(conj, s) > part(conj, s + 1)
+    col_strict = s in lam
     if row_strict and col_strict:
         return 3
     if row_strict:

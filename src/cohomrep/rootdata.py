@@ -175,45 +175,11 @@ def _ktype_U(lam: _ShapeU, mu: _ShapeU) -> Weight:
     return Weight(tuple(map(add, lam.x_lam, mu.x_mu)), tuple(map(add, lam.y_lam, mu.y_mu)), "U")
 
 
-def _eps_weights(p: int, sign1: Optional[int]) -> list[tuple[int, int]]:
-    """Torus weights of the reordered basis of C^p for O(p): a list of
-    (index a, coefficient c) meaning the basis vector has weight c*x_a
-    (c = 0 for the middle vector when p is odd).  sign1 = -1 swaps the two
-    central vectors e_r and bar e_r."""
-    r = p // 2
-    ws = [(a, 1) for a in range(1, r + 1)]
-    if p % 2 == 1:
-        ws.append((0, 0))
-    ws += [(a, -1) for a in range(r, 0, -1)]
-    if sign1 == -1:
-        i_plus = r - 1
-        i_minus = len(ws) - r
-        ws[i_plus], ws[i_minus] = ws[i_minus], ws[i_plus]
-    return ws
-
-
-def _gamma_star_weights(q: int, sign2: Optional[int]) -> list[tuple[int, int]]:
-    """Torus weights of the duals of the reordered basis of C^q for O(q):
-    gamma_j^* has weight -w_j where (w_j) is ascending; the list holds
-    (index b, coefficient c) for c*y_b.  sign2 = -1 swaps f_1 and bar f_1."""
-    s = q // 2
-    ws = [(b, 1) for b in range(s, 0, -1)]
-    if q % 2 == 1:
-        ws.append((0, 0))
-    ws += [(b, -1) for b in range(1, s + 1)]
-    if sign2 == -1:
-        i_plus = s - 1
-        i_minus = len(ws) - s
-        ws[i_plus], ws[i_minus] = ws[i_minus], ws[i_plus]
-    return ws
-
-
 def ktype_weight_O(orth: OrthoPartition, sign1: Optional[int] = None, sign2: Optional[int] = None) -> Weight:
     """Highest weight of the lowest K-type of A(lam)(signs) for O(p,q): the
-    sum over the boxes of lam in the reordered eigenbases, taken row by row
-    and column by column: row i adds c*lam_i to the x of the i-th basis
-    vector of C^p, and column j adds c*lam*_j to the y of the j-th dual
-    basis vector of C^q.
+    sum over the boxes of lam in the reordered eigenbases, in closed form
+    (`_ktype_O`), with x_r negated when sign1 = -1 and y_1 negated when
+    sign2 = -1 (`_sign_variant`).
 
     sign1 acts on the C^p side (swap of the two central vectors), sign2 on
     the C^q side; each is only meaningful when the corresponding corner of
@@ -221,14 +187,35 @@ def ktype_weight_O(orth: OrthoPartition, sign1: Optional[int] = None, sign2: Opt
     """
     p, q = orth.ctx.p, orth.ctx.q
     _check_signs(orth, sign1, sign2)
-    xs, ys = [0] * (p // 2), [0] * (q // 2)
-    for (a, ca), v in zip(_eps_weights(p, sign1), orth.lam):
-        if ca:
-            xs[a - 1] += ca * v
-    for (b, cb), c in zip(_gamma_star_weights(q, sign2), _columns(orth.lam, q)):
-        if cb:
-            ys[b - 1] += cb * c
-    return Weight(tuple(xs), tuple(ys), _conv_O(p, q))
+    return _sign_variant(_ktype_O(orth.lam, p, q), sign1, sign2)
+
+
+def _ktype_O(lam: Partition, p: int, q: int) -> Weight:
+    """The lowest K-type of A(lam) for a normalized lam of the p x q box with
+    no sign negated.  Row i of C^p carries +x_i for i <= r and -x_{p+1-i}
+    for i > p - r; column j of C^q carries +y_{s+1-j} for j <= s and
+    -y_{j-q+s} for j > q - s; a middle row or column carries 0.  So, with
+    r = p // 2 and s = q // 2,
+
+      x_a = lam_a - lam_{p+1-a}          (a <= r)
+      y_b = lam*_{s+1-b} - lam*_{q-s+b}  (b <= s)."""
+    r, s = p // 2, q // 2
+    rows = lam + (0,) * (p - len(lam))
+    cols = _columns(lam, q)
+    return Weight(tuple(map(sub, rows[:r], reversed(rows))),
+                  tuple(map(sub, cols[:s][::-1], cols[q - s:])), _conv_O(p, q))
+
+
+def _sign_variant(kt: Weight, sign1: Optional[int], sign2: Optional[int]) -> Weight:
+    """The K-type of a sign variant from that of `_ktype_O`: sign1 = -1 swaps
+    the two central basis vectors of C^p, which negates x_r, and sign2 = -1
+    swaps f_1 and bar f_1 of C^q, which negates y_1."""
+    xs, ys = kt.xs, kt.ys
+    if sign1 == -1:
+        xs = xs[:-1] + (-xs[-1],)
+    if sign2 == -1:
+        ys = (-ys[0],) + ys[1:]
+    return Weight(xs, ys, kt.conv)
 
 
 def _check_signs(orth: OrthoPartition, sign1, sign2):

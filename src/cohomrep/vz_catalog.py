@@ -11,6 +11,7 @@ group, flagged rather than listed separately.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional
 
 from . import partitions as pt
@@ -38,15 +39,25 @@ class VZModule(NamedTuple):
     @property
     def label(self) -> str:
         if self.kind == "U":
-            return f"A({list(self.lam)},{list(self.mu)})"
-        sup = {1: "+", -1: "-"}.get(self.sign2, "")
-        sub = {1: "+", -1: "-"}.get(self.sign1, "")
-        deco = ""
-        if sup:
-            deco += f"^{sup}"
-        if sub:
-            deco += f"_{sub}"
-        return f"A({list(self.lam)}){deco}"
+            return f"A({_list_text(self.lam)},{_list_text(self.mu)})"
+        return f"A({_list_text(self.lam)}){_O_MARKS[self.sign1, self.sign2]}"
+
+
+#: partitions whose list text the label memo keeps
+LABEL_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=LABEL_MEMO_SIZE)
+def _list_text(lam: Partition) -> str:
+    """`str(list(lam))`, the text a label shows for a partition: a U box
+    labels each partition in many pairs, so each is written once."""
+    return str(list(lam))
+
+
+_SIGN_MARK = {1: "+", -1: "-"}
+#: the marks an O label ends with, by (sign1, sign2): ^sign2, then _sign1
+_O_MARKS = {(s1, s2): (f"^{_SIGN_MARK[s2]}" if s2 else "") + (f"_{_SIGN_MARK[s1]}" if s1 else "")
+            for s1 in (None, 1, -1) for s2 in (None, 1, -1)}
 
 
 def levi_of_pair(cp: CompatiblePair) -> tuple[LeviFactor, ...]:
@@ -99,20 +110,17 @@ def sign_slots(orth: OrthoPartition) -> list[tuple[Optional[int], Optional[int]]
 
 
 def modules_from_orth(orth: OrthoPartition) -> list[VZModule]:
-    p, q = orth.ctx.p, orth.ctx.q
+    """The 1, 2 or 4 modules of an orthogonal partition.  They share the
+    degree, the Levi factors and one K-type, which each sign variant
+    negates where its signs say (`rootdata._sign_variant`)."""
+    lam, (p, q) = orth.lam, orth.ctx
     degree = rd.degree_O(orth)
     levi = levi_of_orth(orth)
-    out = []
-    for s1, s2 in sign_slots(orth):
-        out.append(VZModule(
-            kind="O", p=p, q=q, lam=orth.lam, mu=None, sign1=s1, sign2=s2,
-            degree=degree, levi=levi,
-            lowest_ktype=rd.ktype_weight_O(orth, s1, s2),
-            discrete_series=(orth.rect_count == 0),
-            holomorphic=False,
-            o_group_extension=True,
-        ))
-    return out
+    ktype = rd._ktype_O(lam, p, q)
+    discrete = orth.rect_count == 0
+    return [VZModule("O", p, q, lam, None, s1, s2, degree, levi, rd._sign_variant(ktype, s1, s2),
+                     discrete, False, True)
+            for s1, s2 in sign_slots(orth)]
 
 
 def catalog(kind: str, p: int, q: int, cap: int = pt.DEFAULT_ENUM_CAP) -> list[VZModule]:

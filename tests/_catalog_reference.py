@@ -6,8 +6,8 @@ None shares code with the route it checks:
   `rootdata.ktype_weight_U` reads it off the column lengths in O(p+q).
 - `ktype_box_sum_O` sums the lowest K-type of A(lam)(signs) box by box, in
   its own copy of the reordered eigenbases, where `rootdata.ktype_weight_O`
-  adds one term per row and one per column.  It uses no `rootdata` routine,
-  only the `Weight` record.
+  reads each coordinate off two rows or two column lengths and negates one
+  per sign.  It uses no `rootdata` routine, only the `Weight` record.
 - `brute_count_O` counts the distinct u cap p realized by dominant torus
   elements on a small level grid, independent of the partition and sign
   classification `vz_catalog.catalog("O", ...)` enumerates.

@@ -8,12 +8,20 @@ tie blocks of the word are its rectangles; `all_pairs_compatible` applies it
 to all C(p+q, p)^2 pairs of partitions in the box.  The second is the
 recursive walk over the level words themselves, each word read back into its
 pair.
+
+It also keeps the former forms of two O-path helpers, as oracles:
+`even_type_by_conjugate` reads the column corner of an even orthogonal
+partition off its conjugate, where `partitions._even_type` tests whether a
+row has s boxes, and `torus_chain_by_sort` walks the whole level word and
+sorts the chain, where `isolation._torus_chain` emits it in order from the
+first levels.
 """
 
 import itertools
 
-from cohomrep.partitions import (BoxContext, CompatiblePair, _is_level, _level_word, _orthogonal,
-                                 contains, partitions_in_box, weight)
+from cohomrep.partitions import (BoxContext, CompatiblePair, OrthoPartition, _is_level, _level_word,
+                                 _orthogonal, complement, conjugate, contains, part, partitions_in_box,
+                                 weight)
 
 
 def pair_of_word(word, q):
@@ -97,3 +105,50 @@ def orthogonal_by_words(ctx: BoxContext) -> list:
                 out.append(_orthogonal(pair_of_word(word, q)[0], word_rects(word), ctx))
     out.sort(key=lambda o: (weight(o.lam), o.lam))
     return out
+
+
+def even_type_by_conjugate(lam, p, q):
+    """Type of an even orthogonal partition: 1 when only the row corner
+    lam_r > lam_{r+1} is strict (or p even, q odd), 2 when only the column
+    corner lam*_s > lam*_{s+1} is (or p odd, q even), 3 when both are."""
+    if p % 2 == 1 and q % 2 == 1:
+        raise ValueError(f"even orthogonal partition {lam} in the odd x odd box {p}x{q}")
+    if p % 2 == 0 and q % 2 == 1:
+        return 1
+    if p % 2 == 1 and q % 2 == 0:
+        return 2
+    r, s = p // 2, q // 2
+    conj = conjugate(lam)
+    row_strict = part(lam, r) > part(lam, r + 1)
+    col_strict = part(conj, s) > part(conj, s + 1)
+    if row_strict and col_strict:
+        return 3
+    if row_strict:
+        return 1
+    if col_strict:
+        return 2
+    raise RuntimeError(f"even orthogonal {lam} in {p}x{q} with neither corner strict")
+
+
+def torus_chain_by_sort(orth: OrthoPartition):
+    """The torus chain of A(lam): level k of the palindromic level word of
+    (lam, complement(lam)) has the value L - 1 - 2k, the first r rows and
+    first s columns take the values of their levels, and the (value, type)
+    list is sorted by descending value, "x" before "y"."""
+    p, q = orth.ctx.p, orth.ctx.q
+    word = _level_word(orth.lam, complement(orth.lam, p, q), p, q)
+    if word != word[::-1]:
+        raise ValueError(f"level word of {orth.lam} in {p}x{q} is not a palindrome: {word}")
+    r, s = p // 2, q // 2
+    chain = []
+    rows_seen = cols_seen = 0
+    for k, (nr, nc) in enumerate(word):
+        value = len(word) - 1 - 2 * k
+        chain += [(value, "x")] * max(0, min(nr, r - rows_seen))
+        chain += [(value, "y")] * max(0, min(nc, s - cols_seen))
+        rows_seen += nr
+        cols_seen += nc
+    if len(chain) != r + s or any(v < 0 for v, _ in chain):
+        raise ValueError(f"torus chain of {orth.lam} in {p}x{q} is not r + s values >= 0: {chain}")
+    chain.sort(key=lambda t: (-t[0], t[1]))
+    return chain

@@ -26,3 +26,10 @@ def orthogonal_by_box():
         ctx = BoxContext(p, q)
         out[(p, q)] = enumerate_orthogonal(ctx, cap=64)
     return out
+
+
+@pytest.fixture(scope="session")
+def orthogonal_to_area_42():
+    # every box the default enumeration cap admits, p > q included
+    return {(p, q): enumerate_orthogonal(BoxContext(p, q))
+            for p in range(1, 43) for q in range(1, 42 // p + 1)}

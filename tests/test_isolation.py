@@ -2,6 +2,8 @@ from cohomrep import isolation as iso
 from cohomrep import partitions as pt
 from cohomrep.partitions import BoxContext
 
+from _partitions_reference import torus_chain_by_sort
+
 
 class TestIsolatedU:
     def test_trivial_rep(self):
@@ -52,6 +54,16 @@ class TestIsolatedO:
             for o in orths:
                 if any(min(a, b) < 2 for a, b in o.pairs):
                     assert iso.is_isolated_O(o) is False
+
+
+class TestTorusChain:
+    def test_matches_the_sorted_oracle(self, orthogonal_to_area_42):
+        for (p, q), orths in orthogonal_to_area_42.items():
+            ctx = BoxContext(p, q)
+            for o in orths:
+                chain = iso._torus_chain(o)
+                assert chain == torus_chain_by_sort(o), (p, q, o.lam)
+                assert iso._torus_chain(pt.ortho_classify(o.lam, ctx)) == chain
 
 
 class TestCorMino:

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from cohomrep import partitions as pt
 from cohomrep.partitions import BoxContext
 
-from _partitions_reference import (all_pairs_compatible, compatible_by_words, level_words,
-                                   orthogonal_by_words, pair_of_word, round_trip_rects)
+from _partitions_reference import (all_pairs_compatible, compatible_by_words, even_type_by_conjugate,
+                                   level_words, orthogonal_by_words, pair_of_word, round_trip_rects)
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -249,6 +249,21 @@ class TestOrtho:
         types = {o.lam: (o.parity, o.even_type) for o in pt.enumerate_orthogonal(BoxContext(2, 3))}
         assert types == {(): ("odd", None), (1, 1): ("odd", None), (2,): ("even", 1),
                          (2, 1): ("even", 1), (3,): ("even", 1)}
+
+    def test_even_type_matches_the_conjugate_oracle(self, orthogonal_to_area_42):
+        # `s in lam` stands for lam*_s > lam*_{s+1}: check it on every
+        # orthogonal partition the enumeration and the classifier return
+        evens = 0
+        for (p, q), orths in orthogonal_to_area_42.items():
+            ctx = BoxContext(p, q)
+            for o in orths:
+                classified = pt.ortho_classify(o.lam, ctx)
+                assert classified == o, (p, q, o.lam)
+                if o.parity == "even":
+                    evens += 1
+                    assert o.even_type == even_type_by_conjugate(o.lam, p, q), (p, q, o.lam)
+        assert sum(map(len, orthogonal_to_area_42.values())) == 5939
+        assert evens > 0
 
 
 class TestEnumeration:

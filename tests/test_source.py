@@ -162,3 +162,33 @@ def test_o_ktype_oracle_uses_only_the_weight_record_of_rootdata():
     routines = {node.name for node in rootdata.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     banned = (routines - {"Weight"}) | {"rootdata", "rd"}
     assert not names & banned, sorted(names & banned)
+
+
+def test_o_catalog_path_builds_no_conjugate_and_no_eigenbasis():
+    # an orthogonal partition is classified, catalogued and tested for
+    # isolation from its rows, its column lengths and its level word: follow
+    # every function the four entry points reach across the modules they use
+    modules = ("partitions", "rootdata", "vz_catalog", "isolation")
+    bodies = [ast.parse((SRC / f"{name}.py").read_text()).body for name in modules]
+    defs = [node.name for body in bodies for node in body if isinstance(node, ast.FunctionDef)]
+    assert len(defs) == len(set(defs)), "a name defined in two modules would hide one of them"
+    merged = ast.Module(body=[node for body in bodies for node in body], type_ignores=[])
+    seen, names = _reached(merged, ["enumerate_orthogonal", "ortho_classify", "modules_from_orth",
+                                    "is_isolated_O"])
+    assert {"_even_type", "_ktype_O", "_sign_variant", "_columns", "_torus_chain", "_level_word"} <= seen
+    banned = {"_conjugate", "conjugate", "_eps_weights", "_gamma_star_weights"}
+    assert not names & banned, sorted(names & banned)
+    # the chain comes out in order: no sort, and no clamp per level
+    (chain,) = [node for node in merged.body if getattr(node, "name", None) == "_torus_chain"]
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(chain) if isinstance(node, ast.Call)}
+    assert not called & {"sort", "sorted", "min", "max"}, sorted(called & {"sort", "sorted", "min", "max"})
+
+
+def test_o_label_marks_come_from_one_table():
+    # a label is two memo lookups and one table lookup, with no dict built per call
+    tree = ast.parse((SRC / "vz_catalog.py").read_text())
+    (label,) = [node for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "VZModule"
+                for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "label"]
+    assert not [node for node in ast.walk(label) if isinstance(node, (ast.Dict, ast.DictComp))]
+    assert "_O_MARKS" in {node.id for node in ast.walk(label) if isinstance(node, ast.Name)}

@@ -95,6 +95,18 @@ class TestCatalogAgainstOracles:
                 assert m.degree == sum(o.lam)
                 assert m.levi == vz.levi_of_orth(o)
 
+    def test_O_ktypes_to_area_42(self, orthogonal_to_area_42):
+        # the closed form and its sign negations against the box sum, on
+        # every sign variant of every box the default cap admits
+        variants = 0
+        for orths in orthogonal_to_area_42.values():
+            for o in orths:
+                for m in vz.modules_from_orth(o):
+                    variants += 1
+                    assert m.lowest_ktype == ktype_box_sum_O(o, m.sign1, m.sign2), m.label
+                    assert m.lowest_ktype == rd.ktype_weight_O(o, m.sign1, m.sign2)
+        assert variants == 9386
+
     def test_each_partition_shape_is_built_once_per_box(self, monkeypatch):
         # U(5,5) has 6,090 pairs over the 252 partitions of the 5 x 5 box
         shaped = []
@@ -102,6 +114,39 @@ class TestCatalogAgainstOracles:
         monkeypatch.setattr(rd, "_shape_U", lambda nu, p, q: shaped.append(nu) or shape(nu, p, q))
         assert len(vz.catalog("U", 5, 5)) == 6090
         assert len(shaped) == len(set(shaped)) == 252
+
+
+def label_by_fstring(m):
+    """The label as the module used to write it, one list repr per call."""
+    if m.kind == "U":
+        return f"A({list(m.lam)},{list(m.mu)})"
+    sup = {1: "+", -1: "-"}.get(m.sign2, "")
+    sub = {1: "+", -1: "-"}.get(m.sign1, "")
+    deco = ""
+    if sup:
+        deco += f"^{sup}"
+    if sub:
+        deco += f"_{sub}"
+    return f"A({list(m.lam)}){deco}"
+
+
+class TestLabels:
+    def test_catalog_labels_match_the_fstring(self, compatible_by_box, orthogonal_by_box):
+        marks = set()
+        for kind, boxes in (("U", compatible_by_box), ("O", orthogonal_by_box)):
+            for p, q in boxes:
+                for m in vz.catalog(kind, p, q):
+                    assert m.label == label_by_fstring(m)
+                    marks.add(m.label[m.label.index(")") + 1:])
+        assert marks == {"", "^+", "^-", "_+", "_-", "^+_+", "^+_-", "^-_+", "^-_-"}
+
+    def test_label_memo_is_bounded(self):
+        info = vz._list_text.cache_info()
+        assert info.maxsize == vz.LABEL_MEMO_SIZE and 0 < info.maxsize < 1 << 20
+        for _ in range(2):
+            labels = [m.label for m in vz.catalog("U", 5, 5)]
+        assert len(set(labels)) == 6090
+        assert vz._list_text.cache_info().currsize <= info.maxsize
 
 
 class TestLevi:
