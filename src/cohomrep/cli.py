@@ -14,17 +14,13 @@ Identical argv and config produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
-import io
-import json
 import math
 import sys
 import types
 
 from . import serialize as ser
 from .config import make_config
-from .partitions import BoxContext, CapExceededError, as_partition, compatible_pair, ortho_classify
 
 
 def _lazy_module(name: str) -> types.ModuleType:
@@ -53,6 +49,7 @@ cf = _lazy_module(f"{__package__}.closedforms")
 geo = _lazy_module(f"{__package__}.geometry")
 iso = _lazy_module(f"{__package__}.isolation")
 lef = _lazy_module(f"{__package__}.lefschetz")
+pt = _lazy_module(f"{__package__}.partitions")
 vz = _lazy_module(f"{__package__}.vz_catalog")
 
 EXIT_OK = 0
@@ -62,6 +59,20 @@ EXIT_CAP = 65
 
 
 class Parser(argparse.ArgumentParser):
+    """An ArgumentParser that exits 64 on a usage error.  A parser made with
+    `flags=fn` runs fn(self) once, when it first parses, so a cold command
+    builds the flags of the one subcommand its argv reaches."""
+
+    def __init__(self, *args, flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._flags is not None:
+            flags, self._flags = self._flags, None
+            flags(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         if message.endswith("expected one argument"):
             # argparse reads a separate value token that starts with "-" as an option
@@ -77,7 +88,7 @@ def partition(text: str):
     if text in ("", "-", "()"):
         return ()
     try:
-        return as_partition(tuple(int(v) for v in text.split(",")))
+        return pt.as_partition(tuple(int(v) for v in text.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from None
 
@@ -131,32 +142,35 @@ def _require(args, command: str, *flags: str) -> None:
 def render(rows: list[dict], fmt: str, **meta) -> str:
     if fmt == "json":
         return ser.dumps(ser.document(rows, **meta))
+    import json  # csv and md cells only: the json format has its own writer
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, (dict, list)):
+            return json.dumps(v, sort_keys=True)
+        if isinstance(v, float):
+            return repr(v)
+        return str(v)
+
+    keys = sorted({k for row in rows for k in row})
     if fmt == "csv":
-        keys = sorted({k for row in rows for k in row})
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _cell(row.get(k)) for k in keys})
+            writer.writerow({k: cell(row.get(k)) for k in keys})
         return buf.getvalue()
     if fmt == "md":
-        keys = sorted({k for row in rows for k in row})
         lines = ["| " + " | ".join(keys) + " |",
                  "| " + " | ".join("---" for _ in keys) + " |"]
         for row in rows:
-            lines.append("| " + " | ".join(_cell(row.get(k)) for k in keys) + " |")
+            lines.append("| " + " | ".join(cell(row.get(k)) for k in keys) + " |")
         return "\n".join(lines) + "\n"
     raise ValueError(fmt)
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (dict, list)):
-        return json.dumps(v, sort_keys=True)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +197,13 @@ def cmd_isolation(args, cfg) -> int:
     if lam is not None:
         if args.kind == "U":
             _require(args, "isolation --kind U --lam", "mu")
-            cp = compatible_pair(lam, mu, BoxContext(args.p, args.q))
+            cp = pt.compatible_pair(lam, mu, pt.BoxContext(args.p, args.q))
             if cp is None:
                 raise ValueError("not a compatible pair")
             rows.append({"kind": "U", "lam": list(lam), "mu": list(mu),
                          "isolated": iso.is_isolated_U(cp), "provenance": "Prop Uisol"})
         else:
-            orth = ortho_classify(lam, BoxContext(args.p, args.q))
+            orth = pt.ortho_classify(lam, pt.BoxContext(args.p, args.q))
             if orth is None:
                 raise ValueError("not an orthogonal partition")
             rows.append({"kind": "O", "lam": list(lam),
@@ -253,14 +267,14 @@ def cmd_branch(args, cfg) -> int:
                      "note": None if val is not None else "outside stable range: needs character oracle",
                      "provenance": "computed"})
     elif args.op == "restrict-u":
-        res = br.restrict_U_pair(lam, mu, BoxContext(args.p, args.q), args.r)
+        res = br.restrict_U_pair(lam, mu, pt.BoxContext(args.p, args.q), args.r)
         rows.append({"op": "restrict-u", "lam": list(lam), "mu": list(mu),
                      "r": args.r, "contains": res["contains"],
                      "multiplicity": res["multiplicity"],
                      "target": {"lam": list(res["target"][0]), "mu": list(res["target"][1])} if res["target"] else None,
                      "provenance": "computed"})
     elif args.op == "restrict-o":
-        res = br.restrict_O(lam, BoxContext(args.p, args.q), args.r)
+        res = br.restrict_O(lam, pt.BoxContext(args.p, args.q), args.r)
         rows.append({"op": "restrict-o", "lam": list(lam), "r": args.r,
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
                      "provenance": "computed"})
@@ -275,7 +289,7 @@ def cmd_branch(args, cfg) -> int:
                      "mu": None if mu is None else list(mu), "admissible": ok,
                      "provenance": "Thm kobaU" if args.kind == "U" else "Thm kobaO"})
     elif args.op == "vanishing-uo":
-        ok = br.restrict_UO_vanishing(lam, mu, BoxContext(args.p, args.q))
+        ok = br.restrict_UO_vanishing(lam, mu, pt.BoxContext(args.p, args.q))
         rows.append({"op": "vanishing-uo", "lam": list(lam), "mu": list(mu),
                      "can_be_nontrivial": ok, "provenance": "computed"})
     sys.stdout.write(render(rows, cfg.format, command="branch"))
@@ -362,75 +376,87 @@ def build_parser() -> Parser:
     top.set_defaults(config=None, format=None, strict=False)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, run, **kw):
-        parser = sub.add_parser(name, parents=[common], **kw)
+    def add(name, run, flags=None, **kw):
+        parser = sub.add_parser(name, parents=[common], flags=flags, **kw)
         parser.set_defaults(run=run)
         return parser
 
-    c = add("catalog", cmd_catalog, help="enumerate cohomological modules")
-    c.add_argument("--kind", required=True, choices=("U", "O"))
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--q", type=int, required=True)
+    def catalog(c):
+        c.add_argument("--kind", required=True, choices=("U", "O"))
+        c.add_argument("--p", type=int, required=True)
+        c.add_argument("--q", type=int, required=True)
 
-    i = add("isolation", cmd_isolation, help="isolation verdicts and degree thresholds")
-    i.add_argument("--kind", required=True, choices=("U", "O"))
-    i.add_argument("--p", type=int, required=True)
-    i.add_argument("--q", type=int, required=True)
-    i.add_argument("--lam", type=partition)
-    i.add_argument("--mu", type=partition)
+    def isolation(i):
+        i.add_argument("--kind", required=True, choices=("U", "O"))
+        i.add_argument("--p", type=int, required=True)
+        i.add_argument("--q", type=int, required=True)
+        i.add_argument("--lam", type=partition)
+        i.add_argument("--mu", type=partition)
 
-    l = add("lefschetz", cmd_lefschetz, help="injectivity verdicts with citations")
-    l.add_argument("--mode", required=True,
-                   choices=("restriction", "cup", "tensor", "modular-symbol"))
-    l.add_argument("--G", required=True, help="group, e.g. O:3,4")
-    l.add_argument("--H", help="subgroup(s), e.g. U:2,2 or U:2,2+U:1,3")
-    l.add_argument("--degree", type=int)
-    l.add_argument("--degrees", type=int_pair, help="k,l for tensor mode")
-    l.add_argument("--component", type=component, help="partition '2,1' or pair '2,1;3,2'")
-    l.add_argument("--r", type=int)
-    l.add_argument("--l2", action="store_true", help="L2/cuspidal variants")
+    def lefschetz(l):
+        l.add_argument("--mode", required=True,
+                       choices=("restriction", "cup", "tensor", "modular-symbol"))
+        l.add_argument("--G", required=True, help="group, e.g. O:3,4")
+        l.add_argument("--H", help="subgroup(s), e.g. U:2,2 or U:2,2+U:1,3")
+        l.add_argument("--degree", type=int)
+        l.add_argument("--degrees", type=int_pair, help="k,l for tensor mode")
+        l.add_argument("--component", type=component, help="partition '2,1' or pair '2,1;3,2'")
+        l.add_argument("--r", type=int)
+        l.add_argument("--l2", action="store_true", help="L2/cuspidal variants")
 
-    b = add("branch", cmd_branch, help="branching multiplicities")
-    b.add_argument("--op", required=True,
-                   choices=("lr", "gl-to-o", "restrict-u", "restrict-o",
-                            "tensor", "kobayashi", "vanishing-uo"))
-    b.add_argument("--lam", type=partition, default=())
-    b.add_argument("--mu", type=partition)
-    b.add_argument("--nu", type=partition, default=())
-    b.add_argument("--n", type=positive)
-    b.add_argument("--p", type=int)
-    b.add_argument("--q", type=int)
-    b.add_argument("--r", type=int)
-    b.add_argument("--kind", choices=("U", "O"))
-    b.add_argument("--params", type=int_list, help="i,j,k,l (U) or k,l (O) for tensor")
+    def branch(b):
+        b.add_argument("--op", required=True,
+                       choices=("lr", "gl-to-o", "restrict-u", "restrict-o",
+                                "tensor", "kobayashi", "vanishing-uo"))
+        b.add_argument("--lam", type=partition, default=())
+        b.add_argument("--mu", type=partition)
+        b.add_argument("--nu", type=partition, default=())
+        b.add_argument("--n", type=positive)
+        b.add_argument("--p", type=int)
+        b.add_argument("--q", type=int)
+        b.add_argument("--r", type=int)
+        b.add_argument("--kind", choices=("U", "O"))
+        b.add_argument("--params", type=int_list, help="i,j,k,l (U) or k,l (O) for tensor")
 
+    def verify_integral(vi):
+        vi.add_argument("--s", type=finite, required=True)
+        vi.add_argument("--p", type=positive, required=True)
+        vi.add_argument("--n", type=natural, required=True)
+        vi.add_argument("--samples", type=positive)
+        vi.add_argument("--seed", type=int)
+
+    def jacobi(ja):
+        ja.add_argument("--p", type=positive, required=True)
+        ja.add_argument("--q", type=positive, required=True)
+        ja.add_argument("--r", type=positive, required=True)
+        ja.add_argument("--seed", type=int)
+
+    def hessian(he):
+        he.add_argument("--p", type=positive, required=True)
+        he.add_argument("--q", type=natural, required=True)
+        he.add_argument("--points", type=positive, default=5)
+        he.add_argument("--seed", type=int)
+
+    def volume(vo):
+        vo.add_argument("--p", type=positive, required=True)
+        vo.add_argument("--q", type=positive, required=True)
+        vo.add_argument("--r", type=natural, required=True)
+        vo.add_argument("--t", type=finite, required=True)
+
+    def thresholds(th):
+        th.add_argument("--p", type=positive, required=True)
+        th.add_argument("--q", type=positive, required=True)
+        th.add_argument("--r", type=natural, required=True)
+
+    add("catalog", cmd_catalog, catalog, help="enumerate cohomological modules")
+    add("isolation", cmd_isolation, isolation, help="isolation verdicts and degree thresholds")
+    add("lefschetz", cmd_lefschetz, lefschetz, help="injectivity verdicts with citations")
+    add("branch", cmd_branch, branch, help="branching multiplicities")
     g = add("geometry", cmd_geometry, help="numerical geometry on X_{p,q+r}")
     gsub = g.add_subparsers(dest="geo_op", required=True)
-    vi = gsub.add_parser("verify-integral", parents=[common])
-    vi.add_argument("--s", type=finite, required=True)
-    vi.add_argument("--p", type=positive, required=True)
-    vi.add_argument("--n", type=natural, required=True)
-    vi.add_argument("--samples", type=positive)
-    vi.add_argument("--seed", type=int)
-    ja = gsub.add_parser("jacobi", parents=[common])
-    ja.add_argument("--p", type=positive, required=True)
-    ja.add_argument("--q", type=positive, required=True)
-    ja.add_argument("--r", type=positive, required=True)
-    ja.add_argument("--seed", type=int)
-    he = gsub.add_parser("hessian", parents=[common])
-    he.add_argument("--p", type=positive, required=True)
-    he.add_argument("--q", type=natural, required=True)
-    he.add_argument("--points", type=positive, default=5)
-    he.add_argument("--seed", type=int)
-    vo = gsub.add_parser("volume", parents=[common])
-    vo.add_argument("--p", type=positive, required=True)
-    vo.add_argument("--q", type=positive, required=True)
-    vo.add_argument("--r", type=natural, required=True)
-    vo.add_argument("--t", type=finite, required=True)
-    th = gsub.add_parser("thresholds", parents=[common])
-    th.add_argument("--p", type=positive, required=True)
-    th.add_argument("--q", type=positive, required=True)
-    th.add_argument("--r", type=natural, required=True)
+    for op, flags in (("verify-integral", verify_integral), ("jacobi", jacobi), ("hessian", hessian),
+                      ("volume", volume), ("thresholds", thresholds)):
+        gsub.add_parser(op, parents=[common], flags=flags)
     return top
 
 
@@ -439,7 +465,7 @@ def main(argv=None) -> int:
     try:
         cfg = make_config(args.config, format=args.format)
         return args.run(args, cfg)
-    except CapExceededError as exc:  # a ValueError, so caught first
+    except pt.CapExceededError as exc:  # a ValueError, so caught first
         sys.stderr.write(f"{exc}\n")
         return EXIT_CAP
     except ValueError as exc:

@@ -22,6 +22,11 @@ from .closedforms import gamma_integral_X
 
 BOUNDARY_TOL = 1e-12
 
+#: samples per block of the Monte Carlo elimination: its float64 temporaries
+#: stay at 64 kB, below glibc's mmap threshold, so a block reuses heap memory
+#: where a whole 62,500-sample batch faults in fresh pages for every array
+MC_BLOCK = 8192
+
 
 # ---------------------------------------------------------------------------
 # points, determinants, metric
@@ -348,15 +353,15 @@ def volume_growth_from_jacobi(t: float, lam: Sequence[float], p: int, q: int, r:
 # Monte Carlo verification of the Gamma-product integrals
 
 
-def _ball_log_A(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ball_pivots(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """For a stack Z of n x p matrices (shape (k, n, p)): the mask of the
-    samples with tZ Z < 1, and log A = log det(1 - tZ Z), meaningful where
-    the mask holds.
+    samples with tZ Z < 1, the squared norm |z_1|^2 of each first column,
+    and the pivots 2..p of one LDL^T elimination of 1 - tZ Z.
 
-    One LDL^T elimination of 1 - tZ Z runs over the whole stack at once: the
-    matrix is positive definite iff every pivot is positive (Sylvester), and
-    log A is the sum of the log pivots.  The first pivot 1 - |z_1|^2 enters
-    as log1p(-|z_1|^2), so p = 1 is exactly log1p(-tZ Z)."""
+    The elimination runs over the whole stack at once, and the matrix is
+    positive definite iff every pivot is positive (Sylvester); the first
+    pivot is 1 - |z_1|^2.  Acceptance reads the pivots alone, so no log is
+    taken here."""
     p = Z.shape[-1]
     gram = {(a, b): np.einsum("ki,ki->k", Z[:, :, a], Z[:, :, b])
             for a in range(p) for b in range(a, p)}
@@ -364,7 +369,6 @@ def _ball_log_A(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M = {ab: 1.0 - g if ab[0] == ab[1] else -g for ab, g in gram.items()}
     with np.errstate(divide="ignore", invalid="ignore"):
         ok = M[0, 0] > 0.0
-        log_A = np.log1p(-gram[0, 0])
         for j in range(1, p):
             pivot = M[j - 1, j - 1]
             for a in range(j, p):
@@ -372,7 +376,23 @@ def _ball_log_A(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 for b in range(a, p):
                     M[a, b] = M[a, b] - f * M[j - 1, b]
             ok &= M[j, j] > 0.0
-            log_A = log_A + np.log(M[j, j])
+    return ok, gram[0, 0], [M[j, j] for j in range(1, p)]
+
+
+def _ball_log_A(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack Z of n x p matrices (shape (k, n, p)): the mask of the
+    samples with tZ Z < 1, and log A = log det(1 - tZ Z) of the accepted
+    samples only, in their order (length mask.sum()).
+
+    log A is the sum of the log pivots of `_ball_pivots`, taken on the
+    accepted samples alone, so no log meets a rejected sample's nonpositive
+    pivot.  The first pivot 1 - |z_1|^2 enters as log1p(-|z_1|^2), so p = 1
+    is exactly log1p(-tZ Z).  Each log is elementwise, so the values are
+    bit for bit those of the logs over the whole stack, read at the mask."""
+    ok, first, pivots = _ball_pivots(Z)
+    log_A = np.log1p(-first[ok])
+    for pivot in pivots:
+        log_A = log_A + np.log(pivot[ok])
     return ok, log_A
 
 
@@ -381,7 +401,16 @@ def mc_verify_integral(s: float, p: int, n: int, samples: int, seed: int, batche
     on [-1,1]^{n x p}, acceptance tZ Z < 1, estimating int A^{s/2}.
     Deterministic for fixed (seed, batches); reports the 3-sigma interval.
     Raises ValueError when the closed form underflows a float, since the
-    relative error is then undefined."""
+    relative error is then undefined.
+
+    Each batch is eliminated in blocks of `MC_BLOCK` samples.  Acceptance
+    comes from the elimination pivots, and A^{s/2} is computed for the
+    accepted samples only, into a zero array of the batch length, so
+    numpy's pairwise sum adds the same values in the same order.  At s = 0
+    every accepted sample counts exactly 1, so a batch's sum and square sum
+    are its hit count, with no log or exp.  Every step is elementwise per
+    sample, so the result is the float the whole-batch kernel that took
+    every log returns."""
     closed = gamma_integral_X(s, p, n)
     if closed == 0.0:
         raise ValueError("the closed form underflows a float")
@@ -392,12 +421,21 @@ def mc_verify_integral(s: float, p: int, n: int, samples: int, seed: int, batche
     sums, sqsums, accepted = [], [], 0
     for k in range(batches):
         rng = np.random.default_rng(seeds[k])
-        ok, log_A = _ball_log_A(rng.uniform(-1.0, 1.0, size=(per[k], n, p)))
-        vals = np.zeros(per[k])
-        vals[ok] = np.exp(0.5 * s * log_A[ok])
-        accepted += int(ok.sum())
-        sums.append(float(vals.sum()))
-        sqsums.append(float((vals * vals).sum()))
+        Z = rng.uniform(-1.0, 1.0, size=(per[k], n, p))
+        starts = range(0, per[k], MC_BLOCK)
+        if s == 0:
+            hits = sum(int(np.count_nonzero(_ball_pivots(Z[i:i + MC_BLOCK])[0])) for i in starts)
+            sums.append(float(hits))
+            sqsums.append(float(hits))
+        else:
+            vals, hits = np.zeros(per[k]), 0
+            for i in starts:
+                ok, log_A = _ball_log_A(Z[i:i + MC_BLOCK])
+                vals[i:i + MC_BLOCK][ok] = np.exp(0.5 * s * log_A)
+                hits += len(log_A)
+            sums.append(float(vals.sum()))
+            sqsums.append(float((vals * vals).sum()))
+        accepted += hits
     total = math.fsum(sums)
     total_sq = math.fsum(sqsums)
     mean = total / samples

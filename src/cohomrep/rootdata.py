@@ -21,9 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from operator import add, neg, sub
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .partitions import (
     BoxContext,
@@ -34,6 +33,9 @@ from .partitions import (
     boxed,
     weight,
 )
+
+if TYPE_CHECKING:  # annotations only: the Dirac bound alone builds a Fraction
+    from fractions import Fraction
 
 WEYL_CAP = 10**6
 
@@ -421,6 +423,8 @@ def _abs_sorted(block, even: bool):
 def _dirac_max(kind: str, p: int, q: int, chi: Weight) -> Fraction:
     """max over chambers w of ||rho||^2 - ||dom(chi - rho_n^w) + rho_c||^2,
     evaluated exactly in int64 on the doubled weight 2*chi."""
+    from fractions import Fraction
+
     import numpy as np
 
     rho_n2, rho_c2, rho4, reach = _chambers(kind, p, q)

@@ -28,7 +28,8 @@ than `_BLOCK` is written in blocks, which bounds the texts held at once.
 from __future__ import annotations
 
 from itertools import chain, compress, islice, repeat
-from json.encoder import encode_basestring_ascii as _str
+# the C function json.encoder re-exports, taken without loading the json package
+from _json import encode_basestring_ascii as _str
 from operator import eq, itemgetter
 from typing import TYPE_CHECKING
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -326,6 +327,45 @@ class TestLazyLayers:
         """)
         assert out == "[[], [], [], [], []]\n"
 
+    def test_cold_import_defers_partitions_json_csv_and_fractions(self):
+        # type() reads the module object without running a lazy module's
+        # source; volume is a closed form, so partitions stays unloaded
+        out = self.probe("""
+            import contextlib, importlib.util, io, sys
+            from cohomrep import cli
+
+            def state():
+                lazy = type(sys.modules["cohomrep.partitions"]) is importlib.util._LazyModule
+                return sorted({"json", "csv", "fractions"} & set(sys.modules)), lazy
+
+            print(state())
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["geometry", "volume", "--p", "2", "--q", "2", "--r", "1", "--t", "1"]) == 0
+            print(state())
+        """)
+        assert out == "([], True)\n([], True)\n"
+
+    @pytest.mark.parametrize("fmt, loaded", [("json", []), ("csv", ["csv", "json"]), ("md", ["json"])])
+    def test_csv_and_json_load_with_their_renderer(self, fmt, loaded):
+        out = self.probe("""
+            import contextlib, io, sys
+            from cohomrep import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["catalog", "--kind", "U", "--p", "1", "--q", "1", "--format", "FMT"]) == 0
+            print(sorted({"json", "csv"} & set(sys.modules)))
+        """.replace("FMT", fmt))
+        assert out == f"{loaded}\n"
+
+    def test_serialize_takes_the_json_c_encoder_without_json(self):
+        out = self.probe("""
+            import sys
+            from cohomrep import serialize
+            loaded = "json" in sys.modules
+            import json.encoder
+            print(loaded, serialize._str is json.encoder.encode_basestring_ascii)
+        """)
+        assert out == "False True\n"
+
     def test_loaded_layer_is_reused(self):
         out = self.probe("""
             from cohomrep import geometry
@@ -333,6 +373,21 @@ class TestLazyLayers:
             print(cli.geo is geometry)
         """)
         assert out == "True\n"
+
+
+HELP = json.loads((pathlib.Path(__file__).parent / "data" / "cli_help.json").read_text())
+
+
+class TestHelpAndUsageGolden:
+    # every --help text and a set of usage errors, byte for byte as the CLI
+    # wrote them before each parser built its flags only when it parses;
+    # argparse lays help out by Python version and terminal width
+    @pytest.mark.skipif("%d.%d" % sys.version_info[:2] != HELP["python"],
+                        reason=f"help layout captured on Python {HELP['python']}")
+    @pytest.mark.parametrize("case", HELP["cases"], ids=lambda case: " ".join(case["argv"]) or "(no argv)")
+    def test_byte_identical(self, case, monkeypatch):
+        monkeypatch.setenv("COLUMNS", str(HELP["columns"]))
+        assert call(case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from _geometry_reference import mc_verify_integral_eigvalsh
+from _geometry_reference import mc_verify_integral_all_logs, mc_verify_integral_eigvalsh
 
 from cohomrep import closedforms as cf
 from cohomrep import geometry as geo
@@ -255,6 +255,18 @@ class TestMonteCarlo:
                 # every accepted sample counts 1
                 assert got == want, (s, p, n)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("block", [geo.MC_BLOCK, 64])
+    def test_equals_the_all_logs_kernel(self, seed, block, monkeypatch):
+        # blocks, logs of the accepted samples only and hit counts at s = 0
+        # change no bit of the result; 10 samples leave some of the 16
+        # batches empty, and 64-sample blocks split each batch of 3,000
+        monkeypatch.setattr(geo, "MC_BLOCK", block)
+        for s, p, n in itertools.product((0, 0.5, 2, 4, 7), range(1, 5), range(1, 5)):
+            for samples in (3_000, 10):
+                want = mc_verify_integral_all_logs(s, p, n, samples, seed=seed)
+                assert geo.mc_verify_integral(s, p, n, samples, seed=seed) == want, (s, p, n, samples)
+
     def test_no_eigendecomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("mc_verify_integral must not call eigvalsh")
@@ -281,6 +293,8 @@ class TestMonteCarlo:
 
         def verdict(Z):
             ok, log_A = geo._ball_log_A(Z[None])
+            # log A is kept for the accepted samples only
+            assert len(log_A) == int(ok.sum())
             if ok[0]:
                 want = float(np.log1p(-np.linalg.eigvalsh(Z.T @ Z)).sum())
                 assert abs(log_A[0] - want) < 1e-6

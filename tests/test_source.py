@@ -116,24 +116,41 @@ def test_serialize_loads_no_cohomrep_module():
     assert all(id(node) in guarded for node in ours), [node.lineno for node in ours if id(node) not in guarded]
 
 
+def _run_on_import(node):
+    """The nodes under node that run when its module is imported: none inside
+    a function, a lambda or an ``if TYPE_CHECKING:`` block."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
+            yield from (n for stmt in child.orelse for n in [stmt, *_run_on_import(stmt)])
+            continue
+        yield child
+        yield from _run_on_import(child)
+
+
 def test_cold_imports_skip_dataclasses_and_load_numpy_only_with_geometry():
     # what a module imports outside its functions, every command that loads
     # it pays for: dataclasses pulls in inspect, ast, dis and tokenize, and
     # numpy belongs to the geometry commands that compute with it
-    def module_level(node):
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                yield child
-                yield from module_level(child)
-
     numpy_at_top = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             assert "dataclasses" not in _imported_roots(node), f"{path.name}:{node.lineno}"
-        if any("numpy" in _imported_roots(node) for node in module_level(tree)):
+        if any("numpy" in _imported_roots(node) for node in _run_on_import(tree)):
             numpy_at_top.add(path.name)
     assert numpy_at_top == {"geometry.py"}
+
+
+@pytest.mark.parametrize("name", ["cli.py", "serialize.py", "rootdata.py"])
+def test_cold_modules_defer_json_csv_io_and_fractions(name):
+    # every command loads cli and serialize, and every catalog rootdata:
+    # json, csv and io serve only the csv and md renderers, Fraction only
+    # the Dirac bound, so each is imported inside the function that uses it
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    at_top = {root for node in _run_on_import(tree) for root in _imported_roots(node)}
+    assert not at_top & {"json", "csv", "io", "fractions"}, sorted(at_top & {"json", "csv", "io", "fractions"})
 
 
 def test_compatibility_scan_stays_independent_of_the_level_word_oracle():
