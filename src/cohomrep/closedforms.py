@@ -1,17 +1,15 @@
 """Closed forms on X_{p,q+r} that need no numpy.
 
 Volume growth around the totally geodesic X_V, the Gamma-product integrals
-of A^{s/2} over the matrix ball and over a cocompact quotient, the
-Donnelly-Xavier degree thresholds for the spectral gap, the orbit-counting
-bound and the convergence of Poincare series.  Everything here is plain
-`math` on floats, so `cohomrep geometry thresholds` and `volume` answer
-without loading numpy; `geometry` checks the Gamma integrals by Monte Carlo.
+of A^{s/2} over the matrix ball and the Donnelly-Xavier degree thresholds
+for the spectral gap.  Everything here is plain `math` on floats, so
+`cohomrep geometry thresholds` and `volume` answer without loading numpy;
+`geometry` checks the Gamma integrals by Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -84,24 +82,8 @@ def gamma_integral_X(s: float, p: int, n: int) -> float:
     return math.exp(log_gamma_integral_X(s, p, n))
 
 
-def quotient_integral(s: float, p: int, q: int, r: int) -> dict:
-    """int over a cocompact quotient of (A/B)^{s/2} dv_X: equals
-    pi^{rp/2} prod_{i=1}^r Gamma((s-p-q-r+i+1)/2)/Gamma((s-q-r+i+1)/2)
-    times vol(C_V), convergent for s > p+q+r-2.  This is the integral over
-    the r x p matrix ball at s - p - q - r, so log_gamma_integral_X gives it
-    without cancellation at large s."""
-    return {"coefficient": math.exp(log_gamma_integral_X(s - p - q - r, p, r)), "times": "vol(C_V)"}
-
-
 # ---------------------------------------------------------------------------
-# spectral bounds: Donnelly-Xavier combination and thresholds
-
-
-def dx_bound(eigs: Sequence[float], k: int) -> float:
-    """sum(gamma_i) - 2k max(gamma_i): a positive value bounds the form
-    Laplacian on degree-k forms away from zero."""
-    eigs = list(eigs)
-    return math.fsum(eigs) - 2 * k * max(eigs)
+# spectral gap: Donnelly-Xavier thresholds
 
 
 def dx_threshold(p: int, q: int, r: int) -> dict:
@@ -119,39 +101,3 @@ def dx_threshold(p: int, q: int, r: int) -> dict:
         "limit_bound": lambda k: (q + p * r - 1) - 2 * k,
         "convention": "k < (q+pr-1)/2",
     }
-
-
-# ---------------------------------------------------------------------------
-# counting and Poincare series
-
-
-def counting_bound(p: int, q: int, r: int, t: float) -> float:
-    """Upper bound (up to a point-dependent constant) on the number of orbit
-    points within distance t of X_V:
-    int_0^{t+1} (1 + u^N) e^{a u} du with N = p(q+r), a = (p+q+r-1) sqrt(m)."""
-    N = p * (q + r)
-    m = min(r, p)
-    a = (p + q + r - 1) * math.sqrt(m)
-    upper = t + 1.0
-
-    def poly_exp_integral(n, a, x):
-        # int_0^x u^n e^{au} du by the usual reduction
-        total = 0.0
-        coef = 1.0
-        for k in range(n + 1):
-            total += (-1) ** k * coef * x ** (n - k) / a ** (k + 1)
-            coef *= (n - k)
-        total *= math.exp(a * x)
-        total -= (-1) ** n * math.factorial(n) / a ** (n + 1)
-        return total
-
-    return (math.exp(a * upper) - 1.0) / a + poly_exp_integral(N, a, upper)
-
-
-def poincare_converges(w: float, p: int, q: int, r: int) -> bool:
-    """Convergence of the Poincare series of a form with pointwise norm
-    bounded by (A/B)^w: requires w > (p+q+r-1) sqrt(m)/2, m = min(r, p)."""
-    if r == 0:
-        return True
-    m = min(r, p)
-    return w > (p + q + r - 1) * math.sqrt(m) / 2.0

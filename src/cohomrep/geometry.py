@@ -20,8 +20,6 @@ import numpy as np
 
 from .closedforms import gamma_integral_X
 
-BOUNDARY_TOL = 1e-12
-
 #: samples per block of the Monte Carlo elimination: its float64 temporaries
 #: stay at 64 kB, below glibc's mmap threshold, so a block reuses heap memory
 #: where a whole 62,500-sample batch faults in fresh pages for every array
@@ -29,29 +27,7 @@ MC_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
-# points, determinants, metric
-
-
-class PointZ:
-    """A point of the bounded model with the q | r row split and cached
-    determinants A = det(1 - tZ Z), B = det(1 - tZ_1 Z_1)."""
-
-    def __init__(self, Z: np.ndarray, q: int):
-        self.Z = np.asarray(Z, dtype=float)
-        self.q = q
-        n, p = self.Z.shape
-        if not (0 <= q <= n):
-            raise ValueError("row split q out of range")
-        self.log_A = log_det_one_minus_gram(self.Z)
-        self.log_B = log_det_one_minus_gram(self.Z[:q])
-
-    @property
-    def A(self) -> float:
-        return math.exp(self.log_A)
-
-    @property
-    def B(self) -> float:
-        return math.exp(self.log_B)
+# determinants and metric
 
 
 def log_det_one_minus_gram(Z: np.ndarray) -> float:
@@ -73,11 +49,6 @@ def metric_at(Z: np.ndarray):
     return M, N
 
 
-def metric_value(Z, u, v) -> float:
-    M, N = metric_at(Z)
-    return float(np.trace(M @ np.asarray(u, float) @ N @ np.asarray(v, float).T))
-
-
 def metric_gram(Z: np.ndarray) -> np.ndarray:
     """Gram matrix of the metric in the coordinates Z_{ia} (row-major)."""
     M, N = metric_at(Z)
@@ -85,29 +56,7 @@ def metric_gram(Z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# group action
-
-
-def act(g: np.ndarray, Z: np.ndarray, split: int) -> np.ndarray:
-    """Moebius action gZ = (AZ + B)(CZ + D)^{-1}; split = q + r."""
-    g = np.asarray(g, float)
-    A, B = g[:split, :split], g[:split, split:]
-    C, D = g[split:, :split], g[split:, split:]
-    return (A @ Z + B) @ np.linalg.inv(C @ Z + D)
-
-
-def automorphy_j(g: np.ndarray, Z: np.ndarray, split: int) -> np.ndarray:
-    g = np.asarray(g, float)
-    C, D = g[split:, :split], g[split:, split:]
-    return C @ Z + D
-
-
-def pushforward(g: np.ndarray, Z: np.ndarray, u: np.ndarray, split: int) -> np.ndarray:
-    """d(gZ) applied to u: l(g,Z) u j(g,Z)^{-1} with l = A - (gZ) C."""
-    g = np.asarray(g, float)
-    A, C = g[:split, :split], g[split:, :split]
-    gZ = act(g, Z, split)
-    return (A - gZ @ C) @ u @ np.linalg.inv(automorphy_j(g, Z, split))
+# tangent vectors and sample points
 
 
 def xi(Z: np.ndarray) -> np.ndarray:
@@ -118,44 +67,6 @@ def xi(Z: np.ndarray) -> np.ndarray:
     out[:n, n:] = Z
     out[n:, :n] = Z.T
     return out
-
-
-def exp_origin(Y: np.ndarray) -> np.ndarray:
-    """exp(xi(Y)) . 0, by the symmetric eigendecomposition of xi(Y)."""
-    n, p = np.asarray(Y).shape
-    w, V = np.linalg.eigh(xi(Y))
-    G = V @ np.diag(np.exp(w)) @ V.T
-    B, D = G[:n, n:], G[n:, n:]
-    return B @ np.linalg.inv(D)
-
-
-def random_G_element(rng: np.random.Generator, p: int, n: int, scale: float = 0.4) -> np.ndarray:
-    """A random element of O(n, p): exp of a tangent direction times a
-    random block-orthogonal matrix."""
-    Y = rng.normal(size=(n, p)) * scale
-    w, V = np.linalg.eigh(xi(Y))
-    g = V @ np.diag(np.exp(w)) @ V.T
-    k1 = np.linalg.qr(rng.normal(size=(n, n)))[0]
-    k2 = np.linalg.qr(rng.normal(size=(p, p)))[0]
-    k = np.zeros((n + p, n + p))
-    k[:n, :n] = k1
-    k[n:, n:] = k2
-    return g @ k
-
-
-def random_GV_element(rng: np.random.Generator, p: int, q: int, r: int, scale: float = 0.4) -> np.ndarray:
-    """A random element of G_V = O(q,p) x O(r) in block form (rows q | r | p)."""
-    W = rng.normal(size=(q, p)) * scale
-    w, V = np.linalg.eigh(xi(W))
-    h = V @ np.diag(np.exp(w)) @ V.T  # in O(q, p)
-    u = np.linalg.qr(rng.normal(size=(r, r)))[0]
-    g = np.zeros((p + q + r, p + q + r))
-    g[:q, :q] = h[:q, :q]
-    g[:q, q + r:] = h[:q, q:]
-    g[q + r:, :q] = h[q:, :q]
-    g[q + r:, q + r:] = h[q:, q:]
-    g[q: q + r, q: q + r] = u
-    return g
 
 
 def random_point(rng: np.random.Generator, p: int, n: int, near_boundary: Optional[float] = None) -> np.ndarray:
@@ -172,64 +83,7 @@ def random_point(rng: np.random.Generator, p: int, n: int, near_boundary: Option
 
 
 # ---------------------------------------------------------------------------
-# distances and the B/A ratio
-
-
-def distance_origin(Z: np.ndarray) -> dict:
-    """Geodesic distance from 0 to Z.
-
-    The exact value is the l2 norm of arctanh of the singular values of Z;
-    when Z tZ has rank one this is arccosh(det(1 - Z tZ)^{-1/2}).  In
-    general (1/2^m) e^d <= det(1 - Z tZ)^{-1/2} <= e^{sqrt(m) d} with m the
-    rank (the exponent -1/2 is forced by the rank-one case and by taking
-    determinants in the exponential formula, det e^{arctanh} =
-    prod (1+sigma) (1-sigma^2)^{-1/2}); the interval below inverts it."""
-    Z = np.asarray(Z, float)
-    sv = np.linalg.svd(Z, compute_uv=False)
-    if sv.max(initial=0.0) >= 1.0:
-        raise ValueError("not in the bounded domain")
-    exact = float(np.sqrt((np.arctanh(sv) ** 2).sum()))
-    m = int((sv > BOUNDARY_TOL).sum())
-    neg_log_A = -log_det_one_minus_gram(Z)
-    if m == 0:
-        return {"exact": 0.0, "rank": 0, "lower": 0.0, "upper": 0.0}
-    lower = neg_log_A / (2.0 * math.sqrt(m))
-    upper = neg_log_A / 2.0 + m * math.log(2.0)
-    if m == 1:
-        exact_r1 = math.acosh(math.exp(neg_log_A / 2.0))
-        if abs(exact_r1 - exact) >= 1e-9:
-            raise ArithmeticError(f"rank-one distance {exact_r1} disagrees with {exact}")
-    return {"exact": exact, "rank": m, "lower": lower, "upper": upper}
-
-
-def ba_ratio(Z: np.ndarray, q: int) -> dict:
-    """B/A by its two closed forms: det(1 - tZ1 Z1)/det(1 - tZ Z) and
-    det(1 + Z2 (1 - tZ Z)^{-1} tZ2); also the arithmetic-geometric bound
-    1 + tr(Z2 (1 - tZ Z)^{-1} tZ2)/r >= (B/A)^{1/r}."""
-    Z = np.asarray(Z, float)
-    n, p = Z.shape
-    r = n - q
-    log_A = log_det_one_minus_gram(Z)
-    log_B = log_det_one_minus_gram(Z[:q])
-    Z2 = Z[q:]
-    K = Z2 @ np.linalg.inv(np.eye(p) - Z.T @ Z) @ Z2.T
-    alt = np.linalg.slogdet(np.eye(r) + K)
-    if alt[0] <= 0:
-        raise ArithmeticError("det(1 + Z2 (1 - tZ Z)^{-1} tZ2) is not positive")
-    log_ratio = log_B - log_A
-    if r:
-        lhs = 1.0 + np.trace(K) / r
-        rhs = math.exp(log_ratio / r)
-        amgm_ok = lhs - rhs >= -1e-9 * max(1.0, abs(lhs))
-    else:
-        amgm_ok = True
-    return {
-        "log_ratio": log_ratio,
-        "ratio": math.exp(log_ratio),
-        "alt_log_ratio": float(alt[1]),
-        "agree": abs(log_ratio - alt[1]) < 1e-10 * max(1.0, abs(log_ratio)),
-        "amgm_holds": bool(amgm_ok),
-    }
+# the distance to X_V and the B/A ratio
 
 
 def distance_to_XV(Z: np.ndarray, q: int) -> float:
@@ -321,32 +175,6 @@ def lemma_jacobi_multiset(lam: Sequence, p: int, q: int, r: int) -> dict:
         tangent.extend([-lam[j] ** 2] * q)
     normal = [-((lam[i] - lam[j]) ** 2) for i in range(r) for j in range(p)]
     return {"tangent": sorted(tangent), "normal": sorted(normal)}
-
-
-# ---------------------------------------------------------------------------
-# volume growth from the Jacobi spectrum
-
-
-def volume_growth_from_jacobi(t: float, lam: Sequence[float], p: int, q: int, r: int) -> float:
-    """Product of the Jacobi-field norms along a normal geodesic with
-    direction spectrum lam, normalized at t = 1; one radial zero mode is
-    dropped."""
-    spec = exact_jacobi_multiset([float(v) for v in lam], p, q, r)
-    out = 1.0
-    for ev in spec["tangent"]:
-        mu = math.sqrt(-ev)
-        out *= math.cosh(mu * t) / math.cosh(mu)
-    zeros_skipped = False
-    for ev in spec["normal"]:
-        mu = math.sqrt(-ev)
-        if mu < 1e-12:
-            if not zeros_skipped:
-                zeros_skipped = True  # radial direction
-                continue
-            out *= t
-        else:
-            out *= math.sinh(mu * t) / math.sinh(mu)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +292,6 @@ def hessian_profile_distance(F: float, p: int, q: int) -> list[float]:
     """Eigenvalues of the Hessian of d(., X_V) for r = 1 at distance F:
     tanh F (x q), 0 (x pq-q), 0 (radial), coth F (x p-1)."""
     return sorted([math.tanh(F)] * q + [0.0] * (p * q - q) + [0.0] + [1.0 / math.tanh(F)] * (p - 1))
-
-
-def hessian_profile_log_ba(F: float, p: int, q: int) -> list[float]:
-    """Eigenvalues of the Hessian of (1/2) log(B/A) for r = 1 at distance F:
-    tanh^2 F (x q), 0 (x pq-q), sech^2 F (radial), 1 (x p-1); all in [0, 1],
-    with q + p - 1 of them tending to 1 as F grows."""
-    t = math.tanh(F)
-    return sorted([t * t] * q + [0.0] * (p * q - q) + [1.0 - t * t] + [1.0] * (p - 1))
 
 
 def riemannian_hessian_fd(func, Z: np.ndarray, h: float = 1e-4) -> np.ndarray:

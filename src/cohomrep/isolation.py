@@ -12,6 +12,7 @@ is isolated.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 from . import rootdata as rd
@@ -20,8 +21,6 @@ from .partitions import (
     CompatiblePair,
     OrthoPartition,
     Partition,
-    _complement,
-    _level_word,
     as_partition,
     enumerate_orthogonal,
     pad,
@@ -52,33 +51,54 @@ def _torus_chain(orth: OrthoPartition) -> list[tuple[int, str]]:
     descending list of (value, type) with type "x"/"y"; r + s entries, all
     >= 0, equal values marking the skew rectangles and the zero block.
 
-    Read off the level word of the pair (lam, complement(lam)), a
-    palindrome: level k of L gets the value L - 1 - 2k, symmetric around 0,
-    and the torus values are the levels of the first r rows and first s
-    columns.  The values fall level by level, and a level's rows come
-    before its columns, so one walk over the first levels, until r rows
-    and s columns are taken, emits the chain in order."""
+    The level word of the pair (lam, complement(lam)) is a palindrome of
+    L = p + q - sum(a + b - 1) levels over its rectangles (a x b): level k
+    gets the value L - 1 - 2k, symmetric around 0, and the torus values are
+    the levels of the first r rows and first s columns.  The levels are read
+    off the row runs of the pair, row i of the complement being
+    q - lam_{p+1-i}, as `partitions.build_witness_X` reads them.  The values
+    fall level by level, and a level's rows come before its columns, so the
+    walk emits the chain in order and stops once it has r rows and s
+    columns.  Each tie block it meets must be the next rectangle of the
+    partition's palindromic list."""
     p, q = orth.ctx.p, orth.ctx.q
-    word = _level_word(orth.lam, _complement(orth.lam, p, q), p, q)
-    if word != word[::-1]:
-        raise ValueError(f"level word of {orth.lam} in {p}x{q} is not a palindrome: {word}")
-    r, s = p // 2, q // 2
-    rows_left, cols_left = r, s
+    rects = orth.pairs + ((orth.central,) if orth.central else ()) + orth.pairs[::-1]
+    value = p + q - sum(a + b - 1 for a, b in rects) - 1
+    lam = pad(orth.lam, p)
+    rows_left, cols_left = p // 2, q // 2
     chain: list[tuple[int, str]] = []
-    value = len(word) - 1
-    for nr, nc in word:
+    j, met = q, 0  # columns right of j are placed; rectangles met so far
+    for (lam_i, mu_i), run in groupby(zip(lam, map(q.__sub__, reversed(lam)))):
         if not (rows_left or cols_left):
             break
-        if nr and rows_left:
-            take = nr if nr < rows_left else rows_left
-            chain += [(value, "x")] * take
-            rows_left -= take
-        if nc and cols_left:
-            take = nc if nc < cols_left else cols_left
-            chain += [(value, "y")] * take
+        if j > mu_i:  # free columns, one level each
+            take = j - mu_i if j - mu_i < cols_left else cols_left
+            chain += [(v, "y") for v in range(value, value - 2 * take, -2)]
             cols_left -= take
+            value -= 2 * (j - mu_i)
+            j = mu_i
+        n = len(list(run))
+        if j <= lam_i:  # free rows, one level each
+            take = n if n < rows_left else rows_left
+            chain += [(v, "x") for v in range(value, value - 2 * take, -2)]
+            rows_left -= take
+            value -= 2 * n
+            continue
+        if met == len(rects) or rects[met] != (n, j - lam_i):
+            raise ValueError(f"rectangles of {orth.lam} in {p}x{q} do not follow the palindrome {rects}: "
+                             f"met {(n, j - lam_i)}")
+        met += 1
+        take = n if n < rows_left else rows_left
+        chain += [(value, "x")] * take
+        rows_left -= take
+        take = j - lam_i if j - lam_i < cols_left else cols_left
+        chain += [(value, "y")] * take
+        cols_left -= take
         value -= 2
-    if len(chain) != r + s or (chain and chain[-1][0] < 0):
+        j = lam_i
+    take = j if j < cols_left else cols_left  # the free columns left of every row
+    chain += [(v, "y") for v in range(value, value - 2 * take, -2)]
+    if len(chain) != p // 2 + q // 2 or (chain and chain[-1][0] < 0):
         raise ValueError(f"torus chain of {orth.lam} in {p}x{q} is not r + s values >= 0: {chain}")
     return chain
 
@@ -173,28 +193,6 @@ def min_degree_nonisolated(kind: str, p: int, q: int) -> DegreeThreshold:
         return DegreeThreshold(kind, p, q, 2, n // 2, as_partition((n // 2,)), "rank-2 bound floor(n/2)")
     return DegreeThreshold(kind, p, q, rank, p + q - 3, as_partition((q - 1,) + (1,) * (p - 2)),
                            "bound p+q-3, witness (q-1, 1^(p-2))")
-
-
-def isolated_d0(kind: str, p: int, q: int, degree: int) -> str:
-    """Isolation under the d = 0 condition for a module of the given
-    strongly primitive degree.
-
-    Returns "isolated-d0" when degree == r_G and the group is not locally
-    SO(n,1) or SU(n,1); "cited-automorphic" for the rank-one cases covered
-    only in the automorphic dual (degree 1 for SO_0(1,q), q >= 2; degree 2
-    for SU(1,q)); otherwise "not-covered".
-    """
-    rank = rd.r_G(kind, p, q)
-    rank_one = rank == 1
-    if kind == "O" and (p, q) == (2, 2):
-        return "not-covered"  # SO(2,2) is not almost simple
-    if not rank_one and degree == rank:
-        return "isolated-d0"
-    if rank_one and kind == "O" and degree == 1 and max(p, q) >= 2:
-        return "cited-automorphic"
-    if rank_one and kind == "U" and degree == 2:
-        return "cited-automorphic"
-    return "not-covered"
 
 
 def nonisolated_degree_scan(p: int, q: int) -> tuple[int, Optional[int], list[Partition]]:

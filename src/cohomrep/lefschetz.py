@@ -54,7 +54,6 @@ CITATIONS = {
     "Thm cohom l2": "cup with the cycle class is an isomorphism onto the L2 cohomology for k < (q+pr-1)/2",
     "Thm symbmodul": "O-modular symbol: q >= r+2 and p+q-r >= 5 give a nonzero strongly primitive projection in H^{(r^p)}",
     "Thm symbmodulU": "U-modular symbol: q >= r+2 gives a nonzero strongly primitive projection in H^{(r^p),(q^p)}",
-    "Rmk component-opq": "O(p,q): a class of degree <= p+q-4 lives in the components A((i^p)) or A((q^j))",
     "Conj conjl2": "cup with the cycle class on the (lam,mu) component injective iff (r^p) fits in mu/lam (L2, U)",
     "Conj conjl2O": "cup with the cycle class on the lam component injective iff (r^p) fits in complement(lam)/lam (L2, O)",
     "Conj conj2": "U(p,q+r) over U(p,q): cup with the cycle class on components iff (r^p) fits in mu/lam",
@@ -399,17 +398,6 @@ def cup_classes_verdict(G: Group, k: int, l: int, components=None) -> Verdict:
                    f"k+l <= q+p-3: {k + l} <= {q + p - 3}")
 
 
-def theta_rank_condition(kind: str, p: int, q: int, r: int) -> bool:
-    """Rank condition for the nonvanishing of the cycle class of X_{p,q}
-    inside the L2 cohomology of the X_{p,q+r}-quotient: q >= r, i.e. the
-    subspace has at least half the dimension."""
-    if kind not in ("U", "O"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return q >= r
-
-
 class L2CupThresholds(NamedTuple):
     p: int
     q: int
@@ -451,20 +439,3 @@ def modular_symbol_verdict(kind: str, p: int, q: int, r: int) -> Verdict:
                        f"q >= r+2: {q} >= {r + 2}",
                        target_component=target if ok else None)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def component_constraint(kind: str, p: int, q: int, k: int) -> dict:
-    """Component families that can carry a class of degree k for O(p,q):
-    below p+q-4 only the ladder families (i^p) and (q^j) occur."""
-    if kind != "O":
-        return {"constrained": False, "note": "only stated for O"}
-    if k == 0:
-        return {"constrained": True, "families": [["trivial"]], "anchor": "Rmk component-opq"}
-    if k <= p + q - 4:
-        return {
-            "constrained": True,
-            "families": [[f"(i^{p})", "i ranges over column ladders"],
-                         [f"({q}^j)", "j ranges over row ladders"]],
-            "anchor": "Rmk component-opq",
-        }
-    return {"constrained": False, "note": f"degree {k} > p+q-4 = {p + q - 4}"}

@@ -14,11 +14,14 @@ most the lam of the rectangle run above it.  A compatible pair is also the
 comparison pattern of one dominant torus element, read as a *level word*: the
 merged chain of rows (top down) and columns (right to left), one level per
 free row (1, 0), free column (0, 1) or tie block (a, b), a, b >= 1, whose tie
-blocks are the skew rectangles.  The witness vector and the O torus chain
-read their levels off the word; the enumerations build no word but one table
-of the (|lam|, lam, mu, rects) entries of every sub-box, filled bottom-up
-(`_pair_table`), since a word is a first level followed by a word of a
-smaller box.
+blocks are the skew rectangles.  The library builds no word.  The witness
+vector and the O torus chain walk the same row runs as the compatibility
+scan: the columns j > mu_i still unplaced above a run are free columns, then
+the run is one tie block of j - lam_i columns, or free rows when j <= lam_i.
+The enumerations fill one table of the (|lam|, lam, mu, rects) entries of
+every sub-box bottom-up (`_pair_table`), since a word is a first level
+followed by a word of a smaller box.  The word itself is the test oracle
+`level_word` in `tests/_partitions_reference.py`.
 """
 
 from __future__ import annotations
@@ -180,31 +183,6 @@ def _is_level(a: int, b: int) -> bool:
     return (a >= 1 and b >= 1) or a + b == 1
 
 
-def _level_word(lam: Partition, mu: Partition, p: int, q: int) -> tuple[Level, ...]:
-    """Level word of a nested pair lam <= mu in the p x q box: row i comes
-    next when column j lies inside lam_i, column j when it lies beyond mu_i,
-    else a tie block of the rows sharing (lam_i, mu_i) and the columns down
-    to lam_i + 1.  For a compatible pair the tie blocks are its rectangles;
-    `build_witness_X` and the O torus chain read their levels off the word."""
-    lam, mu = pad(lam, p), pad(mu, p)
-    word: list[Level] = []
-    i, j = 0, q  # rows above i and columns right of j are placed
-    while i < p:
-        if j <= lam[i]:
-            word.append((1, 0))
-            i += 1
-        elif j > mu[i]:
-            word.append((0, 1))
-            j -= 1
-        else:
-            first = i
-            while i < p and (lam[i], mu[i]) == (lam[first], mu[first]):
-                i += 1
-            word.append((i - first, j - lam[first]))
-            j = lam[first]
-    return tuple(word) + ((0, 1),) * j
-
-
 def _pair_table(p: int, q: int) -> dict[tuple[int, int], list]:
     """For every sub-box (i, j) <= (p, q), the entries (|lam|, lam, mu, rects)
     of all its level words, one each.  A word is its first level (a, b)
@@ -268,15 +246,29 @@ def build_witness_X(cp: CompatiblePair) -> tuple[tuple[int, ...], tuple[int, ...
     whose strict/weak comparison pattern realizes (lam, mu):
     x_i > y_j exactly on lam, x_i >= y_j exactly on mu.
 
-    Level k of the pair's word, counted from 0 at the top, gives its rows
-    and columns the value p + q - k.
+    Level k of the pair's level word, counted from 0 at the top, gives its
+    rows and columns the value p + q - k; the levels are read off the row
+    runs of (lam, mu), one `groupby` pass as in `_skew_decompose`.
     """
     p, q = cp.ctx.p, cp.ctx.q
     xs: list[int] = []
     ys: list[int] = []  # y_q first
-    for k, (a, b) in enumerate(_level_word(cp.lam, cp.mu, p, q)):
-        xs += [p + q - k] * a
-        ys += [p + q - k] * b
+    value, j = p + q, q  # columns right of j are placed
+    for (lam_i, mu_i), rows in groupby(zip(pad(cp.lam, p), pad(cp.mu, p))):
+        n = len(list(rows))
+        if j > mu_i:  # free columns, one level each
+            ys += range(value, value - (j - mu_i), -1)
+            value -= j - mu_i
+            j = mu_i
+        if j <= lam_i:  # free rows, one level each
+            xs += range(value, value - n, -1)
+            value -= n
+        else:  # one tie block: the run and the columns down to lam_i + 1
+            xs += [value] * n
+            ys += [value] * (j - lam_i)
+            value -= 1
+            j = lam_i
+    ys += range(value, value - j, -1)
     return tuple(xs), tuple(reversed(ys))
 
 
@@ -297,20 +289,14 @@ def inscribes(r: int, lam: Partition, mu: Partition, p: int) -> bool:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    if r == 0:
-        return True
+    if p < 1:
+        raise ValueError(f"box of {p} rows: p must be >= 1")
     lam, mu = as_partition(lam), as_partition(mu)
+    if len(mu) > p:
+        raise ValueError(f"mu {list(mu)} has more than {p} rows")
     if not _contains(mu, lam):
         raise ValueError(f"need lam <= mu: {lam}, {mu}")
-    return _inscribes(r, lam, mu, p)
-
-
-def subtract_rows(mu: Partition, r: int, p: int) -> Partition:
-    """mu - (r^p) componentwise on p rows (requires the result valid)."""
-    nu = as_partition(mu)
-    if any(v < r for v in pad(nu, p)):
-        raise ValueError(f"{mu} - ({r}^{p}) has negative parts")
-    return _subtract_rows(nu, r, p)
+    return r == 0 or _inscribes(r, lam, mu, p)
 
 
 def _inscribes(r: int, lam: Partition, mu: Partition, p: int) -> bool:
@@ -384,13 +370,6 @@ def _even_type(lam: Partition, p: int, q: int) -> int:
     if col_strict:
         return 2
     raise RuntimeError(f"even orthogonal {lam} in {p}x{q} with neither corner strict")
-
-
-def sign_multiplicity(orth: OrthoPartition) -> int:
-    """Number of modules attached to the partition: 1 (odd), 2 (type 1/2), 4 (type 3)."""
-    if orth.parity == "odd":
-        return 1
-    return 4 if orth.even_type == 3 else 2
 
 
 def partitions_in_box(p: int, q: int) -> Iterator[Partition]:

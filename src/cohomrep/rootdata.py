@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 from .partitions import (
     BoxContext,
     CapExceededError,
-    CompatiblePair,
     OrthoPartition,
     Partition,
     boxed,
@@ -235,13 +234,9 @@ def _check_signs(orth: OrthoPartition, sign1, sign2):
 # strongly primitive degrees
 
 
-def degree_U(cp: CompatiblePair) -> int:
-    """R = |lam| + |complement(mu)| = |lam| + pq - |mu| = dim(u cap p)."""
-    return _degree_U(weight(cp.lam), weight(cp.mu), cp.ctx.p * cp.ctx.q)
-
-
 def _degree_U(lam_size: int, mu_size: int, pq: int) -> int:
-    """degree_U from the sizes |lam|, |mu| and the box area pq."""
+    """The degree R = |lam| + |complement(mu)| = |lam| + pq - |mu| =
+    dim(u cap p) of A(lam, mu), from the sizes |lam|, |mu| and the box area pq."""
     return lam_size + pq - mu_size
 
 
@@ -254,11 +249,6 @@ def degree_O(orth: OrthoPartition) -> int:
     if p * q - ab - p0q0 != 2 * r:
         raise ValueError(f"Levi identity fails for {orth.lam} in ({p}, {q}): {p * q - ab - p0q0} != 2*{r}")
     return r
-
-
-def holomorphic_degree(r: int, s: int, p: int, q: int) -> int:
-    """Degree of the holomorphic module with lam = (q^r, s^(p-r)): rq + s(p-r)."""
-    return r * q + s * (p - r)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only: rendering a catalog loads no verdict engine
     from .lefschetz import Verdict
-    from .partitions import CompatiblePair, OrthoPartition
     from .rootdata import Weight
     from .vz_catalog import VZModule
 
@@ -44,19 +43,6 @@ SCHEMA = "v1"
 
 def weight_to_json(w: Weight) -> dict:
     return {"xs": list(w.xs), "ys": list(w.ys), "conv": w.conv}
-
-
-def pair_to_json(cp: CompatiblePair) -> dict:
-    return {"lam": list(cp.lam), "mu": list(cp.mu),
-            "box": [cp.ctx.p, cp.ctx.q],
-            "rects": [list(r) for r in cp.rects]}
-
-
-def orth_to_json(o: OrthoPartition) -> dict:
-    return {"lam": list(o.lam), "box": [o.ctx.p, o.ctx.q],
-            "pairs": [list(r) for r in o.pairs],
-            "central": list(o.central) if o.central else None,
-            "parity": o.parity, "even_type": o.even_type}
 
 
 _SIGN = {1: "+", -1: "-", None: None}

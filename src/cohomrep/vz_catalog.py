@@ -137,26 +137,3 @@ def catalog(kind: str, p: int, q: int, cap: int = pt.DEFAULT_ENUM_CAP) -> list[V
             out.extend(modules_from_orth(orth))
         return out
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def holomorphic_param(r: int, s: int, p: int, q: int) -> VZModule:
-    """The holomorphic module A(lam, p x q) with lam = (q^r, s^(p-r));
-    its degree is rq + s(p - r)."""
-    if not (0 <= r <= p and 0 <= s <= q):
-        raise ValueError("need 0 <= r <= p and 0 <= s <= q")
-    lam = pt.as_partition((q,) * r + (s,) * (p - r))
-    mu = pt.as_partition((q,) * p)
-    cp = pt.compatible_pair(lam, mu, BoxContext(p, q))
-    if cp is None:
-        raise RuntimeError(f"holomorphic pair {lam}, {mu} is not compatible")
-    mod = module_from_pair(cp)
-    if mod.degree != rd.holomorphic_degree(r, s, p, q):
-        raise RuntimeError(f"degree {mod.degree} of {mod.label} is not rq + s(p-r)")
-    return mod
-
-
-def primitive_degree_histogram(kind: str, p: int, q: int, cap: int = pt.DEFAULT_ENUM_CAP) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for mod in catalog(kind, p, q, cap):
-        hist[mod.degree] = hist.get(mod.degree, 0) + 1
-    return dict(sorted(hist.items()))

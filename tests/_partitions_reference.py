@@ -1,13 +1,16 @@
 """Test-only oracles for compatible-pair and orthogonal enumeration.
 
-The library decides compatibility in one scan of a pair's row runs, and
-builds both enumerations from a bottom-up table of sub-box pairs.  This
-module keeps two former routes.  The first is the level-word round trip: a
-nested pair is compatible iff its level word reads back as the pair, and the
-tie blocks of the word are its rectangles; `all_pairs_compatible` applies it
-to all C(p+q, p)^2 pairs of partitions in the box.  The second is the
-recursive walk over the level words themselves, each word read back into its
-pair.
+The library decides compatibility in one scan of a pair's row runs, builds
+both enumerations from a bottom-up table of sub-box pairs, and reads the
+witness vector and the O torus chain off the row runs as well.  This module
+keeps the level word they replaced (`level_word`) and two former routes
+built on it.  The first is the level-word round trip: a nested pair is
+compatible iff its level word reads back as the pair, and the tie blocks of
+the word are its rectangles; `all_pairs_compatible` applies it to all
+C(p+q, p)^2 pairs of partitions in the box.  The second is the recursive
+walk over the level words themselves, each word read back into its pair.
+`witness_by_word` gives level k of the word the value p + q - k, as
+`partitions.build_witness_X` did from the word.
 
 It also keeps the former forms of two O-path helpers, as oracles:
 `even_type_by_conjugate` reads the column corner of an even orthogonal
@@ -19,9 +22,43 @@ first levels.
 
 import itertools
 
-from cohomrep.partitions import (BoxContext, CompatiblePair, OrthoPartition, _is_level, _level_word,
-                                 _orthogonal, complement, conjugate, contains, part, partitions_in_box,
-                                 weight)
+from cohomrep.partitions import (BoxContext, CompatiblePair, OrthoPartition, _is_level, _orthogonal,
+                                 complement, conjugate, contains, pad, part, partitions_in_box, weight)
+
+
+def level_word(lam, mu, p, q):
+    """Level word of a nested pair lam <= mu in the p x q box: row i comes
+    next when column j lies inside lam_i, column j when it lies beyond mu_i,
+    else a tie block of the rows sharing (lam_i, mu_i) and the columns down
+    to lam_i + 1.  For a compatible pair the tie blocks are its rectangles."""
+    lam, mu = pad(lam, p), pad(mu, p)
+    word = []
+    i, j = 0, q  # rows above i and columns right of j are placed
+    while i < p:
+        if j <= lam[i]:
+            word.append((1, 0))
+            i += 1
+        elif j > mu[i]:
+            word.append((0, 1))
+            j -= 1
+        else:
+            first = i
+            while i < p and (lam[i], mu[i]) == (lam[first], mu[first]):
+                i += 1
+            word.append((i - first, j - lam[first]))
+            j = lam[first]
+    return tuple(word) + ((0, 1),) * j
+
+
+def witness_by_word(cp: CompatiblePair):
+    """The witness vector (xs ; ys), y_q first reversed to y_1 last: level k
+    of the pair's level word gives its rows and columns p + q - k."""
+    p, q = cp.ctx.p, cp.ctx.q
+    xs, ys = [], []  # y_q first
+    for k, (a, b) in enumerate(level_word(cp.lam, cp.mu, p, q)):
+        xs += [p + q - k] * a
+        ys += [p + q - k] * b
+    return tuple(xs), tuple(reversed(ys))
 
 
 def pair_of_word(word, q):
@@ -48,7 +85,7 @@ def word_rects(word):
 def round_trip_rects(lam, mu, p, q):
     """Rectangles of the nested pair (lam, mu) in the p x q box, or None when
     its level word does not read back as the pair."""
-    word = _level_word(lam, mu, p, q)
+    word = level_word(lam, mu, p, q)
     return word_rects(word) if pair_of_word(word, q) == (lam, mu) else None
 
 
@@ -136,7 +173,7 @@ def torus_chain_by_sort(orth: OrthoPartition):
     first s columns take the values of their levels, and the (value, type)
     list is sorted by descending value, "x" before "y"."""
     p, q = orth.ctx.p, orth.ctx.q
-    word = _level_word(orth.lam, complement(orth.lam, p, q), p, q)
+    word = level_word(orth.lam, complement(orth.lam, p, q), p, q)
     if word != word[::-1]:
         raise ValueError(f"level word of {orth.lam} in {p}x{q} is not a palindrome: {word}")
     r, s = p // 2, q // 2

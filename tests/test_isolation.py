@@ -103,18 +103,3 @@ class TestCorMino:
             for cp in compatible_by_box[(1, q)]:
                 assert iso.is_isolated_U(cp) is False
 
-
-class TestIsolatedD0:
-    def test_column_ladder(self):
-        for p in range(2, 5):
-            for q in range(p + 1, 7):
-                assert iso.isolated_d0("O", p, q, p) == "isolated-d0"
-
-    def test_rank_one_citations(self):
-        assert iso.isolated_d0("O", 1, 5, 1) == "cited-automorphic"
-        assert iso.isolated_d0("U", 1, 5, 2) == "cited-automorphic"
-        assert iso.isolated_d0("U", 1, 5, 3) == "not-covered"
-
-    def test_generic(self):
-        assert iso.isolated_d0("U", 2, 3, 2) == "isolated-d0"
-        assert iso.isolated_d0("U", 2, 3, 3) == "not-covered"

@@ -88,11 +88,6 @@ class TestCrossConsistency:
 
 
 class TestThetaAndL2:
-    def test_theta_rank_condition(self):
-        assert lef.theta_rank_condition("U", 2, 3, 3) is True
-        assert lef.theta_rank_condition("O", 2, 3, 4) is False
-        assert lef.theta_rank_condition("U", 2, 3, 0) is True
-
     def test_l2_cup_threshold(self):
         th = lef.l2_cup_threshold(2, 5, 1)
         assert th.iso_max_degree == 2  # k < (5+2-1)/2 = 3
@@ -110,14 +105,6 @@ class TestThetaAndL2:
         v = lef.modular_symbol_verdict("U", 2, 4, 2)
         assert v.target_component == ((2, 2), (4, 4))
         assert lef.modular_symbol_verdict("O", 3, 3, 2).status == lef.NOT_COVERED
-
-
-class TestComponentConstraint:
-    def test_low_degree_families(self):
-        res = lef.component_constraint("O", 3, 4, 3)
-        assert res["constrained"] and len(res["families"]) == 2
-        assert lef.component_constraint("O", 3, 4, 4)["constrained"] is False
-        assert lef.component_constraint("O", 3, 4, 0)["families"] == [["trivial"]]
 
 
 class TestVerdictHygiene:

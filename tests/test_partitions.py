@@ -11,7 +11,8 @@ from cohomrep import partitions as pt
 from cohomrep.partitions import BoxContext
 
 from _partitions_reference import (all_pairs_compatible, compatible_by_words, even_type_by_conjugate,
-                                   level_words, orthogonal_by_words, pair_of_word, round_trip_rects)
+                                   level_words, orthogonal_by_words, pair_of_word, round_trip_rects,
+                                   witness_by_word)
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -169,6 +170,12 @@ class TestWitness:
         xs, ys = pt.build_witness_X(cp)
         assert len(set(xs) | set(ys)) == 1
 
+    def test_equals_the_word_oracle(self, compatible_by_box):
+        # the row-run walk gives each level of the pair's word its value
+        for pairs in compatible_by_box.values():
+            for cp in pairs:
+                assert pt.build_witness_X(cp) == witness_by_word(cp), cp
+
 
 class TestInscribes:
     def test_worked_examples(self):
@@ -178,6 +185,11 @@ class TestInscribes:
         assert pt.inscribes(0, (1,), (2, 1), 2) is True
         with pytest.raises(ValueError):
             pt.inscribes(-1, (), (1,), 1)
+        # mu - (1^2) = (1, 1, 2) is no partition: mu must fit in p rows
+        with pytest.raises(ValueError, match=r"^mu \[2, 2, 2\] has more than 2 rows$"):
+            pt.inscribes(1, (1, 1, 1), (2, 2, 2), 2)
+        with pytest.raises(ValueError, match=r"^box of 0 rows: p must be >= 1$"):
+            pt.inscribes(0, (), (), 0)
 
     def test_forms_agree_exhaustively(self, compatible_by_box):
         # inscribes evaluates the componentwise form; the rectangle form
@@ -197,14 +209,12 @@ class TestInscribes:
                     ok = pt._inscribes(r, cp.lam, cp.mu, p)
                     assert ok == pt.inscribes(r, cp.lam, cp.mu, p)
                     if ok:
-                        assert pt._subtract_rows(cp.mu, r, p) == pt.subtract_rows(cp.mu, r, p)
+                        want = pt.as_partition([v - r for v in pt.pad(cp.mu, p)])
+                        assert pt._subtract_rows(cp.mu, r, p) == want
 
     def test_checked_forms_keep_their_errors(self):
         with pytest.raises(ValueError, match=r"^need lam <= mu: \(2,\), \(1,\)$"):
             pt.inscribes(1, [2], [1], 1)
-        with pytest.raises(ValueError, match=r"^\[2, 1\] - \(2\^2\) has negative parts$"):
-            pt.subtract_rows([2, 1], 2, 2)
-        assert pt.subtract_rows([3, 2, 0], 1, 2) == (2, 1)
 
 
 class TestOrtho:
@@ -338,4 +348,4 @@ class TestOptimizedMode:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 2
-        assert "odd x odd" in lines[0] and "not a palindrome" in lines[1]
+        assert "odd x odd" in lines[0] and "do not follow the palindrome" in lines[1]

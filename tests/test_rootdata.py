@@ -107,14 +107,9 @@ class TestKtypeO:
 
 
 class TestDegrees:
-    def test_holomorphic_degree(self):
-        assert rd.holomorphic_degree(0, 0, 3, 4) == 0
-        assert rd.holomorphic_degree(3, 2, 3, 4) == 12
-        assert rd.holomorphic_degree(1, 1, 2, 2) == 3
-
     def test_trivial_module_degree_zero(self):
         cp = pt.compatible_pair((), (4, 4, 4), BoxContext(3, 4))
-        assert rd.degree_U(cp) == 0
+        assert vz.module_from_pair(cp).degree == 0
 
     def test_levi_identity_O(self, orthogonal_by_box):
         for (p, q), orths in orthogonal_by_box.items():

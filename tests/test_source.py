@@ -154,16 +154,21 @@ def test_cold_modules_defer_json_csv_io_and_fractions(name):
 
 
 def test_compatibility_scan_stays_independent_of_the_level_word_oracle():
-    # the tests check the row-run scan against the level-word round trip, so
-    # the scan and every partitions function it reaches must not use the word
+    # the tests check the row-run scan, the witness and the torus chain
+    # against the level word, so the word lives in the test oracle alone:
+    # no library module defines or names it
     tree = ast.parse((SRC / "partitions.py").read_text())
-    seen, names = _reached(tree, ["compatible_pair", "skew_decompose", "_skew_decompose", "ortho_classify"])
+    seen, _ = _reached(tree, ["compatible_pair", "skew_decompose", "_skew_decompose", "ortho_classify"])
     assert {"boxed", "_skew_decompose", "_orthogonal"} <= seen
-    assert "_level_word" not in names
-    defined = {f"{path.name}:{node.name}" for path in sorted(SRC.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-               if isinstance(node, ast.FunctionDef) and node.name == "_pair_of_word"}
-    assert not defined, sorted(defined)
+    word = {"_level_word", "level_word", "_pair_of_word", "pair_of_word"}
+    found = {f"{path.name}:{getattr(node, 'name', None) or getattr(node, 'id', None) or node.attr}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if (isinstance(node, ast.FunctionDef) and node.name in word)
+             or (isinstance(node, ast.Name) and node.id in word)
+             or (isinstance(node, ast.Attribute) and node.attr in word)
+             or (isinstance(node, ast.alias) and node.name in word)}
+    assert not found, sorted(found)
 
 
 def test_o_ktype_oracle_uses_only_the_weight_record_of_rootdata():
@@ -183,7 +188,7 @@ def test_o_ktype_oracle_uses_only_the_weight_record_of_rootdata():
 
 def test_o_catalog_path_builds_no_conjugate_and_no_eigenbasis():
     # an orthogonal partition is classified, catalogued and tested for
-    # isolation from its rows, its column lengths and its level word: follow
+    # isolation from its rows, its column lengths and its row runs: follow
     # every function the four entry points reach across the modules they use
     modules = ("partitions", "rootdata", "vz_catalog", "isolation")
     bodies = [ast.parse((SRC / f"{name}.py").read_text()).body for name in modules]
@@ -192,14 +197,16 @@ def test_o_catalog_path_builds_no_conjugate_and_no_eigenbasis():
     merged = ast.Module(body=[node for body in bodies for node in body], type_ignores=[])
     seen, names = _reached(merged, ["enumerate_orthogonal", "ortho_classify", "modules_from_orth",
                                     "is_isolated_O"])
-    assert {"_even_type", "_ktype_O", "_sign_variant", "_columns", "_torus_chain", "_level_word"} <= seen
+    assert {"_even_type", "_ktype_O", "_sign_variant", "_columns", "_torus_chain"} <= seen
     banned = {"_conjugate", "conjugate", "_eps_weights", "_gamma_star_weights"}
     assert not names & banned, sorted(names & banned)
-    # the chain comes out in order: no sort, and no clamp per level
+    # the chain comes out in order: no sort, no clamp per level, and no
+    # complement built, since it reads the complement's rows as q - lam_{p+1-i}
     (chain,) = [node for node in merged.body if getattr(node, "name", None) == "_torus_chain"]
     called = {getattr(node.func, "id", getattr(node.func, "attr", None))
               for node in ast.walk(chain) if isinstance(node, ast.Call)}
-    assert not called & {"sort", "sorted", "min", "max"}, sorted(called & {"sort", "sorted", "min", "max"})
+    banned = {"sort", "sorted", "min", "max", "_complement", "complement"}
+    assert not called & banned, sorted(called & banned)
 
 
 def test_o_label_marks_come_from_one_table():
@@ -209,3 +216,48 @@ def test_o_label_marks_come_from_one_table():
                 for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "label"]
     assert not [node for node in ast.walk(label) if isinstance(node, (ast.Dict, ast.DictComp))]
     assert "_O_MARKS" in {node.id for node in ast.walk(label) if isinstance(node, ast.Name)}
+
+
+#: public functions that only tests call, each a documented wrapper that
+#: normalizes and checks its input before the underscored twin the library uses
+ORPHAN_ALLOWLIST = {
+    "contains": "checked form of partitions._contains, the containment test",
+    "skew_decompose": "checked form of partitions._skew_decompose, the rectangle decomposition",
+    "is_compatible": "the compatibility predicate: skew_decompose(...) is not None",
+    "ktype_gl_pair_hw": "the GL_p x GL_q highest weight of a K-type, which the GL-character oracle restricts",
+}
+
+
+def _references(node):
+    return {getattr(n, "id", None) or n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) or isinstance(n, ast.Attribute)}
+
+
+def test_every_public_function_is_reached():
+    # the library holds what a command, a script, a workload or an
+    # acceptance test runs: start from their names and from what each
+    # library module runs on import, follow every module-level function and
+    # class those names reach, and find every public function left over
+    roots = [SRC / "cli.py", SRC / "__main__.py", *sorted((ROOT / "scripts").glob("*.py")),
+             *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    todo = [name for path in roots for name in _references(ast.parse(path.read_text(), filename=str(path)))]
+    defs, public = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    public.add(node.name)
+            else:
+                todo += _references(node)
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += [ref for node in defs.get(name, ()) for ref in _references(node)]
+    # an allowed name that gains a consumer, or is deleted, leaves the list
+    assert not ORPHAN_ALLOWLIST.keys() & seen, sorted(ORPHAN_ALLOWLIST.keys() & seen)
+    assert ORPHAN_ALLOWLIST.keys() <= public
+    orphans = public - seen - ORPHAN_ALLOWLIST.keys()
+    assert not orphans, sorted(orphans)

@@ -11,7 +11,7 @@ class TestCatalogU:
     def test_u11(self):
         mods = vz.catalog("U", 1, 1)
         assert len(mods) == 3
-        assert vz.primitive_degree_histogram("U", 1, 1) == {0: 1, 1: 2}
+        assert sorted(m.degree for m in mods) == [0, 1, 1]
 
     def test_count_is_compatible_pairs(self, compatible_by_box):
         for (p, q), pairs in compatible_by_box.items():
@@ -20,8 +20,7 @@ class TestCatalogU:
     def test_discrete_series_flag(self):
         for mod in vz.catalog("U", 2, 2):
             assert mod.discrete_series == (mod.lam == mod.mu)
-            assert mod.degree == rd.degree_U(
-                pt.compatible_pair(mod.lam, mod.mu, BoxContext(2, 2)))
+            assert mod.degree == pt.weight(mod.lam) + 2 * 2 - pt.weight(mod.mu)
 
     def test_dominant_ktypes(self):
         for p, q in [(2, 3), (3, 2), (3, 3)]:
@@ -34,10 +33,10 @@ class TestCatalogO:
         for (p, q), orths in orthogonal_by_box.items():
             if p * q > 30:
                 continue
-            for o in orths:
-                assert len(vz.sign_slots(o)) == pt.sign_multiplicity(o)
-            expected = sum(pt.sign_multiplicity(o) for o in orths)
-            assert len(vz.catalog("O", p, q)) == expected
+            # 1 module for an odd partition, 2 for even type 1 or 2, 4 for type 3
+            expected = [1 if o.parity == "odd" else 4 if o.even_type == 3 else 2 for o in orths]
+            assert [len(vz.sign_slots(o)) for o in orths] == expected
+            assert len(vz.catalog("O", p, q)) == sum(expected)
 
     @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 3), (4, 4), (5, 3), (3, 5), (5, 4), (4, 5), (5, 5)])
     def test_against_brute_force(self, p, q):
@@ -168,27 +167,21 @@ class TestLevi:
 
 
 class TestHolomorphic:
+    # the holomorphic modules A(lam, (q^p)) with lam = (q^r, s^(p-r)), in the catalog
     def test_corners(self):
-        m = vz.holomorphic_param(0, 0, 2, 3)
-        assert m.degree == 0 and m.lam == ()
-        m = vz.holomorphic_param(2, 1, 2, 3)
-        assert m.lam == (3, 3) and m.degree == 6
-        m = vz.holomorphic_param(1, 1, 2, 2)
-        assert m.lam == (2, 1) and m.degree == 3
-        with pytest.raises(ValueError):
-            vz.holomorphic_param(3, 0, 2, 2)
+        for p, q in [(2, 2), (2, 3), (3, 2)]:
+            mods = {(m.lam, m.mu): m for m in vz.catalog("U", p, q)}
+            for r in range(p + 1):
+                for s in range(q + 1):
+                    lam = pt.as_partition((q,) * r + (s,) * (p - r))
+                    assert mods[lam, (q,) * p].degree == r * q + s * (p - r), (p, q, r, s)
 
     def test_flag_set(self):
-        m = vz.holomorphic_param(1, 0, 2, 2)
-        assert m.holomorphic
+        for m in vz.catalog("U", 2, 2):
+            assert m.holomorphic == (m.mu == (2, 2))
 
 
 class TestHistogram:
-    def test_totals_match(self):
-        for kind, p, q in [("U", 2, 2), ("O", 2, 2), ("O", 3, 4)]:
-            hist = vz.primitive_degree_histogram(kind, p, q)
-            assert sum(hist.values()) == len(vz.catalog(kind, p, q))
-
     def test_cap(self):
         with pytest.raises(CapExceededError):
             vz.catalog("U", 7, 7)
