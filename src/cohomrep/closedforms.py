@@ -90,14 +90,13 @@ def dx_threshold(p: int, q: int, r: int) -> dict:
     """Degree thresholds for the spectral gap.
 
     The limit profile of the Hessian of (1/2) log(B/A) has q + pr - 1
-    eigenvalues tending to 1 and the rest to 0, so the limit bound is
-    (q + pr - 1) - 2k, positive iff k < (q + pr - 1)/2.  The companion
+    eigenvalues tending to 1 (`limit_ones`) and the rest to 0, so the limit
+    bound limit_ones - 2k is positive iff k < (q + pr - 1)/2.  The companion
     convention (p + qr - 1)/2 is recorded as well; queries must state which
     one they used."""
     return {
         "limit_ones": q + p * r - 1,
         "threshold_qpr": (q + p * r - 1) / 2.0,
         "threshold_pqr": (p + q * r - 1) / 2.0,
-        "limit_bound": lambda k: (q + p * r - 1) - 2 * k,
         "convention": "k < (q+pr-1)/2",
     }

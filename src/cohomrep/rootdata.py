@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .partitions import (
@@ -348,15 +348,25 @@ def _positive_root_sums(pairs, orders, m: int):
 
 def root_system(kind: str, p: int, q: int) -> RootSystemData:
     """Root data with the fixed positive systems; 2rho = 2rho_c + 2rho_n, read
-    at the standard order."""
+    at the standard order.  Raises ValueError when that order is orthogonal
+    to a root."""
     compact, noncompact = _root_vectors(kind, p, q)
-    r, s = _shape(kind, p, q)
+    r, _ = _shape(kind, p, q)
     conv = "U" if kind == "U" else _conv_O(p, q)
     v0 = next(_chamber_orders(kind, p, q))
 
     def half_sum2(pairs) -> Weight:
-        (v,) = _positive_root_sums(pairs, [v0], r + s).tolist()
-        return Weight.make(v[:r], v[r:], conv)
+        # the `_positive_root_sums` row of v0, in plain integers
+        total = [0] * len(v0)
+        for vec, mult in pairs:
+            d = sum(map(mul, vec, v0))
+            if not d:
+                raise ValueError(f"positivity vector {tuple(v0)} not generic for root {vec}")
+            c = mult if d > 0 else -mult
+            for k, e in enumerate(vec):
+                if e:
+                    total[k] += c * e
+        return Weight(tuple(total[:r]), tuple(total[r:]), conv)
 
     rho_c2, rho_n2 = half_sum2(compact), half_sum2(noncompact)
     return RootSystemData(kind, p, q, tuple(noncompact), rho_c2 + rho_n2, rho_c2, rho_n2)
@@ -372,12 +382,22 @@ def root_system(kind: str, p: int, q: int) -> RootSystemData:
 
 _INT64_MAX = 2**63 - 1
 
+#: added to the y entries of a U row so that one sort orders both blocks:
+#: above twice any entry the int64 guard of `_dirac_max` admits (2**31)
+_U_SHIFT = 2**33
+
 
 @functools.lru_cache(maxsize=CHAMBER_MEMO_SIZE)
 def _chambers(kind: str, p: int, q: int):
-    """(rho_n2, rho_c2, rho4, reach) for (kind, p, q): the int64 matrix whose
-    rows are 2*rho_n^w over the chambers, the int64 vector 2*rho_c, the int
-    4*||rho||^2, and the largest |entry| of rho_n2 plus that of rho_c2."""
+    """(rho_n2, rc, rho4, reach) for (kind, p, q): the int64 matrix whose
+    rows are 2*rho_n^w over the chambers; the int64 vector `_dirac_max` adds
+    to its sorted rows, 2*rho_c with its x block reversed and, for U, with
+    _U_SHIFT taken off its y block; the int 4*||rho||^2; and the largest
+    |entry| of rho_n2 plus that of 2*rho_c.
+
+    The rows come in the order of `_chamber_orders`.  Distinct orders can
+    give the same chamber for O, which keeps each first row; the U rows are
+    already distinct."""
     import numpy as np
 
     r, s = _shape(kind, p, q)
@@ -386,52 +406,58 @@ def _chambers(kind: str, p: int, q: int):
     if orders > WEYL_CAP:
         raise CapExceededError(f"Dirac chamber orders of {kind}({p},{q})", orders, WEYL_CAP)
     rs = root_system(kind, p, q)
-    rho_c2 = rs.rho_c2.xs + rs.rho_c2.ys
+    cx, cy = rs.rho_c2.xs, rs.rho_c2.ys
     rho4 = sum(v * v for v in rs.rho2.xs + rs.rho2.ys)
-    rows = _positive_root_sums(rs.noncompact_pairs, _chamber_orders(kind, p, q), len(rho_c2))
-    # distinct orders can give the same chamber (O): keep each first row
-    _, first = np.unique(rows, axis=0, return_index=True)
-    rho_n2 = rows[np.sort(first)]
-    rho_c2 = np.array(rho_c2, dtype=np.int64)
-    rho_n2.flags.writeable = rho_c2.flags.writeable = False
-    reach = int(np.abs(rho_n2).max(initial=0)) + int(np.abs(rho_c2).max(initial=0))
-    return rho_n2, rho_c2, rho4, reach
-
-
-def _abs_sorted(block, even: bool):
-    """Ascending |entries| of each row; for an even orthogonal factor the
-    smallest one carries the sign of the row's product of entries."""
-    import numpy as np
-
-    out = np.sort(np.abs(block), axis=1)
-    if even and out.shape[1]:
-        odd = (block < 0).sum(axis=1) % 2 == 1
-        out[:, 0] = np.where(odd, -out[:, 0], out[:, 0])
-    return out
+    rho_n2 = _positive_root_sums(rs.noncompact_pairs, _chamber_orders(kind, p, q), r + s)
+    if kind == "O":
+        first = dict.fromkeys(map(tuple, rho_n2.tolist()))
+        rho_n2 = np.array(list(first), dtype=np.int64).reshape(len(first), r + s)
+    shift = _U_SHIFT if kind == "U" else 0
+    rc = np.array(cx[::-1] + tuple(v - shift for v in cy), dtype=np.int64)
+    rho_n2.flags.writeable = rc.flags.writeable = False
+    reach = int(np.abs(rho_n2).max(initial=0)) + max(map(abs, cx + cy), default=0)
+    return rho_n2, rc, rho4, reach
 
 
 def _dirac_max(kind: str, p: int, q: int, chi: Weight) -> Fraction:
     """max over chambers w of ||rho||^2 - ||dom(chi - rho_n^w) + rho_c||^2,
-    evaluated exactly in int64 on the doubled weight 2*chi."""
-    from fractions import Fraction
+    evaluated exactly in int64 on the doubled weight 2*chi.
+
+    Each row is sorted ascending within its x and its y block and paired
+    with `_chambers`' rc, whose x block is reversed: that gives the norm of
+    the dominant row, whose x block descends.  A U row sorts once, its y
+    entries shifted above its x entries.  An O row sorts |entries| per
+    block.  For an even factor the dominant row gives its smallest |entry|
+    the sign of the block's product, but 2*rho_c is 0 where that entry
+    lands (x_r, resp. y_1), so the sign does not change the norm.  Raises
+    ValueError when an entry of chi does not double to an integer or chi is
+    too large for int64."""
+    import fractions
 
     import numpy as np
 
-    rho_n2, rho_c2, rho4, reach = _chambers(kind, p, q)
+    rho_n2, rc, rho4, reach = _chambers(kind, p, q)
     chi2 = [2 * v for v in chi.xs + chi.ys]
-    # bounds every entry of dom below
+    # bounds every entry of the rows below, before the U shift
     bound = max(map(abs, chi2), default=0) + reach
     if len(chi2) * bound * bound > _INT64_MAX:
         raise ValueError("weight too large for an exact int64 Dirac bound")
-    rows = np.array(chi2, dtype=np.int64) - rho_n2
+    ints = list(map(int, chi2))
+    if ints != chi2:
+        v = next(v for v, n in zip(chi.xs + chi.ys, ints) if 2 * v != n)
+        raise ValueError(f"weight entry {v} does not double to an integer")
     nx = len(chi.xs)
     if kind == "U":
-        dom = np.concatenate([np.sort(rows[:, :nx], axis=1)[:, ::-1], np.sort(rows[:, nx:], axis=1)], axis=1)
+        ints[nx:] = [v + _U_SHIFT for v in ints[nx:]]
+    rows = np.array(ints, dtype=np.int64) - rho_n2
+    if kind == "U":
+        rows.sort(axis=1)
     else:
-        dom = np.concatenate([_abs_sorted(rows[:, :nx], p % 2 == 0)[:, ::-1],
-                              _abs_sorted(rows[:, nx:], q % 2 == 0)], axis=1)
-    dom += rho_c2
-    return Fraction(rho4 - int((dom * dom).sum(axis=1).min()), 4)
+        np.abs(rows, out=rows)
+        rows[:, :nx].sort(axis=1)
+        rows[:, nx:].sort(axis=1)
+    rows += rc
+    return fractions.Fraction(rho4 - int(np.einsum("ij,ij->i", rows, rows).min()), 4)
 
 
 def dirac_bound(kind: str, p: int, q: int, chi: Weight) -> Fraction:
@@ -444,8 +470,9 @@ def dirac_bound(kind: str, p: int, q: int, chi: Weight) -> Fraction:
     with vanishing Casimir; zero exactly at the lowest K-types 2rho(u cap p).
     The chambers are built once per (kind, p, q) from C(r+s, r) orders of
     the torus coordinates times the free signs; raises CapExceededError when
-    those orders exceed WEYL_CAP, and ValueError when chi is too large to
-    evaluate exactly in int64.
+    those orders exceed WEYL_CAP, and ValueError when an entry of chi does
+    not double to an integer or chi is too large to evaluate exactly in
+    int64.
     """
     r, s = _shape(kind, p, q)
     conv = "U" if kind == "U" else _conv_O(p, q)

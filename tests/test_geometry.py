@@ -359,10 +359,10 @@ class TestDX:
     def test_bound_arithmetic(self):
         # sum(gamma_i) - 2k max(gamma_i) at the limit profile of (2, 5, 1):
         # six eigenvalues 1 and the rest 0
-        bound = cf.dx_threshold(2, 5, 1)["limit_bound"]
-        assert bound(2) == 2
-        assert bound(3) == 0
-        assert bound(0) == 6
+        ones = cf.dx_threshold(2, 5, 1)["limit_ones"]
+        assert ones - 2 * 2 == 2
+        assert ones - 2 * 3 == 0
+        assert ones - 2 * 0 == 6
 
     def test_threshold_record(self):
         th = cf.dx_threshold(2, 5, 1)

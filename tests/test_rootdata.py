@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import pathlib
 import random
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import _dirac_reference as ref
@@ -203,6 +205,16 @@ class TestDirac:
         with pytest.raises(ValueError, match="not an integer"):
             rd.Weight.make([Fraction(1, 2**40)], [0], "U")
 
+    def test_entry_must_double_to_an_integer(self):
+        # an int64 cast would read the doubled 0.5 as 0, the value at (0; 0)
+        with pytest.raises(ValueError, match="weight entry 0.25 "):
+            rd.dirac_bound("U", 1, 1, rd.Weight((0.25,), (0,), "U"))
+        want = ref.dirac_bound("U", 1, 1, rd.Weight((1,), (0,), "U"))
+        for x in (1, np.int64(1)):
+            assert rd.dirac_bound("U", 1, 1, rd.Weight((x,), (0,), "U")) == want
+        half = rd.Weight((Fraction(1, 2),), (0,), "U")
+        assert rd.dirac_bound("U", 1, 1, half) == ref.dirac_bound("U", 1, 1, half) != want
+
     def test_weight_must_fit_group(self):
         with pytest.raises(ValueError):
             rd.dirac_bound("U", 2, 2, rd.Weight.make([0], [0, 0], "U"))
@@ -220,6 +232,84 @@ class TestDirac:
         rs = rd.root_system("U", 1, 2)
         chi = rs.rho_n2
         assert rd.dirac_bound("U", 1, 2, chi) == 0
+
+    def test_shifted_sort_matches_reference_on_adversarial_weights(self):
+        # U sorts each row once with its y entries shifted above its x entries
+        rng = random.Random(21)
+        u_boxes = [(p, q) for p, q in itertools.product(range(1, 6), repeat=2) if p + q <= 6]
+        near = (2**28, -(2**28), 3, 2**27)  # the admitted weight of test_int64_overflow_raises
+        for p, q in u_boxes:
+            hi = lambda n: [rng.randint(40, 60) for _ in range(n)]
+            lo = lambda n: [rng.randint(-60, -40) for _ in range(n)]
+            tie = lambda n: [rng.choice((-1, 0, 1)) for _ in range(n)]
+            cyc = [near[i % 4] for i in range(p + q)]
+            # the largest entries the int64 guard admits, of alternating sign
+            edge = (math.isqrt(rd._INT64_MAX // (p + q)) - rd._chambers("U", p, q)[3]) // 2
+            alt = [edge * (-1) ** i for i in range(p + q)]
+            for xs, ys in ((hi(p), lo(q)), (lo(p), hi(q)), (tie(p), tie(q)), ([0] * p, [0] * q),
+                           ([5] * p, [5] * q), (cyc[:p], cyc[p:]), (alt[:p], alt[p:]),
+                           ([-v for v in alt[:p]], [-v for v in alt[p:]])):
+                chi = rd.Weight.make(xs, ys, "U")
+                assert rd.dirac_bound("U", p, q, chi) == ref.dirac_bound("U", p, q, chi), (p, q, chi)
+
+    def test_o_signs_match_reference_in_every_parity_class(self):
+        # the dominant row gives an even factor's smallest |entry| the sign of
+        # the block's product; `_dirac_max` drops it, as 2rho_c is 0 there
+        for p, q in itertools.product(range(2, 12, 2), repeat=2):
+            rho_c2 = rd.root_system("O", p, q).rho_c2
+            assert rho_c2.xs[-1] == rho_c2.ys[0] == 0, (p, q)
+        rng = random.Random(22)
+        for p, q in ((4, 4), (4, 3), (5, 4), (5, 3), (2, 2), (2, 3), (3, 2), (6, 2)):
+            r, s = p // 2, q // 2
+            for _ in range(12):
+                xs = [rng.randint(-5, 5) for _ in range(r)]
+                ys = [rng.randint(-5, 5) for _ in range(s)]
+                xs[-1] = -rng.randint(1, 5)
+                if rng.random() < 0.7:
+                    ys[0] = -rng.randint(0, 5)
+                chi = rd.Weight.make(xs, ys, rd._conv_O(p, q))
+                assert rd.dirac_bound("O", p, q, chi) == ref.dirac_bound("O", p, q, chi), (p, q, chi)
+
+    def test_chambers_are_built_once_per_box(self, small_catalog_ktypes):
+        rd._chambers.cache_clear()
+        for kind, p, q, _, chi in small_catalog_ktypes:
+            rd.dirac_bound(kind, p, q, chi)
+        assert rd._chambers.cache_info().misses == len(SMALL_BOXES) == 42
+
+    def test_chamber_rows_keep_the_first_of_each_chamber(self):
+        # rows follow `_chamber_orders`: all of them for U, the first of each
+        # repeated row for O, as np.unique's first indices in ascending order
+        for p, q in itertools.product(range(1, 11), repeat=2):
+            for kind, most in (("U", 9), ("O", 12)):
+                if p + q > most:
+                    continue
+                rs = rd.root_system(kind, p, q)
+                m = len(rs.rho2.xs + rs.rho2.ys)
+                walked = rd._positive_root_sums(rs.noncompact_pairs, rd._chamber_orders(kind, p, q), m)
+                _, first = np.unique(walked, axis=0, return_index=True)
+                want = walked if kind == "U" else walked[np.sort(first)]
+                assert np.array_equal(rd._chambers(kind, p, q)[0], want), (kind, p, q)
+
+    def test_root_system_reads_the_first_order_row(self):
+        for p, q in itertools.product(range(1, 10), repeat=2):
+            if p + q > 10:
+                continue
+            for kind in ("U", "O"):
+                rs = rd.root_system(kind, p, q)
+                compact, noncompact = rd._root_vectors(kind, p, q)
+                v0 = next(rd._chamber_orders(kind, p, q))
+                for pairs, got in ((compact, rs.rho_c2), (noncompact, rs.rho_n2)):
+                    (row,) = rd._positive_root_sums(pairs, [v0], len(v0)).tolist()
+                    assert list(got.xs + got.ys) == row, (kind, p, q)
+
+    def test_root_system_needs_no_numpy(self):
+        src = pathlib.Path(rd.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys\nfrom cohomrep.rootdata import root_system\n"
+                "root_system('O', 4, 5)\nprint('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_cap(self):
         with pytest.raises(pt.CapExceededError):
