@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Render the frozen verdict table (tests/data/verdict_golden.json) as a
-markdown table, replaying every query through the live engine."""
+markdown table, replaying every query through the live engine; exits
+nonzero on the first row whose status, anchor or threshold differs from
+the table."""
 
 import json
 import pathlib
@@ -37,8 +39,9 @@ def main():
     print("| --- | --- | --- | --- |")
     for row in rows:
         v = replay(row["query"])
-        if v.status != row["expect"]["status"]:
-            sys.exit(f"{describe(row['query'])}: status {v.status}, golden {row['expect']['status']}")
+        for field in ("status", "anchor", "threshold"):
+            if getattr(v, field) != row["expect"][field]:
+                sys.exit(f"{describe(row['query'])}: {field} {getattr(v, field)!r}, golden {row['expect'][field]!r}")
         print(f"| {describe(row['query'])} | {v.status} | {v.anchor} | {v.threshold} |")
 
 

@@ -6,12 +6,14 @@ hypotheses of a theorem hold), "fails-criterion" (an if-and-only-if
 criterion evaluates false), "conjectured" (only a conjecture covers the
 query; its criterion value is reported but never upgraded), and
 "not-covered" (outside every statement).  Conjecture-backed rows are never
-"guaranteed".
+"guaranteed".  Degree queries read one ordered table of theorem rows,
+`_THEOREMS`; component queries, modular symbols and the L2 thresholds are
+answered in code.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .partitions import (
     BoxContext,
@@ -59,14 +61,9 @@ CITATIONS = {
     "Conj conj2": "U(p,q+r) over U(p,q): cup with the cycle class on components iff (r^p) fits in mu/lam",
     "Conj C100": "O(p,q+r) over O(p,q): cup with the cycle class on the lam component iff (r^p) fits in complement(lam)/lam",
     "Conj CU1": "restriction U -> U on a general component (lam,mu) iff (r^p) fits in mu/lam",
-    "Conj CU2": "restriction O -> O on a general component lam iff (r^p) fits in complement(lam)/lam",
-    "Conj CUO": "restriction U -> O on a general component: zero unless lam = 0 or mu full; then iff lam orthogonal",
-    "Conj CP1": "tensor product of general components governed by an inscribed partition nu",
     "Conj CanaO": "arithmetic restriction O -> O on a general component iff (r^p) fits in complement(lam)/lam",
     "Conj CanaUO": "arithmetic restriction U -> O on general components; lam = 0 or mu full, then iff lam orthogonal",
     "Conj cup-hyp": "O(1,n): two classes of degrees k+l <= n/2 admit a nonzero translated cup product",
-    "Conj isolautomU": "every cohomological module of U(p,q) is isolated in the automorphic dual",
-    "Conj isolautomO": "the modules A((1^i)), i <= q/2-1, of O(p,q) are isolated in the automorphic dual",
 }
 
 
@@ -136,16 +133,116 @@ def _component(component, shape: str, p: int, q: int) -> tuple[Partition, ...]:
     return (lam,) if mu is None else (lam, mu)
 
 
-def _hyperplane_pair(G: Group, H) -> bool:
-    """H is the standard hyperplane pair (G.kind, p, q-1) & (G.kind, p-1, q),
-    or None meaning 'use the standard pair'."""
+def _hyperplane_pair(kind: str, p: int, q: int, H) -> bool:
+    """H is the standard hyperplane pair kind(p,q-1) & kind(p-1,q), or None
+    meaning 'use the standard pair'."""
     if H is None:
         return True
     # a Group is itself a tuple, so it is excluded by name
     if not isinstance(H, Group) and isinstance(H, (tuple, list)) and len(H) == 2:
         a, b = H
-        return {(a.kind, a.p, a.q), (b.kind, b.p, b.q)} == {(G.kind, G.p, G.q - 1), (G.kind, G.p - 1, G.q)}
+        return {(a.kind, a.p, a.q), (b.kind, b.p, b.q)} == {(kind, p, q - 1), (kind, p - 1, q)}
     return False
+
+
+def _single_hyperplane(p: int, q: int, H) -> bool:
+    """(p, q) is (2, n) or (n, 2) with n >= 3, and H is the hyperplane
+    O(2,n-1) in either order, or None meaning 'use the hyperplane'."""
+    n = max(p, q)
+    return min(p, q) == 2 and n >= 3 and (H is None or _is(H, "O") and {H.p, H.q} == {2, n - 1})
+
+
+def _is(H, kind: str, *pq: int) -> bool:
+    """H is a Group of `kind`, and (p, q) if given."""
+    return isinstance(H, Group) and H.kind == kind and (not pq or (H.p, H.q) == pq)
+
+
+class _Theorem(NamedTuple):
+    """A degree theorem for G of `kind` in one query mode.  It answers for
+    (G, H) when `applies(p, q, H)`, and it bounds the degree k (k + l for two
+    classes) by `bound(p, q, H)`, strictly if `strict`, and by the possibly
+    half-integer `halves(p, q, H) / 2`, decided as 2k <= halves.  `text`
+    formats the threshold from k, the bound b as printed (the lesser of the
+    two), r = q - H.q, the image degree img and the criterion ok.  A "Conj"
+    anchor answers "conjectured", with its criterion if it has a bound; a
+    "Thm" row without a bound is the mode's not-covered answer."""
+    mode: str  # "restriction" | "cup" | "classes"
+    kind: str
+    anchor: str
+    applies: Callable
+    text: str
+    bound: Optional[Callable] = None
+    halves: Optional[Callable] = None
+    strict: bool = False
+    qualifier: Optional[str] = None
+
+
+#: the degree theorems, tried in order: the first row of the mode that
+#: applies answers, and each mode ends in rows that always apply
+_THEOREMS = (
+    _Theorem("restriction", "U", "Thm upq", lambda p, q, H: _hyperplane_pair("U", p, q, H) and min(p, q) >= 2,
+             "k < p+q-1: {k} < {b}", bound=lambda p, q, H: p + q - 1, strict=True),
+    _Theorem("restriction", "O", "Thm opq", lambda p, q, H: _hyperplane_pair("O", p, q, H) and min(p, q) >= 3,
+             "k <= p+q-4: {k} <= {b}", bound=lambda p, q, H: p + q - 4),
+    _Theorem("restriction", "O", "Thm o2n", _single_hyperplane, "k <= n-1: {k} <= {b}",
+             bound=lambda p, q, H: max(p, q) - 1),
+    _Theorem("restriction", "U", "Thm u&o", lambda p, q, H: _is(H, "O", p, q) and min(p, q) >= 3,
+             "k <= p+q-3: {k} <= {b}", bound=lambda p, q, H: p + q - 3, qualifier="holomorphic part H^{k,0}"),
+    _Theorem("restriction", "U", "Thm u&o2", lambda p, q, H: _is(H, "O", p, q) and min(p, q) == 2 and max(p, q) >= 3,
+             "k <= [n/2]: {k} <= {b}", bound=lambda p, q, H: max(p, q) // 2, qualifier="holomorphic part H^{k,0}"),
+    _Theorem("restriction", "U", "Thm upq", lambda p, q, H: True, "no theorem covers this degree query"),
+    _Theorem("restriction", "O", "Thm opq", lambda p, q, H: True, "no theorem covers this degree query"),
+    _Theorem("cup", "U", "Thm upq.2", lambda p, q, H: _is(H, "U", p, q - 1),
+             "k < q-p-1: {k} < {b}; image degree k+2p = {img}", bound=lambda p, q, H: q - p - 1, strict=True),
+    _Theorem("cup", "U", "Thm upq.2", lambda p, q, H: _is(H, "U", p - 1, q),
+             "k < p-q-1: {k} < {b}; image degree k+2q = {img}", bound=lambda p, q, H: p - q - 1, strict=True),
+    _Theorem("cup", "U", "Conj conj2", lambda p, q, H: _is(H, "U") and H.p == p and H.q < q - 1,
+             "r = {r}; conjectural for components; no degree theorem"),
+    _Theorem("cup", "O", "Thm o2n.2", lambda p, q, H: H is not None and _single_hyperplane(p, q, H),
+             "k <= [n/2]-2: {k} <= {b}; image degree k+2 = {img}", bound=lambda p, q, H: max(p, q) // 2 - 2),
+    _Theorem("cup", "O", "Thm opq.2", lambda p, q, H: min(p, q) >= 3 and _is(H, "O", p, q - 1),
+             "k <= (q-p-3)/2: {k} <= {b}; image degree k+p = {img}", halves=lambda p, q, H: q - p - 3),
+    _Theorem("cup", "O", "Thm opq.2", lambda p, q, H: min(p, q) >= 3 and _is(H, "O", p - 1, q),
+             "k <= (p-q-3)/2: {k} <= {b}; image degree k+q = {img}", halves=lambda p, q, H: p - q - 3),
+    # the text's q is H.q = q - r: k <= p+H.q+r-rp-3 and 2(k+1) <= H.q-pr
+    _Theorem("cup", "O", "Thm cup-class-O", lambda p, q, H: _is(H, "O") and H.p == p >= 2 and 2 <= H.q < q,
+             "k <= min(p+q+r-rp-3, (q-pr)/2-1) = {b}; image degree k+rp = {img}",
+             bound=lambda p, q, H: p + q - (q - H.q) * p - 3, halves=lambda p, q, H: H.q - p * (q - H.q) - 2),
+    _Theorem("cup", "U", "Thm upq.2", lambda p, q, H: True, "no theorem covers this cup query"),
+    _Theorem("cup", "O", "Thm opq.2", lambda p, q, H: True, "no theorem covers this cup query"),
+    _Theorem("classes", "U", "Thm cup-u", lambda p, q, H: True, "k+l <= q+p-1: {k} <= {b}",
+             bound=lambda p, q, H: q + p - 1),
+    _Theorem("classes", "O", "Conj cup-hyp", lambda p, q, H: min(p, q) == 1, "criterion k+l <= n/2: {ok}",
+             halves=lambda p, q, H: max(p, q)),
+    _Theorem("classes", "O", "Thm cup-o", lambda p, q, H: True, "k+l <= q+p-3: {k} <= {b}",
+             bound=lambda p, q, H: q + p - 3),
+)
+
+
+def _theorem(mode: str, G: Group, H) -> _Theorem:
+    """The first row of _THEOREMS that applies to (G, H) in `mode`."""
+    return next(row for row in _THEOREMS
+                if row.mode == mode and row.kind == G.kind and row.applies(G.p, G.q, H))
+
+
+def _degree_verdict(mode: str, G: Group, H, k: int) -> Verdict:
+    """The answer in degree k (k + l for two classes) of the row that
+    applies.  Raises ValueError unless G is U or O."""
+    if G.kind not in ("U", "O"):
+        raise ValueError(f"unknown kind {G.kind!r}")
+    row = _theorem(mode, G, H)
+    bound = row.bound and row.bound(G.p, G.q, H)
+    halves = row.halves and row.halves(G.p, G.q, H)
+    shown = [b for b in (bound, None if halves is None else halves / 2) if b is not None]
+    ok = None if not shown else ((bound is None or (k < bound if row.strict else k <= bound))
+                                 and (halves is None or 2 * k <= halves))
+    r = img = None
+    if isinstance(H, Group):  # cup with the cycle class of H adds its codimension to the degree
+        r, img = G.q - H.q, k + (2 if G.kind == "U" else 1) * (G.p * G.q - H.p * H.q)
+    text = row.text.format(k=k, b=min(shown, default=None), r=r, img=img, ok=ok)
+    if row.anchor.startswith("Conj"):
+        return Verdict(CONJECTURED, row.anchor, text, qualifier=row.qualifier, criterion_value=ok)
+    return Verdict(GUARANTEED if ok else NOT_COVERED, row.anchor, text, qualifier=row.qualifier)
 
 
 def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
@@ -163,58 +260,25 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     """
     p, q = G.p, G.q
     if degree is not None and component is None:
-        k = degree
-        if _hyperplane_pair(G, H):
-            if G.kind == "U" and p >= 2 and q >= 2:
-                ok = k < p + q - 1
-                return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm upq",
-                               f"k < p+q-1: {k} < {p + q - 1}")
-            if G.kind == "O" and p >= 3 and q >= 3:
-                ok = k <= p + q - 4
-                return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm opq",
-                               f"k <= p+q-4: {k} <= {p + q - 4}")
-        if G.kind == "O" and min(p, q) == 2 and max(p, q) >= 3 and _single_hyperplane(G, H):
-            n = max(p, q)
-            ok = k <= n - 1
-            return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm o2n",
-                           f"k <= n-1: {k} <= {n - 1}")
-        if G.kind == "U" and isinstance(H, Group) and (H.kind, H.p, H.q) == ("O", p, q):
-            if min(p, q) >= 3:
-                ok = k <= p + q - 3
-                return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm u&o",
-                               f"k <= p+q-3: {k} <= {p + q - 3}",
-                               qualifier="holomorphic part H^{k,0}")
-            if min(p, q) == 2 and max(p, q) >= 3:
-                n = max(p, q)
-                ok = k <= n // 2
-                return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm u&o2",
-                               f"k <= [n/2]: {k} <= {n // 2}",
-                               qualifier="holomorphic part H^{k,0}")
-        return Verdict(NOT_COVERED, "Thm upq" if G.kind == "U" else "Thm opq",
-                       "no theorem covers this degree query")
+        return _degree_verdict("restriction", G, H, degree)
     # component queries
     if component is None:
         raise ValueError("need a degree or a component")
-    if G.kind == "U" and isinstance(H, Group) and H.kind == "U":
+    if G.kind == "U" and _is(H, "U"):
         lam, mu = _component(component, "lam;mu", p, q)
         rr = q - H.q if r is None else r
         if rr < 0:
             raise ValueError("subgroup larger than the group")
         ok = _inscribes(rr, lam, mu, p)
         target = (lam, _subtract_rows(mu, rr, p)) if ok else None
-        if not l2:
-            return Verdict(GUARANTEED if ok else FAILS, "Thm analogue",
-                           f"(r^p) = ({rr}^{p}) fits in mu/lam: {ok}",
-                           target_component=target, criterion_value=ok)
-        if _is_ladder_pair(lam, mu, p, q) and _ladder_l2_range(lam, mu, p, q, rr):
-            return Verdict(GUARANTEED if ok else FAILS, "Thm anaU-L2",
-                           f"(r^p) = ({rr}^{p}) fits in mu/lam: {ok}",
-                           target_component=target, criterion_value=ok,
-                           qualifier="L2 cohomology")
+        if not l2 or _ladder_in_l2_range(lam, mu, p, rr):
+            return Verdict(GUARANTEED if ok else FAILS, "Thm anaU-L2" if l2 else "Thm analogue",
+                           f"(r^p) = ({rr}^{p}) fits in mu/lam: {ok}", target_component=target,
+                           qualifier="L2 cohomology" if l2 else None, criterion_value=ok)
         return Verdict(CONJECTURED, "Conj CU1", f"criterion (r^p) fits: {ok}",
                        target_component=target, criterion_value=ok,
                        qualifier="L2 cohomology")
-    if G.kind == "O" and isinstance(H, Group) and H.kind == "O" and H.p == p:
+    if G.kind == "O" and _is(H, "O") and H.p == p:
         lam, = _component(component, "lam", p, q)
         rr = q - H.q if r is None else r
         if rr < 0:
@@ -222,21 +286,17 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
         if ortho_classify(lam, BoxContext(p, q)) is None:
             raise ValueError(f"{lam} is not orthogonal in {p}x{q}")
         ok = _inscribes(rr, lam, _complement(lam, p, q), p)
-        if _is_ip_column(lam, p):
+        ladder = _is_ip_column(lam, p)
+        if ladder:
             i = lam[0] if lam else 0
-            hyp = 2 * i <= q - rr - 2 and p + q - rr - 2 * i >= 5 and p >= 2 and q >= 2
-            anchor = "Thm anaO-L2" if l2 else "Thm anaO"
-            if hyp:
-                return Verdict(GUARANTEED, anchor,
+            if 2 * i <= q - rr - 2 and p + q - rr - 2 * i >= 5 and p >= 2 and q >= 2:
+                return Verdict(GUARANTEED, "Thm anaO-L2" if l2 else "Thm anaO",
                                f"i <= (q-r-2)/2: {i} <= {(q - rr - 2) / 2}; p+q-r-2i = {p + q - rr - 2 * i} >= 5",
-                               target_component=lam,
-                               qualifier="L2 cohomology" if l2 else None)
-            return Verdict(CONJECTURED, "Conj CanaO",
-                           f"outside the proven range; criterion (r^p) fits: {ok}",
-                           target_component=lam if ok else None, criterion_value=ok)
-        return Verdict(CONJECTURED, "Conj CanaO", f"criterion (r^p) fits: {ok}",
+                               target_component=lam, qualifier="L2 cohomology" if l2 else None)
+        return Verdict(CONJECTURED, "Conj CanaO",
+                       f"{'outside the proven range; ' if ladder else ''}criterion (r^p) fits: {ok}",
                        target_component=lam if ok else None, criterion_value=ok)
-    if G.kind == "U" and isinstance(H, Group) and (H.kind, H.p, H.q) == ("O", p, q):
+    if G.kind == "U" and _is(H, "O", p, q):
         pieces = _component(component, "lam or lam;mu", p, q)
         lam = pieces[0]
         if len(pieces) == 2:
@@ -247,13 +307,10 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
             lam = lam if mu == (q,) * p else _complement(mu, p, q)
         if _is_ip_column(lam, p):
             i = lam[0] if lam else 0
-            hyp = 2 * i <= q - 2 and p + q - 2 * i >= 5 and p >= 2 and q >= 2
-            anchor = "Thm anaUO-L2" if l2 else "Thm anaUO"
-            if hyp:
-                return Verdict(GUARANTEED, anchor,
+            if 2 * i <= q - 2 and p + q - 2 * i >= 5 and p >= 2 and q >= 2:
+                return Verdict(GUARANTEED, "Thm anaUO-L2" if l2 else "Thm anaUO",
                                f"i <= (q-2)/2: {i} <= {(q - 2) / 2}; p+q-2i = {p + q - 2 * i} >= 5",
-                               target_component=lam,
-                               qualifier="L2 cohomology" if l2 else None)
+                               target_component=lam, qualifier="L2 cohomology" if l2 else None)
         is_orth = ortho_classify(lam, BoxContext(p, q)) is not None
         return Verdict(CONJECTURED, "Conj CanaUO",
                        f"criterion lam orthogonal: {is_orth}", criterion_value=is_orth)
@@ -261,24 +318,11 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     return Verdict(NOT_COVERED, "Thm analogue", "no statement covers this component query")
 
 
-def _single_hyperplane(G: Group, H) -> bool:
-    if H is None:
-        return True
-    if isinstance(H, Group) and H.kind == G.kind:
-        n = max(G.p, G.q)
-        return {H.p, H.q} == {2, n - 1}
-    return False
-
-
-def _is_ladder_pair(lam, mu, p, q) -> bool:
-    """(lam, mu) = ((i^p), ((q-j)^p)) for some i, j (empty = i or j extreme)."""
-    return _is_ip_column(lam, p) and _is_ip_column(mu, p)
-
-
-def _ladder_l2_range(lam, mu, p, q, r) -> bool:
-    i = lam[0] if lam else 0
-    j = q - (mu[0] if mu else 0)
-    return i + j <= q - r - 2
+def _ladder_in_l2_range(lam, mu, p, r) -> bool:
+    """(lam, mu) = ((i^p), ((q-j)^p)) with i + j <= q-r-2, i.e. the columns
+    differ by at least r+2 (an empty lam is i = 0, an empty mu j = q)."""
+    return (_is_ip_column(lam, p) and _is_ip_column(mu, p)
+            and (mu[0] if mu else 0) - (lam[0] if lam else 0) >= r + 2)
 
 
 def _is_ip_column(lam: Partition, p: int) -> bool:
@@ -295,43 +339,7 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
     for U, lam for O, inside H's box (see cup_box), else ValueError."""
     p, q = G.p, G.q
     if degree is not None and component is None:
-        k = degree
-        if G.kind == "U" and isinstance(H, Group) and H.kind == "U":
-            if (H.p, H.q) == (p, q - 1):
-                ok = k < q - p - 1
-                return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm upq.2",
-                               f"k < q-p-1: {k} < {q - p - 1}; image degree k+2p = {k + 2 * p}")
-            if (H.p, H.q) == (p - 1, q):
-                ok = k < p - q - 1
-                return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm upq.2",
-                               f"k < p-q-1: {k} < {p - q - 1}; image degree k+2q = {k + 2 * q}")
-            if H.p == p and H.q < q - 1:
-                rr = q - H.q
-                return Verdict(CONJECTURED, "Conj conj2",
-                               f"r = {rr}; conjectural for components; no degree theorem",
-                               criterion_value=None)
-        if G.kind == "O" and isinstance(H, Group) and H.kind == "O":
-            if min(p, q) == 2 and max(p, q) >= 3 and {H.p, H.q} == {2, max(p, q) - 1}:
-                n = max(p, q)
-                ok = k <= n // 2 - 2
-                return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm o2n.2",
-                               f"k <= [n/2]-2: {k} <= {n // 2 - 2}; image degree k+2 = {k + 2}")
-            if p >= 3 and q >= 3 and (H.p, H.q) == (p, q - 1):
-                ok = 2 * k <= q - p - 3
-                return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm opq.2",
-                               f"k <= (q-p-3)/2: {k} <= {(q - p - 3) / 2}; image degree k+p = {k + p}")
-            if p >= 3 and q >= 3 and (H.p, H.q) == (p - 1, q):
-                ok = 2 * k <= p - q - 3
-                return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm opq.2",
-                               f"k <= (p-q-3)/2: {k} <= {(p - q - 3) / 2}; image degree k+q = {k + q}")
-            if H.p == p and H.q < q and p >= 2 and H.q >= 2:
-                rr = q - H.q
-                bound = min(p + H.q + rr - rr * p - 3, (H.q - p * rr) / 2 - 1)
-                ok = k <= bound
-                return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm cup-class-O",
-                               f"k <= min(p+q+r-rp-3, (q-pr)/2-1) = {bound}; image degree k+rp = {k + rr * p}")
-        return Verdict(NOT_COVERED, "Thm upq.2" if G.kind == "U" else "Thm opq.2",
-                       "no theorem covers this cup query")
+        return _degree_verdict("cup", G, H, degree)
     if component is None:
         raise ValueError("need a degree or a component")
     rr, qq = cup_box(G, H, r)
@@ -385,17 +393,7 @@ def cup_classes_verdict(G: Group, k: int, l: int, components=None) -> Verdict:
                                f"k+l <= (q-2)/2: {kk + ll} <= {(q - 2) / 2}; p+q-2(k+l) = {p + q - 2 * (kk + ll)} >= 5",
                                target_component=as_partition(((kk + ll),) * p))
             return Verdict(NOT_COVERED, "Thm cupO", "outside the proven component range")
-    if G.kind == "U":
-        ok = k + l <= q + p - 1
-        return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm cup-u",
-                       f"k+l <= q+p-1: {k + l} <= {q + p - 1}")
-    if min(p, q) == 1:
-        ok = 2 * (k + l) <= max(p, q)
-        return Verdict(CONJECTURED, "Conj cup-hyp", f"criterion k+l <= n/2: {ok}",
-                       criterion_value=ok)
-    ok = k + l <= q + p - 3
-    return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm cup-o",
-                   f"k+l <= q+p-3: {k + l} <= {q + p - 3}")
+    return _degree_verdict("classes", G, None, k + l)
 
 
 class L2CupThresholds(NamedTuple):

@@ -397,9 +397,12 @@ def _chambers(kind: str, p: int, q: int):
 
     The rows come in the order of `_chamber_orders`.  Distinct orders can
     give the same chamber for O, which keeps each first row; the U rows are
-    already distinct."""
+    already distinct.  Raises ValueError unless p, q >= 1: a box with no
+    noncompact root has no Dirac bound."""
     import numpy as np
 
+    if p < 1 or q < 1:
+        raise ValueError("p, q must be >= 1")
     r, s = _shape(kind, p, q)
     x_signs, y_signs = _free_signs(kind, p, q)
     orders = math.comb(r + s, r) * len(x_signs) * len(y_signs)
@@ -442,9 +445,12 @@ def _dirac_max(kind: str, p: int, q: int, chi: Weight) -> Fraction:
     bound = max(map(abs, chi2), default=0) + reach
     if len(chi2) * bound * bound > _INT64_MAX:
         raise ValueError("weight too large for an exact int64 Dirac bound")
-    ints = list(map(int, chi2))
+    try:
+        ints = list(map(int, chi2))
+    except ValueError:  # a NaN entry
+        ints = None
     if ints != chi2:
-        v = next(v for v, n in zip(chi.xs + chi.ys, ints) if 2 * v != n)
+        v = next(v for v, d in zip(chi.xs + chi.ys, chi2) if d != d or d != int(d))
         raise ValueError(f"weight entry {v} does not double to an integer")
     nx = len(chi.xs)
     if kind == "U":
@@ -470,9 +476,9 @@ def dirac_bound(kind: str, p: int, q: int, chi: Weight) -> Fraction:
     with vanishing Casimir; zero exactly at the lowest K-types 2rho(u cap p).
     The chambers are built once per (kind, p, q) from C(r+s, r) orders of
     the torus coordinates times the free signs; raises CapExceededError when
-    those orders exceed WEYL_CAP, and ValueError when an entry of chi does
-    not double to an integer or chi is too large to evaluate exactly in
-    int64.
+    those orders exceed WEYL_CAP, and ValueError when p or q is below 1, an
+    entry of chi does not double to an integer (NaN included) or chi is too
+    large to evaluate exactly in int64.
     """
     r, s = _shape(kind, p, q)
     conv = "U" if kind == "U" else _conv_O(p, q)

@@ -1,17 +1,19 @@
+import collections
+import itertools
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from cohomrep import branching as br
 from cohomrep import lefschetz as lef
+from cohomrep import vz_catalog as vz
 from cohomrep.partitions import BoxContext
 
 from _golden import replay
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "verdict_golden.json"
-
-
 
 
 class TestGolden:
@@ -143,6 +145,16 @@ class TestVerdictHygiene:
         with pytest.raises(ValueError, match=match):
             replay(case)
 
+    @pytest.mark.parametrize("query", [
+        lambda G: lef.restriction_verdict(G, degree=1),
+        lambda G: lef.cup_verdict(G, lef.Group("X", 2, 2), degree=1),
+        lambda G: lef.cup_classes_verdict(G, 1, 1),
+    ])
+    def test_degree_query_on_an_unknown_kind_raises(self, query):
+        # parse_group admits only U and O; a Group built by hand is checked too
+        with pytest.raises(ValueError, match="unknown kind 'X'"):
+            query(lef.Group("X", 2, 3))
+
     @pytest.mark.parametrize("text", ["X:3,4", "O:3", "O:a,b", "U:0,2", "U3,4"])
     def test_bad_group_text_raises(self, text):
         with pytest.raises(ValueError, match="bad group"):
@@ -162,3 +174,135 @@ class TestExplicitPairs:
         G = lef.parse_group("U:2,3")
         pair = (lef.Group("U", 2, 1), lef.Group("U", 1, 3))
         assert lef.restriction_verdict(G, pair, degree=1).status == lef.NOT_COVERED
+
+
+#: one query per anchor of lef.CITATIONS, in replay form ("Thm cohom l2"
+#: comes from l2_cup_threshold)
+ANCHOR_QUERIES = [
+    {"fn": "restriction", "G": "U:2,3", "degree": 1},
+    {"fn": "restriction", "G": "O:3,4", "degree": 1},
+    {"fn": "restriction", "G": "O:2,5", "H": "O:2,4", "degree": 1},
+    {"fn": "restriction", "G": "U:3,4", "H": "O:3,4", "degree": 1},
+    {"fn": "restriction", "G": "U:2,5", "H": "O:2,5", "degree": 1},
+    {"fn": "restriction", "G": "U:2,3", "H": "U:2,2", "component": [[1], [2, 1]]},
+    {"fn": "restriction", "G": "U:2,4", "H": "U:2,3", "component": [[], [4, 4]], "l2": True},
+    {"fn": "restriction", "G": "U:2,4", "H": "U:2,3", "component": [[1], [3, 2]], "l2": True},
+    {"fn": "restriction", "G": "O:3,6", "H": "O:3,5", "component": []},
+    {"fn": "restriction", "G": "O:3,6", "H": "O:3,5", "component": [], "l2": True},
+    {"fn": "restriction", "G": "O:3,6", "H": "O:3,5", "component": [4, 2]},
+    {"fn": "restriction", "G": "U:3,4", "H": "O:3,4", "component": []},
+    {"fn": "restriction", "G": "U:3,4", "H": "O:3,4", "component": [], "l2": True},
+    {"fn": "restriction", "G": "U:3,4", "H": "O:3,4", "component": [[1], [2, 1]]},
+    {"fn": "cup", "G": "U:2,5", "H": "U:2,4", "degree": 1},
+    {"fn": "cup", "G": "U:2,5", "H": "U:2,3", "degree": 1},
+    {"fn": "cup", "G": "O:3,8", "H": "O:3,7", "degree": 1},
+    {"fn": "cup", "G": "O:2,9", "H": "O:2,8", "degree": 1},
+    {"fn": "cup", "G": "O:2,7", "H": "O:2,5", "degree": 1},
+    {"fn": "cup", "G": "O:3,6", "H": "O:3,5", "component": [1]},
+    {"fn": "cup", "G": "O:3,6", "H": "O:3,5", "component": [1], "l2": True},
+    {"fn": "cup", "G": "U:2,4", "H": "U:2,3", "component": [[1], [2, 2]], "l2": True},
+    {"fn": "classes", "G": "U:2,3", "k": 1, "l": 1},
+    {"fn": "classes", "G": "O:1,4", "k": 1, "l": 1},
+    {"fn": "classes", "G": "O:3,4", "k": 1, "l": 1},
+    {"fn": "classes", "G": "O:3,9", "k": 1, "l": 1, "components": [[1, 1, 1], [1, 1, 1]]},
+    {"fn": "modular", "kind": "O", "p": 3, "q": 5, "r": 2},
+    {"fn": "modular", "kind": "U", "p": 2, "q": 4, "r": 2},
+]
+
+
+def _groups_up_to(G):
+    """None, the hyperplane pair and every U/O group in G's box."""
+    yield None
+    yield (lef.Group(G.kind, G.p, G.q - 1), lef.Group(G.kind, G.p - 1, G.q))
+    for kind, p, q in itertools.product("UO", range(1, G.p + 1), range(1, G.q + 1)):
+        yield lef.Group(kind, p, q)
+
+
+class TestTheoremTable:
+    def test_every_citation_is_emitted(self):
+        # a CITATIONS entry that no query emits is dead text
+        emitted = {replay(case).anchor for case in ANCHOR_QUERIES} | {lef.l2_cup_threshold(2, 5, 1).anchor}
+        assert emitted == set(lef.CITATIONS)
+
+    def test_every_degree_row_is_reached_on_both_sides(self):
+        # each row of the table answers some query inside its bound and some
+        # outside it; a row without a bound answers "conjectured" for a
+        # conjecture and "not-covered" for a mode's fallback
+        seen = collections.defaultdict(set)
+        for kind, p, q in itertools.product("UO", range(1, 11), range(1, 11)):
+            G = lef.Group(kind, p, q)
+            queries = [("classes", None, lambda k: lef.cup_classes_verdict(G, k, 0))]
+            for H in _groups_up_to(G):
+                queries += [("restriction", H, lambda k, H=H: lef.restriction_verdict(G, H, degree=k)),
+                            ("cup", H, lambda k, H=H: lef.cup_verdict(G, H, degree=k))]
+            for mode, H, verdict in queries:
+                row = lef._theorem(mode, G, H)
+                for k in range(-2, 22) if row.bound or row.halves else (0,):
+                    v = verdict(k)
+                    assert v.anchor == row.anchor and v.qualifier == row.qualifier, (G, H, k, v)
+                    seen[row].add((v.status, v.criterion_value))
+        for row in lef._THEOREMS:
+            status = lef.CONJECTURED if row.anchor.startswith("Conj") else lef.NOT_COVERED
+            if not (row.bound or row.halves):
+                want = {(status, None)}
+            elif status == lef.CONJECTURED:
+                want = {(status, True), (status, False)}
+            else:
+                want = {(lef.GUARANTEED, None), (lef.NOT_COVERED, None)}
+            assert seen[row] == want, (row.anchor, row.text, seen[row])
+
+    @pytest.mark.parametrize("fn, G, H, kwargs, want", [
+        ("restriction", "U:2,4", "U:2,3", {"component": ((), (4, 4)), "l2": True},
+         ("guaranteed", "Thm anaU-L2", "(r^p) = (1^2) fits in mu/lam: True", ((), (3, 3)), "L2 cohomology", True)),
+        ("restriction", "U:2,4", "U:2,3", {"component": ((1,), (3, 2)), "l2": True},
+         ("conjectured", "Conj CU1", "criterion (r^p) fits: True", ((1,), (2, 1)), "L2 cohomology", True)),
+        ("restriction", "U:3,4", "O:3,4", {"component": ((1,), (2, 1))},
+         ("conjectured", "Conj CanaUO", "criterion lam = 0 or mu full: False", None, None, False)),
+        ("cup", "U:5,2", "U:4,2", {"degree": 1},
+         ("guaranteed", "Thm upq.2", "k < p-q-1: 1 < 2; image degree k+2q = 5", None, None, None)),
+        ("cup", "O:10,3", "O:9,3", {"degree": 2},
+         ("guaranteed", "Thm opq.2", "k <= (p-q-3)/2: 2 <= 2.0; image degree k+q = 5", None, None, None)),
+        ("cup", "U:2,5", "U:2,3", {"degree": 1},
+         ("conjectured", "Conj conj2", "r = 2; conjectural for components; no degree theorem", None, None, None)),
+        ("cup", "U:2,5", "O:2,5", {"degree": 1},
+         ("not-covered", "Thm upq.2", "no theorem covers this cup query", None, None, None)),
+        # the cup-class-O bound prints as min(int, float) does: the int on a tie
+        ("cup", "O:3,6", "O:3,2", {"degree": -6},
+         ("guaranteed", "Thm cup-class-O", "k <= min(p+q+r-rp-3, (q-pr)/2-1) = -6; image degree k+rp = 6",
+          None, None, None)),
+        ("cup", "O:2,7", "O:2,5", {"degree": 0},
+         ("not-covered", "Thm cup-class-O", "k <= min(p+q+r-rp-3, (q-pr)/2-1) = -0.5; image degree k+rp = 4",
+          None, None, None)),
+    ])
+    def test_branches_no_golden_row_pins(self, fn, G, H, kwargs, want):
+        verdict = lef.restriction_verdict if fn == "restriction" else lef.cup_verdict
+        assert tuple(verdict(lef.parse_group(G), lef.parse_group(H), **kwargs)) == want
+
+    def test_cup_class_O_is_decided_on_integers(self):
+        # k <= min(A, (q'-pr)/2 - 1) with A = p+q'+r-rp-3, read as k <= A and
+        # 2(k+1) <= q'-pr, agrees with the rational comparison everywhere
+        for p, q, qh in itertools.product(range(2, 9), range(3, 12), range(2, 11)):
+            G, H = lef.Group("O", p, q), lef.Group("O", p, qh)
+            if qh >= q or lef._theorem("cup", G, H).anchor != "Thm cup-class-O":
+                continue
+            r = q - qh
+            bound = min(p + qh + r - r * p - 3, Fraction(qh - p * r, 2) - 1)
+            for k in range(-2, 20):
+                assert (lef.cup_verdict(G, H, degree=k).status == lef.GUARANTEED) == (k <= bound), (G, H, k)
+
+
+class TestDegreeRowsAgainstCatalog:
+    def test_o2n_guaranteed_degrees_restrict(self):
+        # Thm o2n: restriction O(2,q) -> O(2,q-1) is injective in degree
+        # k <= q-1, so every module of such a degree restricts its lowest
+        # K-type to the hyperplane
+        checked = 0
+        for q in range(3, 8):
+            G, H = lef.Group("O", 2, q), lef.Group("O", 2, q - 1)
+            for mod in vz.catalog("O", 2, q):
+                v = lef.restriction_verdict(G, H, degree=mod.degree)
+                if v.status == lef.GUARANTEED:
+                    assert v.anchor == "Thm o2n"
+                    assert br.restrict_O(mod.lam, BoxContext(2, q), 1)["contains"], (q, mod.label)
+                    checked += 1
+        assert checked == 62

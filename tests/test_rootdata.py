@@ -215,6 +215,23 @@ class TestDirac:
         half = rd.Weight((Fraction(1, 2),), (0,), "U")
         assert rd.dirac_bound("U", 1, 1, half) == ref.dirac_bound("U", 1, 1, half) != want
 
+    def test_nan_entry_does_not_double_to_an_integer(self):
+        with pytest.raises(ValueError, match="weight entry nan does not double to an integer"):
+            rd.dirac_bound("U", 1, 1, rd.Weight((math.nan,), (0,), "U"))
+        with pytest.raises(ValueError, match="weight entry nan "):
+            rd.dirac_bound("O", 2, 3, rd.Weight((0,), (math.nan,), rd._conv_O(2, 3)))
+
+    @pytest.mark.parametrize("kind, p, q, chi", [
+        ("U", 0, 2, rd.Weight((), (0, 0), "U")),
+        ("U", 2, 0, rd.Weight((0, 0), (), "U")),
+        ("O", 0, 2, rd.Weight((), (0,), "O-even-even")),
+        ("O", 3, 0, rd.Weight((0,), (), "O-odd-even")),
+    ])
+    def test_box_without_a_noncompact_root_raises(self, kind, p, q, chi):
+        # U(p,0) and O(0,q) are compact: 0 would read as a catalog K-type
+        with pytest.raises(ValueError, match="p, q must be >= 1"):
+            rd.dirac_bound(kind, p, q, chi)
+
     def test_weight_must_fit_group(self):
         with pytest.raises(ValueError):
             rd.dirac_bound("U", 2, 2, rd.Weight.make([0], [0, 0], "U"))
