@@ -252,17 +252,23 @@ def gl_character(hw, n: int, cap: int = DIM_CAP) -> FormalCharacter:
     """Weight multiplicities of the irreducible GL_n module with highest
     weight hw (weakly decreasing integers, negatives allowed).  Every call
     returns a fresh character, built from the per-process memo."""
-    hw = tuple(int(v) for v in hw)
+    return FormalCharacter("GL", n, _checked_weights(tuple(int(v) for v in hw), n, cap))
+
+
+def _checked_weights(hw: tuple[int, ...], n: int, cap: int) -> dict[tuple[int, ...], int]:
+    """The memo entry _gl_weights(hw, n), read only once hw has length n, is
+    dominant and its module has dimension at most cap.  The entry is shared:
+    callers copy it or only read it."""
     if len(hw) != n:
         raise ValueError(f"highest weight must have length {n}: {hw}")
     if any(hw[i] < hw[i + 1] for i in range(n - 1)):
         raise ValueError(f"not dominant for GL_{n}: {hw}")
     if gl_weyl_dim(hw, n, cap) > cap:
         raise ValueError(f"dimension cap exceeded for {hw}")
-    return FormalCharacter("GL", n, _gl_weights(hw, n))
+    return _gl_weights(hw, n)
 
 
-#: entries kept by each GL-character memo
+#: entries kept by each GL-character and GL-branching memo
 GL_MEMO_SIZE = 4096
 
 
@@ -273,8 +279,8 @@ def _gl_weights(hw: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
     shift = hw[-1] if hw else 0
     out = {}
     for nu, mult in _kostka_numbers(as_partition(tuple(v - shift for v in hw)), n).items():
-        for w in _orbit(pad(nu, n)):
-            out[tuple(v + shift for v in w) if shift else w] = mult
+        for w in _orbit(tuple(v + shift for v in pad(nu, n)) if shift else pad(nu, n)):
+            out[w] = mult
     return out
 
 
@@ -326,7 +332,8 @@ def gl_restrict_drop(char: FormalCharacter, keep: tuple[int, ...]) -> FormalChar
     """Push a character along a coordinate projection (block embedding)."""
     out = FormalCharacter("GL", len(keep))
     for w, m in char.items():
-        out[tuple(w[k] for k in keep)] += m
+        w = tuple(map(w.__getitem__, keep))
+        out[w] = out.get(w, 0) + m
     return out
 
 
@@ -336,9 +343,11 @@ DECOMPOSE_CAP = 10**5
 
 def gl_decompose(char: FormalCharacter) -> Counter:
     """Decompose a nonvirtual GL character into irreducibles by repeatedly
-    peeling the lexicographically greatest weight."""
+    peeling the lexicographically greatest weight.  Each peel reads the
+    weights of that irreducible from the memo, after the checks
+    gl_character makes, and returns a fresh Counter."""
     n = char.rank
-    work = Counter({w: m for w, m in char.items() if m})
+    work = {w: m for w, m in char.items() if m}
     out: Counter = Counter()
     iters = 0
     while work:
@@ -352,9 +361,11 @@ def gl_decompose(char: FormalCharacter) -> Counter:
         if any(top[i] < top[i + 1] for i in range(n - 1)):
             raise ValueError(f"non-dominant leading weight {top}")
         out[top] += mult
-        for w, m in gl_character(top, n).items():
-            work[w] -= mult * m
-            if work[w] == 0:
+        for w, m in _checked_weights(top, n, DIM_CAP).items():
+            left = work.get(w, 0) - mult * m
+            if left:
+                work[w] = left
+            else:
                 del work[w]
     return out
 
@@ -362,9 +373,16 @@ def gl_decompose(char: FormalCharacter) -> Counter:
 def gl_branching_mult(hw_big, n: int, r: int, hw_small) -> int:
     """Multiplicity of the GL_{n-r} module hw_small in the restriction of
     the GL_n module hw_big under the block embedding A -> diag(A, 1_r)."""
-    char = gl_character(hw_big, n)
-    restricted = gl_restrict_drop(char, tuple(range(n - r)))
-    return gl_decompose(restricted).get(tuple(int(v) for v in hw_small), 0)
+    decomposition = _restricted_decomposition(tuple(int(v) for v in hw_big), n, r)
+    return decomposition.get(tuple(int(v) for v in hw_small), 0)
+
+
+@functools.lru_cache(maxsize=GL_MEMO_SIZE)
+def _restricted_decomposition(hw_big: tuple[int, ...], n: int, r: int) -> Counter:
+    """gl_decompose of the GL_n module hw_big restricted to GL_{n-r}, kept
+    for the process: the one Counter is shared, so its readers only look
+    multiplicities up."""
+    return gl_decompose(gl_restrict_drop(gl_character(hw_big, n), tuple(range(n - r))))
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +393,11 @@ def ktype_gl_pair_hw(lam: Partition, mu: Partition, ctx: BoxContext) -> tuple[tu
     """Highest weight of V(lam, mu) as a GL_p x GL_q module, both factors in
     the standard descending convention.  The GL_q part is listed so that its
     first coordinates correspond to the columns dropped by the block
-    embedding GL_{q-r} -> GL_q."""
-    return _gl_pair_hw(as_partition(lam), as_partition(mu), ctx.p, ctx.q)
+    embedding GL_{q-r} -> GL_q.  lam <= mu must fit in the box."""
+    return _gl_pair_hw(*boxed(ctx.p, ctx.q, lam, mu), ctx.p, ctx.q)
 
 
+@functools.lru_cache(maxsize=GL_MEMO_SIZE)
 def _gl_pair_hw(lam: Partition, mu: Partition, p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """ktype_gl_pair_hw for normalized lam, mu, in O(p+q): the GL_p part is
     lam_i + mu_i - q on the first p rows, and the GL_q part, read from column
@@ -402,12 +421,13 @@ def _gl_pair_hw(lam: Partition, mu: Partition, p: int, q: int) -> tuple[tuple[in
 def restrict_U_pair_oracle_mult(lam: Partition, mu: Partition, ctx: BoxContext, r: int,
                                 alpha: Partition, beta: Partition) -> int:
     """Multiplicity of V(alpha, beta) (box p x (q-r)) in the restriction of
-    V(lam, mu) (box p x q) to GL_p x GL_{q-r}, computed from characters."""
+    V(lam, mu) (box p x q) to GL_p x GL_{q-r}, computed from characters.
+    lam <= mu must fit in the big box and alpha <= beta in the small one."""
     p, q = ctx.p, ctx.q
     if not 0 <= r < q:
         raise ValueError(f"r = {r} is outside 0..{q - 1}")
-    a_big, b_big = _gl_pair_hw(as_partition(lam), as_partition(mu), p, q)
-    a_small, b_small = _gl_pair_hw(as_partition(alpha), as_partition(beta), p, q - r)
+    a_big, b_big = _gl_pair_hw(*boxed(p, q, lam, mu), p, q)
+    a_small, b_small = _gl_pair_hw(*boxed(p, q - r, alpha, beta), p, q - r)
     if a_big != a_small:
         return 0
     return gl_branching_mult(b_big, q, r, b_small)

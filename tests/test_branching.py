@@ -213,6 +213,17 @@ class TestCharacterAgainstCells:
             for cp in compatible_by_box[(p, q)]:
                 assert br.ktype_gl_pair_hw(cp.lam, cp.mu, BoxContext(p, q)) == by_conjugates(cp.lam, cp.mu, p, q)
 
+    @pytest.mark.parametrize("weights, rank, match", [
+        ({(1, 0): 1, (0, 1): 1, (0, 0): -1}, 2, r"virtual character: leading weight \(0, 0\)"),
+        ({(0, 1): 1}, 2, "non-dominant leading weight"),
+        ({(1, 0, 0): 1}, 2, "must have length 2"),
+        ({(60, 30, 0, 0): 1}, 4, "dimension cap exceeded"),
+    ], ids=["virtual", "non-dominant", "length", "cap"])
+    def test_decompose_refuses_before_it_peels(self, weights, rank, match):
+        # each peel reads the memo directly, after the checks gl_character makes
+        with pytest.raises(ValueError, match=match):
+            br.gl_decompose(br.FormalCharacter("GL", rank, weights))
+
     def test_oracle_mult_r_range(self):
         with pytest.raises(ValueError, match="outside 0..1"):
             br.restrict_U_pair_oracle_mult((), (2, 2), BoxContext(2, 2), 2, (), ())
@@ -383,7 +394,11 @@ class TestEntryPointsCheckTheBox:
         (lambda: br.kobayashi_admissible("O", 2, 4, 1, (5,)), "does not fit in 2x4"),
         (lambda: br.tensor_contains("O", 0, 2, (1, 1)), "must be >= 1"),
         (lambda: rd.ktype_weight_U((2,), (1,), BoxContext(2, 2)), "is not contained in"),
-    ], ids=["restrict-u", "vanishing-uo", "kobayashi-U", "kobayashi-O", "tensor", "ktype-U"])
+        (lambda: br.ktype_gl_pair_hw((1, 1, 1), (1, 1, 1), BoxContext(2, 2)), "does not fit in 2x2"),
+        (lambda: br.restrict_U_pair_oracle_mult((2,), (1,), BoxContext(1, 2), 1, (), ()), "is not contained in"),
+        (lambda: br.restrict_U_pair_oracle_mult((), (2, 2), BoxContext(2, 2), 1, (), (2,)), "does not fit in 2x1"),
+    ], ids=["restrict-u", "vanishing-uo", "kobayashi-U", "kobayashi-O", "tensor", "ktype-U",
+            "gl-pair-hw", "oracle-big-box", "oracle-small-box"])
     def test_out_of_domain_raises(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
@@ -394,6 +409,63 @@ class TestEntryPointsCheckTheBox:
             br.tensor_contains(kind, 2, 3, params)
 
 
+BRANCHING_MEMOS = (br._count_lr_tableaux, br._gl_weights, br._kostka_numbers, br._gl_pair_hw,
+                   br._restricted_decomposition)
+
+
+def clear_branching_memos():
+    for memo in BRANCHING_MEMOS:
+        memo.cache_clear()
+
+
 def test_memos_are_bounded():
-    for memo in (br._count_lr_tableaux, br._gl_weights, br._kostka_numbers, rd._chambers):
+    assert set(BRANCHING_MEMOS) == {f for f in vars(br).values()
+                                    if hasattr(f, "cache_info") and f.__module__ == br.__name__}
+    for memo in (*BRANCHING_MEMOS, rd._chambers):
         assert memo.cache_info().maxsize is not None, memo.__name__
+
+
+def u_oracle_calls(boxes, compatible_by_box):
+    """The restrict_U_pair_oracle_mult arguments of a verify-sweep oracle
+    box: every pair of the smaller box with the same degree, r = 1."""
+    for p, q in boxes:
+        ctx = BoxContext(p, q)
+        for cp in compatible_by_box[(p, q)]:
+            deg = pt.weight(cp.lam) + pt.weight(pt.complement(cp.mu, p, q))
+            for cp2 in compatible_by_box[(p, q - 1)]:
+                if pt.weight(cp2.lam) + pt.weight(pt.complement(cp2.mu, p, q - 1)) == deg:
+                    yield cp.lam, cp.mu, ctx, 1, cp2.lam, cp2.mu
+
+
+ORACLE_BOXES = [(2, 2), (2, 3), (3, 3)]
+
+
+def test_oracle_answers_the_same_from_cold_and_warm_memos(compatible_by_box):
+    calls = list(u_oracle_calls(ORACLE_BOXES, compatible_by_box))
+    clear_branching_memos()
+    warm = [br.restrict_U_pair_oracle_mult(*call) for call in calls]
+    assert br._restricted_decomposition.cache_info().hits  # some decompositions were reused
+    cold = []
+    for call in calls:
+        clear_branching_memos()
+        cold.append(br.restrict_U_pair_oracle_mult(*call))
+    assert cold == warm
+    assert any(warm)
+
+
+def test_peeling_leaves_the_weight_memo_as_the_cells_count_it(compatible_by_box, monkeypatch):
+    # gl_decompose subtracts each memo entry from its work map without a
+    # copy; every entry the oracle calls read must still be the character
+    memo, read = br._gl_weights, set()
+
+    def recording(hw, n):
+        read.add((hw, n))
+        return memo(hw, n)
+
+    clear_branching_memos()
+    monkeypatch.setattr(br, "_gl_weights", recording)
+    for call in u_oracle_calls(ORACLE_BOXES, compatible_by_box):
+        br.restrict_U_pair_oracle_mult(*call)
+    assert len(read) == memo.cache_info().currsize > 0
+    for hw, n in read:
+        assert memo(hw, n) == gl_character_by_cells(hw, n), hw

@@ -85,7 +85,8 @@ def test_gl_character_oracle_shares_no_code_with_the_fast_route():
     tree = ast.parse((SRC / "branching.py").read_text())
     seen, names = _reached(tree, ["gl_character", "gl_decompose", "gl_branching_mult",
                                   "restrict_U_pair_oracle_mult", "ktype_gl_pair_hw"])
-    assert {"_gl_weights", "_kostka_numbers", "_orbit", "_gl_pair_hw"} <= seen
+    assert {"_gl_weights", "_kostka_numbers", "_orbit", "_gl_pair_hw", "_checked_weights",
+            "_restricted_decomposition"} <= seen
     banned = {"inscribes", "_inscribes", "subtract_rows", "_subtract_rows", "_skew_decompose",
               "skew_decompose", "rootdata", "rd", "ktype_weight_U", "_ktype_weight_U",
               "restrict_U_pair"}
