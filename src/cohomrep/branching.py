@@ -372,9 +372,14 @@ def gl_decompose(char: FormalCharacter) -> Counter:
 
 def gl_branching_mult(hw_big, n: int, r: int, hw_small) -> int:
     """Multiplicity of the GL_{n-r} module hw_small in the restriction of
-    the GL_n module hw_big under the block embedding A -> diag(A, 1_r)."""
-    decomposition = _restricted_decomposition(tuple(int(v) for v in hw_big), n, r)
-    return decomposition.get(tuple(int(v) for v in hw_small), 0)
+    the GL_n module hw_big under the block embedding A -> diag(A, 1_r);
+    0 <= r <= n, and hw_small has n - r entries."""
+    if not 0 <= r <= n:
+        raise ValueError(f"r = {r} is outside 0..{n}")
+    hw_small = tuple(int(v) for v in hw_small)
+    if len(hw_small) != n - r:
+        raise ValueError(f"GL_{n - r} highest weight must have length {n - r}: {hw_small}")
+    return _restricted_decomposition(tuple(int(v) for v in hw_big), n, r).get(hw_small, 0)
 
 
 @functools.lru_cache(maxsize=GL_MEMO_SIZE)

@@ -20,6 +20,8 @@ class Config(NamedTuple):
     def validate(self):
         if self.enum_cap <= 0 or self.mc_samples <= 0 or self.mc_batches <= 0:
             raise ValueError("caps and sample counts must be positive")
+        if not 0 < self.fd_step < float("inf"):
+            raise ValueError(f"fd_step must be finite and > 0: {self.fd_step}")
         if self.format not in ("json", "csv", "md"):
             raise ValueError(f"unknown format {self.format!r}")
         return self
@@ -27,7 +29,8 @@ class Config(NamedTuple):
 
 def load_config(path: str) -> dict:
     """Parse ``key = value`` lines; types inferred from Config defaults.
-    An unreadable file raises ValueError, as a malformed one does."""
+    An unreadable file raises ValueError, as a malformed one does, and a
+    line that does not parse is named as path:lineno."""
     types = {name: type(default) for name, default in Config._field_defaults.items()}
     out = {}
     try:
@@ -44,7 +47,10 @@ def load_config(path: str) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = types[key](val) if types[key] is not str else val
+            try:
+                out[key] = types[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 

@@ -8,11 +8,14 @@ palindromic decomposition and the same no-common-corner condition applied to
 (lam, complement(lam)).  Non-isolated modules have degree bounded below:
 p+q-3 for p,q >= 3, floor(max(p,q)/2) in rank two, and in rank one nothing
 is isolated.
+
+The torus chain of an orthogonal partition is a loop over the level runs
+that `partitions._runs` reads off (lam, complement(lam)); the corner test
+scans the rows of the pair.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import NamedTuple, Optional
 
 from . import rootdata as rd
@@ -21,6 +24,7 @@ from .partitions import (
     CompatiblePair,
     OrthoPartition,
     Partition,
+    _runs,
     as_partition,
     enumerate_orthogonal,
     pad,
@@ -51,53 +55,39 @@ def _torus_chain(orth: OrthoPartition) -> list[tuple[int, str]]:
     descending list of (value, type) with type "x"/"y"; r + s entries, all
     >= 0, equal values marking the skew rectangles and the zero block.
 
-    The level word of the pair (lam, complement(lam)) is a palindrome of
+    The level runs of the pair (lam, complement(lam)) are a palindrome of
     L = p + q - sum(a + b - 1) levels over its rectangles (a x b): level k
     gets the value L - 1 - 2k, symmetric around 0, and the torus values are
-    the levels of the first r rows and first s columns.  The levels are read
-    off the row runs of the pair, row i of the complement being
-    q - lam_{p+1-i}, as `partitions.build_witness_X` reads them.  The values
-    fall level by level, and a level's rows come before its columns, so the
-    walk emits the chain in order and stops once it has r rows and s
-    columns.  Each tie block it meets must be the next rectangle of the
-    partition's palindromic list."""
+    the levels of the first r rows and first s columns.  `partitions._runs`
+    reads the runs, row i of the complement being q - lam_{p+1-i}; their
+    tie blocks must be the partition's palindromic rectangle list.  The
+    values fall level by level, and a level's rows come before its columns,
+    so the loop emits the chain in order and stops once it has r rows and
+    s columns."""
     p, q = orth.ctx.p, orth.ctx.q
     rects = orth.pairs + ((orth.central,) if orth.central else ()) + orth.pairs[::-1]
-    value = p + q - sum(a + b - 1 for a, b in rects) - 1
     lam = pad(orth.lam, p)
+    runs = _runs(lam, map(q.__sub__, reversed(lam)), q)
+    if runs is None or tuple(filter(all, runs)) != rects:
+        raise ValueError(f"rectangles of {orth.lam} in {p}x{q} do not follow the palindrome {rects}: "
+                         f"runs {runs}")
+    value = p + q - sum(a + b - 1 for a, b in rects) - 1
     rows_left, cols_left = p // 2, q // 2
     chain: list[tuple[int, str]] = []
-    j, met = q, 0  # columns right of j are placed; rectangles met so far
-    for (lam_i, mu_i), run in groupby(zip(lam, map(q.__sub__, reversed(lam)))):
+    for a, b in runs:
         if not (rows_left or cols_left):
             break
-        if j > mu_i:  # free columns, one level each
-            take = j - mu_i if j - mu_i < cols_left else cols_left
-            chain += [(v, "y") for v in range(value, value - 2 * take, -2)]
-            cols_left -= take
-            value -= 2 * (j - mu_i)
-            j = mu_i
-        n = len(list(run))
-        if j <= lam_i:  # free rows, one level each
-            take = n if n < rows_left else rows_left
-            chain += [(v, "x") for v in range(value, value - 2 * take, -2)]
-            rows_left -= take
-            value -= 2 * n
-            continue
-        if met == len(rects) or rects[met] != (n, j - lam_i):
-            raise ValueError(f"rectangles of {orth.lam} in {p}x{q} do not follow the palindrome {rects}: "
-                             f"met {(n, j - lam_i)}")
-        met += 1
-        take = n if n < rows_left else rows_left
-        chain += [(value, "x")] * take
-        rows_left -= take
-        take = j - lam_i if j - lam_i < cols_left else cols_left
-        chain += [(value, "y")] * take
-        cols_left -= take
-        value -= 2
-        j = lam_i
-    take = j if j < cols_left else cols_left  # the free columns left of every row
-    chain += [(v, "y") for v in range(value, value - 2 * take, -2)]
+        take_a = a if a < rows_left else rows_left
+        take_b = b if b < cols_left else cols_left
+        rows_left -= take_a
+        cols_left -= take_b
+        if a and b:  # a tie block: one level
+            chain += [(value, "x")] * take_a + [(value, "y")] * take_b
+            value -= 2
+        else:  # free rows or free columns, one level each
+            chain += [(v, "x") for v in range(value, value - 2 * take_a, -2)]
+            chain += [(v, "y") for v in range(value, value - 2 * take_b, -2)]
+            value -= 2 * (a + b)
     if len(chain) != p // 2 + q // 2 or (chain and chain[-1][0] < 0):
         raise ValueError(f"torus chain of {orth.lam} in {p}x{q} is not r + s values >= 0: {chain}")
     return chain

@@ -8,17 +8,17 @@ whose skew diagram is a union of rectangles meeting only at corners -- and
 is itself compatible.  Compatible pairs index the cohomological modules of
 U(p,q), orthogonal partitions those of O(p,q).
 
-A nested pair is compatible when, read top down in runs of rows with equal
-(lam_i, mu_i), every run with lam_i < mu_i (a skew rectangle) has mu_i at
-most the lam of the rectangle run above it.  A compatible pair is also the
-comparison pattern of one dominant torus element, read as a *level word*: the
-merged chain of rows (top down) and columns (right to left), one level per
-free row (1, 0), free column (0, 1) or tie block (a, b), a, b >= 1, whose tie
-blocks are the skew rectangles.  The library builds no word.  The witness
-vector and the O torus chain walk the same row runs as the compatibility
-scan: the columns j > mu_i still unplaced above a run are free columns, then
-the run is one tie block of j - lam_i columns, or free rows when j <= lam_i.
-The enumerations fill one table of the (|lam|, lam, mu, rects) entries of
+A compatible pair is the comparison pattern of one dominant torus element,
+read as a *level word*: the merged chain of rows (top down) and columns
+(right to left), one level per free row (1, 0), free column (0, 1) or tie
+block (a, b), a, b >= 1, whose tie blocks are the skew rectangles.  The
+library builds no word.  One walk, `_runs`, reads the levels off the runs
+of rows with equal (lam_i, mu_i), free rows and free columns merged, and
+returns None when the pair is not nested or not compatible; its tie blocks
+are the rectangles of `skew_decompose` and of `ortho_classify`, which walks
+(lam, complement(lam)) without building the complement, and the witness
+vector and `isolation._torus_chain` are loops over its runs.  The
+enumerations fill one table of the (|lam|, lam, mu, rects) entries of
 every sub-box bottom-up (`_pair_table`), since a word is a first level
 followed by a word of a smaller box.  The word itself is the test oracle
 `level_word` in `tests/_partitions_reference.py`.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import ge
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Partition = tuple[int, ...]
 
@@ -153,10 +153,6 @@ class CompatiblePair(NamedTuple):
     ctx: BoxContext
     rects: tuple[tuple[int, int], ...]
 
-    @property
-    def is_discrete_series(self) -> bool:
-        return self.lam == self.mu
-
 
 class OrthoPartition(NamedTuple):
     """Orthogonal partition with the palindromic decomposition of the skew
@@ -215,20 +211,35 @@ def skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[t
     return _skew_decompose(*boxed(ctx.p, ctx.q, lam, mu), ctx)
 
 
+def _runs(lam_rows: Iterable[int], mu_rows: Iterable[int], q: int) -> Optional[list[Level]]:
+    """The level runs of the pair with these rows, top down, or None when
+    the pair is not nested or not compatible.  A run is (0, c), c free
+    columns; (n, 0), n free rows; or (a, b), a, b >= 1, a tie block.
+
+    One `groupby` pass over the runs of rows with equal (lam_i, mu_i): the
+    columns j > mu_i still unplaced above a run are free columns, then the
+    run is free rows when lam_i = mu_i and else one tie block of the columns
+    down to lam_i + 1.  A row with mu_i > j would share an edge with the
+    tie block above it.  The columns left of every row end the walk."""
+    runs = []
+    j = q  # columns right of j are placed
+    for (lam_i, mu_i), rows in groupby(zip(lam_rows, mu_rows)):
+        if lam_i > mu_i or mu_i > j:
+            return None
+        if j > mu_i:
+            runs.append((0, j - mu_i))
+        runs.append((len(list(rows)), mu_i - lam_i))
+        j = lam_i
+    if j:
+        runs.append((0, j))
+    return runs
+
+
 def _skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[tuple[Level, ...]]:
-    # lam <= mu: a run of equal (lam_i, mu_i) rows with lam_i < mu_i is the
-    # rectangle (rows, mu_i - lam_i); it shares an edge with the rectangle
-    # above unless mu_i <= that rectangle's lam.  Below a free row mu is at
-    # most that row's lam, so free rows need no test.
-    rects = []
-    top = ctx.q
-    for (lam_i, mu_i), rows in groupby(zip(lam + (0,) * (len(mu) - len(lam)), mu)):
-        if lam_i < mu_i:
-            if mu_i > top:
-                return None
-            rects.append((len(list(rows)), mu_i - lam_i))
-            top = lam_i
-    return tuple(rects)
+    # the tie blocks of the walk over the rows of mu, lam padded to them: the
+    # runs with both entries nonzero
+    runs = _runs(lam + (0,) * (len(mu) - len(lam)), mu, ctx.q)
+    return None if runs is None else tuple(filter(all, runs))
 
 
 def compatible_pair(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[CompatiblePair]:
@@ -246,29 +257,23 @@ def build_witness_X(cp: CompatiblePair) -> tuple[tuple[int, ...], tuple[int, ...
     whose strict/weak comparison pattern realizes (lam, mu):
     x_i > y_j exactly on lam, x_i >= y_j exactly on mu.
 
-    Level k of the pair's level word, counted from 0 at the top, gives its
-    rows and columns the value p + q - k; the levels are read off the row
-    runs of (lam, mu), one `groupby` pass as in `_skew_decompose`.
+    Level k of the pair, counted from 0 at the top, gives its rows and
+    columns the value p + q - k: a tie block is one level, a free row or
+    column one level each, as `_runs` reads them off the row runs.
     """
     p, q = cp.ctx.p, cp.ctx.q
     xs: list[int] = []
     ys: list[int] = []  # y_q first
-    value, j = p + q, q  # columns right of j are placed
-    for (lam_i, mu_i), rows in groupby(zip(pad(cp.lam, p), pad(cp.mu, p))):
-        n = len(list(rows))
-        if j > mu_i:  # free columns, one level each
-            ys += range(value, value - (j - mu_i), -1)
-            value -= j - mu_i
-            j = mu_i
-        if j <= lam_i:  # free rows, one level each
-            xs += range(value, value - n, -1)
-            value -= n
-        else:  # one tie block: the run and the columns down to lam_i + 1
-            xs += [value] * n
-            ys += [value] * (j - lam_i)
+    value = p + q
+    for a, b in _runs(pad(cp.lam, p), pad(cp.mu, p), q):
+        if a and b:
+            xs += [value] * a
+            ys += [value] * b
             value -= 1
-            j = lam_i
-    ys += range(value, value - j, -1)
+        else:
+            xs += range(value, value - a, -1)
+            ys += range(value, value - b, -1)
+            value -= a + b
     return tuple(xs), tuple(reversed(ys))
 
 
@@ -321,10 +326,8 @@ def ortho_classify(lam: Partition, ctx: BoxContext) -> Optional[OrthoPartition]:
     """
     p, q = ctx.p, ctx.q
     lam, _ = boxed(p, q, lam)
-    lam_hat = _complement(lam, p, q)
-    if not _contains(lam_hat, lam):
-        return None
-    rects = _skew_decompose(lam, lam_hat, ctx)
+    rows = pad(lam, p)  # row i of complement(lam) is q - lam_{p+1-i}
+    rects = _skew_decompose(rows, tuple(map(q.__sub__, reversed(rows))), ctx)
     if rects is None:
         return None
     if rects != rects[::-1]:

@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 from operator import add, mul, neg, sub
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .partitions import (
     BoxContext,
@@ -53,12 +53,6 @@ class Weight(NamedTuple):
     ys: tuple[int, ...]
     conv: str  # "U" | "O-even-even" | "O-even-odd" | "O-odd-even" | "O-odd-odd"
 
-    @staticmethod
-    def make(xs: Sequence, ys: Sequence, conv: str) -> "Weight":
-        """The weight with integer entries xs, ys; raises ValueError on an
-        entry that is not an integer."""
-        return Weight(_integers(xs), _integers(ys), conv)
-
     def __add__(self, other: "Weight") -> "Weight":
         self._check_conv(other)
         return Weight(tuple(a + b for a, b in zip(self.xs, other.xs)),
@@ -72,37 +66,6 @@ class Weight(NamedTuple):
     def _check_conv(self, other: "Weight") -> None:
         if self.conv != other.conv:
             raise ValueError(f"weights in different coordinates: {self.conv} and {other.conv}")
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.xs) and all(v == 0 for v in self.ys)
-
-    def is_dominant(self) -> bool:
-        """Dominance for the fixed compact positive system: x descending and
-        y ascending; for O the last x (resp. first y) enters through its
-        absolute value when p (resp. q) is even, and must be >= 0 when odd."""
-        xs, ys = self.xs, self.ys
-        if self.conv == "U":
-            return all(a >= b for a, b in zip(xs, xs[1:])) and all(a <= b for a, b in zip(ys, ys[1:]))
-        _, p_par, q_par = self.conv.split("-")
-        x_ok = all(xs[i] >= xs[i + 1] for i in range(len(xs) - 2))
-        if len(xs) >= 2:
-            x_ok = x_ok and xs[-2] >= abs(xs[-1])
-        if p_par == "odd" and xs:
-            x_ok = x_ok and xs[-1] >= 0
-        y_ok = all(ys[i] <= ys[i + 1] for i in range(1, len(ys) - 1))
-        if len(ys) >= 2:
-            y_ok = y_ok and ys[1] >= abs(ys[0])
-        if q_par == "odd" and ys:
-            y_ok = y_ok and ys[0] >= 0
-        return x_ok and y_ok
-
-
-def _integers(vals: Sequence) -> tuple[int, ...]:
-    out = tuple(int(v) for v in vals)
-    for v, n in zip(vals, out):
-        if v != n:
-            raise ValueError(f"weight entry {v} is not an integer")
-    return out
 
 
 class RootSystemData(NamedTuple):

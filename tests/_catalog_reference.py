@@ -11,12 +11,48 @@ None shares code with the route it checks:
 - `brute_count_O` counts the distinct u cap p realized by dominant torus
   elements on a small level grid, independent of the partition and sign
   classification `vz_catalog.catalog("O", ...)` enumerates.
+
+`integer_weight` builds a `Weight` from integer entries and refuses any
+other, and `is_dominant` tests a weight against the fixed compact positive
+system: the tests build and check the weights of the live code with them.
 """
 
 from itertools import product
 
 from cohomrep.partitions import BoxContext, as_partition, complement, part
 from cohomrep.rootdata import Weight
+
+
+def integer_weight(xs, ys, conv: str) -> Weight:
+    """The weight with integer entries xs, ys; raises ValueError on an entry
+    that is not an integer."""
+    ints = tuple(int(v) for v in xs), tuple(int(v) for v in ys)
+    for vals, out in zip((xs, ys), ints):
+        for v, n in zip(vals, out):
+            if v != n:
+                raise ValueError(f"weight entry {v} is not an integer")
+    return Weight(*ints, conv)
+
+
+def is_dominant(w: Weight) -> bool:
+    """Dominance for the fixed compact positive system: x descending and
+    y ascending; for O the last x (resp. first y) enters through its
+    absolute value when p (resp. q) is even, and must be >= 0 when odd."""
+    xs, ys = w.xs, w.ys
+    if w.conv == "U":
+        return all(a >= b for a, b in zip(xs, xs[1:])) and all(a <= b for a, b in zip(ys, ys[1:]))
+    _, p_par, q_par = w.conv.split("-")
+    x_ok = all(xs[i] >= xs[i + 1] for i in range(len(xs) - 2))
+    if len(xs) >= 2:
+        x_ok = x_ok and xs[-2] >= abs(xs[-1])
+    if p_par == "odd" and xs:
+        x_ok = x_ok and xs[-1] >= 0
+    y_ok = all(ys[i] <= ys[i + 1] for i in range(1, len(ys) - 1))
+    if len(ys) >= 2:
+        y_ok = y_ok and ys[1] >= abs(ys[0])
+    if q_par == "odd" and ys:
+        y_ok = y_ok and ys[0] >= 0
+    return x_ok and y_ok
 
 
 def ktype_box_sum_U(lam, mu, ctx: BoxContext) -> Weight:
@@ -32,7 +68,7 @@ def ktype_box_sum_U(lam, mu, ctx: BoxContext) -> Weight:
         for j in range(1, part(mu_hat, i) + 1):
             xs[p - i] -= 1
             ys[q - j] += 1
-    return Weight.make(xs, ys, "U")
+    return integer_weight(xs, ys, "U")
 
 
 def _basis_weights_p(p, sign1):
@@ -76,7 +112,7 @@ def ktype_box_sum_O(orth, sign1=None, sign2=None) -> Weight:
             if cb:
                 ys[b - 1] += cb
     conv = f"O-{('even', 'odd')[p % 2]}-{('even', 'odd')[q % 2]}"
-    return Weight.make(xs, ys, conv)
+    return integer_weight(xs, ys, conv)
 
 
 def brute_count_O(p: int, q: int) -> int:

@@ -1,16 +1,20 @@
 """Test-only oracles for compatible-pair and orthogonal enumeration.
 
-The library decides compatibility in one scan of a pair's row runs, builds
-both enumerations from a bottom-up table of sub-box pairs, and reads the
-witness vector and the O torus chain off the row runs as well.  This module
-keeps the level word they replaced (`level_word`) and two former routes
-built on it.  The first is the level-word round trip: a nested pair is
-compatible iff its level word reads back as the pair, and the tie blocks of
-the word are its rectangles; `all_pairs_compatible` applies it to all
-C(p+q, p)^2 pairs of partitions in the box.  The second is the recursive
-walk over the level words themselves, each word read back into its pair.
-`witness_by_word` gives level k of the word the value p + q - k, as
-`partitions.build_witness_X` did from the word.
+The library reads a pair's levels off its row runs in one walk
+(`partitions._runs`), behind the compatibility test, the orthogonal
+classifier, the witness vector and the O torus chain, and builds both
+enumerations from a bottom-up table of sub-box pairs.  This module keeps
+the level word the walk replaced (`level_word`) and the former routes built
+on it.  The first is the level-word round trip: a nested pair is compatible
+iff its level word reads back as the pair, and the tie blocks of the word
+are its rectangles; `all_pairs_compatible` applies it to all C(p+q, p)^2
+pairs of partitions in the box, and `ortho_classify_by_complement` to the
+pair (lam, complement(lam)), built as a partition.  `merged_word` is the
+word with consecutive free rows and free columns merged, which the walk
+returns.  The second is the recursive walk over the level words
+themselves, each word read back into its pair.  `witness_by_word` gives
+level k of the word the value p + q - k, as `partitions.build_witness_X`
+did from the word.
 
 It also keeps the former forms of two O-path helpers, as oracles:
 `even_type_by_conjugate` reads the column corner of an even orthogonal
@@ -22,7 +26,7 @@ first levels.
 
 import itertools
 
-from cohomrep.partitions import (BoxContext, CompatiblePair, OrthoPartition, _is_level, _orthogonal,
+from cohomrep.partitions import (BoxContext, CompatiblePair, OrthoPartition, _is_level, _orthogonal, as_partition,
                                  complement, conjugate, contains, pad, part, partitions_in_box, weight)
 
 
@@ -87,6 +91,35 @@ def round_trip_rects(lam, mu, p, q):
     its level word does not read back as the pair."""
     word = level_word(lam, mu, p, q)
     return word_rects(word) if pair_of_word(word, q) == (lam, mu) else None
+
+
+def merged_word(word):
+    """The level word with each stretch of consecutive free rows, and of
+    consecutive free columns, merged into one (n, 0) or (0, c) entry."""
+    out = []
+    for a, b in word:
+        if out and not (a and b) and not (out[-1][0] and out[-1][1]) and bool(a) == bool(out[-1][0]):
+            out[-1] = (out[-1][0] + a, out[-1][1] + b)
+        else:
+            out.append((a, b))
+    return out
+
+
+def ortho_classify_by_complement(lam, ctx: BoxContext):
+    """The orthogonal partition lam of the box, or None: complement(lam) is
+    built, it must contain lam, and the level word of the pair must read
+    back as it, with a palindrome of tie blocks."""
+    p, q = ctx.p, ctx.q
+    lam = as_partition(lam)
+    lam_hat = complement(lam, p, q)
+    if not contains(lam_hat, lam):
+        return None
+    rects = round_trip_rects(lam, lam_hat, p, q)
+    if rects is None:
+        return None
+    if rects != rects[::-1]:
+        raise ValueError(f"rectangles of {lam} in {p}x{q} are not a palindrome: {rects}")
+    return _orthogonal(lam, rects, ctx)
 
 
 def all_pairs_compatible(ctx: BoxContext) -> list:

@@ -228,6 +228,25 @@ class TestCharacterAgainstCells:
         with pytest.raises(ValueError, match="outside 0..1"):
             br.restrict_U_pair_oracle_mult((), (2, 2), BoxContext(2, 2), 2, (), ())
 
+    @pytest.mark.parametrize("r, hw_small, match", [
+        (3, (), r"^r = 3 is outside 0\.\.2$"),
+        (-1, (1, 0, 0), r"^r = -1 is outside 0\.\.2$"),
+        (1, (1, 0), r"^GL_1 highest weight must have length 1: \(1, 0\)$"),
+        (0, (1,), r"^GL_2 highest weight must have length 2: \(1,\)$"),
+    ])
+    def test_branching_mult_checks_r_and_the_small_weight(self, r, hw_small, match):
+        # r = 3 used to read the whole module as the GL_0 trivial one, and r = -1
+        # to end in an IndexError
+        with pytest.raises(ValueError, match=match):
+            br.gl_branching_mult((1, 0), 2, r, hw_small)
+
+    def test_branching_mult_at_the_ends_of_the_range(self):
+        assert br.gl_branching_mult((1, 0), 2, 0, (1, 0)) == 1
+        assert br.gl_branching_mult((1, 0), 2, 0, (0, 1)) == 0
+        assert br.gl_branching_mult((1, 0), 2, 2, ()) == 2
+        assert br.gl_branching_mult((1, 0), 2, 1, (1,)) == 1
+        assert br.gl_branching_mult((1, 0), 2, 1, (0,)) == 1
+
 
 class TestRestrictU:
     def test_full_rectangle(self):

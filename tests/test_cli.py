@@ -406,6 +406,10 @@ class TestDeterminism:
         assert a == b and a
 
 
+HESSIAN = ["geometry", "hessian", "--p", "2", "--q", "2", "--points", "5"]
+CATALOG = ["catalog", "--kind", "U", "--p", "1", "--q", "1"]
+
+
 class TestConfig:
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = tmp_path / "cohomrep.conf"
@@ -430,6 +434,23 @@ class TestConfig:
         proc = run("catalog", "--kind", "U", "--p", "1", "--q", "1",
                    "--config", str(cfg), check=False)
         assert proc.returncode == 64
+
+
+    @pytest.mark.parametrize("line, argv, want", [
+        ("fd_step = 0", HESSIAN, "fd_step must be finite and > 0: 0.0"),
+        ("fd_step = -1e-4", HESSIAN, "fd_step must be finite and > 0: -0.0001"),
+        ("fd_step = nan", HESSIAN, "fd_step must be finite and > 0: nan"),
+        ("fd_step = inf", HESSIAN, "fd_step must be finite and > 0: inf"),
+        ("mc_samples = abc", CATALOG, "{cfg}:2: mc_samples: invalid literal for int() with base 10: 'abc'"),
+        ("fd_step = small", CATALOG, "{cfg}:2: fd_step: could not convert string to float: 'small'"),
+    ])
+    def test_bad_config_value_is_one_usage_line(self, tmp_path, line, argv, want):
+        # a value that does not parse names its file and line; an fd_step
+        # that is not finite and positive is refused before any command runs
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text(f"# values\n{line}\n")
+        proc = run(*argv, "--config", str(cfg), check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (64, "", want.format(cfg=cfg) + "\n")
 
 
 # Argument pools for the generated-argv contract.  None leaves the flag out

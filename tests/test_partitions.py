@@ -11,8 +11,8 @@ from cohomrep import partitions as pt
 from cohomrep.partitions import BoxContext
 
 from _partitions_reference import (all_pairs_compatible, compatible_by_words, even_type_by_conjugate,
-                                   level_words, orthogonal_by_words, pair_of_word, round_trip_rects,
-                                   witness_by_word)
+                                   level_word, level_words, merged_word, ortho_classify_by_complement,
+                                   orthogonal_by_words, pair_of_word, round_trip_rects, witness_by_word)
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -154,6 +154,30 @@ class TestSkewDecompose:
                     assert pt.skew_decompose(lam, mu, ctx) == expected, (p, q, lam, mu)
 
 
+class TestRuns:
+    def test_worked_examples(self):
+        # (2, 1) inside (3, 2) in 3 x 4: a free column, the tie blocks of row 1
+        # with column 3 and of row 2 with column 2, a free column, a free row
+        assert pt._runs((2, 1, 0), (3, 2, 0), 4) == [(0, 1), (1, 1), (1, 1), (0, 1), (1, 0)]
+        assert pt._runs((), (), 3) == [(0, 3)]
+        assert pt._runs((2, 2), (2, 2), 2) == [(2, 0), (0, 2)]
+        assert pt._runs((1, 0), (2, 2), 2) is None  # the second block shares an edge with the first
+        assert pt._runs((2, 0), (1, 0), 2) is None  # not nested
+
+    def test_equals_the_merged_level_word(self):
+        # every pair of partitions: the walk is the pair's level word with its
+        # free rows and free columns merged, and None exactly where the word
+        # does not read back as the pair or the pair is not nested
+        for p, q in itertools.product(range(1, 6), repeat=2):
+            parts = list(pt.partitions_in_box(p, q))
+            for lam, mu in itertools.product(parts, parts):
+                runs = pt._runs(pt.pad(lam, p), pt.pad(mu, p), q)
+                if not pt.contains(mu, lam) or round_trip_rects(lam, mu, p, q) is None:
+                    assert runs is None, (p, q, lam, mu)
+                else:
+                    assert runs == merged_word(level_word(lam, mu, p, q)), (p, q, lam, mu)
+
+
 class TestWitness:
     def test_round_trip_everywhere(self, compatible_by_box):
         for (p, q), pairs in compatible_by_box.items():
@@ -226,6 +250,18 @@ class TestOrtho:
         o = pt.ortho_classify((2, 1), BoxContext(2, 3))
         assert o is not None and o.parity == "even" and o.rect_count == 0
         assert pt.ortho_classify((1,), BoxContext(2, 3)) is None
+
+    def test_classify_matches_the_complement_oracle(self):
+        # every partition of every box the default cap admits, orthogonal or not
+        found = 0
+        for p in range(1, 43):
+            for q in range(1, 42 // p + 1):
+                ctx = BoxContext(p, q)
+                for lam in pt.partitions_in_box(p, q):
+                    o = pt.ortho_classify(lam, ctx)
+                    assert o == ortho_classify_by_complement(lam, ctx), (p, q, lam)
+                    found += o is not None
+        assert found == 5939
 
     def test_enumeration_matches_classify_scan(self, orthogonal_by_box):
         for (p, q), orths in orthogonal_by_box.items():
@@ -337,9 +373,15 @@ class TestOptimizedMode:
         # python -O strips bare asserts; the partition-path invariants raise
         src = pathlib.Path(pt.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
+        # hand-built orthogonal partitions: (1,) against (3, 2) in 2 x 3 is not
+        # compatible, (1,) against () in 1 x 1 is not nested, and () in 3 x 4
+        # has the central rectangle (3, 4), not the empty list
         code = ("from cohomrep import isolation as iso, partitions as pt\n"
-                "fake = pt.OrthoPartition((1,), pt.BoxContext(2, 3), (), None, 'even', 1)\n"
-                "for call in (lambda: pt._even_type((), 3, 3), lambda: iso._torus_chain(fake)):\n"
+                "fakes = [pt.OrthoPartition((1,), pt.BoxContext(2, 3), (), None, 'even', 1),\n"
+                "         pt.OrthoPartition((1,), pt.BoxContext(1, 1), (), None, 'even', 1),\n"
+                "         pt.OrthoPartition((), pt.BoxContext(3, 4), (), None, 'even', 1)]\n"
+                "calls = [lambda: pt._even_type((), 3, 3)] + [lambda f=f: iso._torus_chain(f) for f in fakes]\n"
+                "for call in calls:\n"
                 "    try:\n"
                 "        call()\n"
                 "    except ValueError as exc:\n"
@@ -347,5 +389,6 @@ class TestOptimizedMode:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 2
-        assert "odd x odd" in lines[0] and "do not follow the palindrome" in lines[1]
+        assert len(lines) == 4
+        assert "odd x odd" in lines[0]
+        assert all("do not follow the palindrome" in line for line in lines[1:]), lines

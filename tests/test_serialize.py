@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _catalog_reference import integer_weight
 from cohomrep import serialize as ser
 from cohomrep import vz_catalog as vz
-from cohomrep.rootdata import Weight
 
 
 def test_weight_half_integers():
     with pytest.raises(ValueError, match="not an integer"):
-        Weight.make([Fraction(3, 2)], [-1, 1], "U")
-    w = Weight.make([Fraction(3)], [-1, 0], "U")
+        integer_weight([Fraction(3, 2)], [-1, 1], "U")
+    w = integer_weight([Fraction(3)], [-1, 0], "U")
     doc = ser.weight_to_json(w)
     assert doc == {"xs": [3], "ys": [-1, 0], "conv": "U"}
     assert json.dumps(doc) == '{"xs": [3], "ys": [-1, 0], "conv": "U"}'

@@ -160,7 +160,7 @@ def test_compatibility_scan_stays_independent_of_the_level_word_oracle():
     # no library module defines or names it
     tree = ast.parse((SRC / "partitions.py").read_text())
     seen, _ = _reached(tree, ["compatible_pair", "skew_decompose", "_skew_decompose", "ortho_classify"])
-    assert {"boxed", "_skew_decompose", "_orthogonal"} <= seen
+    assert {"boxed", "_skew_decompose", "_runs", "_orthogonal"} <= seen
     word = {"_level_word", "level_word", "_pair_of_word", "pair_of_word"}
     found = {f"{path.name}:{getattr(node, 'name', None) or getattr(node, 'id', None) or node.attr}"
              for path in sorted(SRC.glob("*.py"))
@@ -170,6 +170,27 @@ def test_compatibility_scan_stays_independent_of_the_level_word_oracle():
              or (isinstance(node, ast.Attribute) and node.attr in word)
              or (isinstance(node, ast.alias) and node.name in word)}
     assert not found, sorted(found)
+
+
+def test_row_runs_are_read_in_one_walk():
+    # compatibility, the orthogonal classifier, the witness and the torus
+    # chain all read a pair's levels off partitions._runs: no other function
+    # groups rows into runs, and only partitions imports groupby
+    sites, imports = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+                if ((isinstance(child, ast.Name) and child.id == "groupby")
+                        or (isinstance(child, ast.Attribute) and child.attr == "groupby")):
+                    sites.add(f"{path.stem}.{'.'.join(scope)}")
+                if isinstance(child, ast.alias) and child.name == "groupby":
+                    imports.add(path.stem)
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), ())
+    assert sites == {"partitions._runs"}, sorted(sites)
+    assert imports == {"partitions"}, sorted(imports)
 
 
 def test_o_ktype_oracle_uses_only_the_weight_record_of_rootdata():
@@ -208,6 +229,12 @@ def test_o_catalog_path_builds_no_conjugate_and_no_eigenbasis():
               for node in ast.walk(chain) if isinstance(node, ast.Call)}
     banned = {"sort", "sorted", "min", "max", "_complement", "complement"}
     assert not called & banned, sorted(called & banned)
+    # the classifier walks (lam, q - lam_{p+1-i}) too, and the walk tests nesting
+    (classify,) = [node for node in merged.body if getattr(node, "name", None) == "ortho_classify"]
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(classify) if isinstance(node, ast.Call)}
+    banned = {"_complement", "complement", "_contains", "contains"}
+    assert not called & banned, sorted(called & banned)
 
 
 def test_o_label_marks_come_from_one_table():
@@ -238,17 +265,26 @@ def test_every_public_function_is_reached():
     # the library holds what a command, a script, a workload or an
     # acceptance test runs: start from their names and from what each
     # library module runs on import, follow every module-level function and
-    # class those names reach, and find every public function left over
+    # class those names reach, and find every public function left over.  A
+    # public method or property of a class is reached by its name, the rest
+    # of the class with the class
     roots = [SRC / "cli.py", SRC / "__main__.py", *sorted((ROOT / "scripts").glob("*.py")),
              *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
     todo = [name for path in roots for name in _references(ast.parse(path.read_text(), filename=str(path)))]
-    defs, public = {}, set()
+    defs, public = {}, {}  # public: label -> the name that reaches it
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
                 defs.setdefault(node.name, []).append(node)
-                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                    public.add(node.name)
+                if not node.name.startswith("_"):
+                    public[node.name] = node.name
+            elif isinstance(node, ast.ClassDef):
+                members = [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+                for m in members:
+                    defs.setdefault(m.name, []).append(m)
+                    public[f"{node.name}.{m.name}"] = m.name
+                defs.setdefault(node.name, []).extend(
+                    [*node.bases, *node.keywords, *node.decorator_list, *(m for m in node.body if m not in members)])
             else:
                 todo += _references(node)
     seen = set()
@@ -259,6 +295,6 @@ def test_every_public_function_is_reached():
             todo += [ref for node in defs.get(name, ()) for ref in _references(node)]
     # an allowed name that gains a consumer, or is deleted, leaves the list
     assert not ORPHAN_ALLOWLIST.keys() & seen, sorted(ORPHAN_ALLOWLIST.keys() & seen)
-    assert ORPHAN_ALLOWLIST.keys() <= public
-    orphans = public - seen - ORPHAN_ALLOWLIST.keys()
+    assert ORPHAN_ALLOWLIST.keys() <= public.keys()
+    orphans = {label for label, name in public.items() if name not in seen} - ORPHAN_ALLOWLIST.keys()
     assert not orphans, sorted(orphans)
