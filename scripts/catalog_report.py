@@ -6,9 +6,9 @@ import argparse
 from collections import Counter
 
 from cohomrep import isolation as iso
-from cohomrep import partitions as pt
 from cohomrep import vz_catalog as vz
-from cohomrep.partitions import BoxContext
+
+IS_ISOLATED = {"U": iso.is_isolated_U, "O": iso.is_isolated_O}
 
 
 def main():
@@ -21,14 +21,13 @@ def main():
         for q in range(1, args.max_pq + 1):
             if p * q > args.max_pq:
                 continue
-            ctx = BoxContext(p, q)
             for kind in ("U", "O"):
                 mods = vz.catalog(kind, p, q)
                 hist = dict(sorted(Counter(m.degree for m in mods).items()))
-                if kind == "U":
-                    isolated = sum(iso.is_isolated_U(pt.compatible_pair(m.lam, m.mu, ctx)) for m in mods)
-                else:
-                    isolated = sum(iso.is_isolated_O(pt.ortho_classify(m.lam, ctx)) for m in mods)
+                # the sign variants of an O partition share its pair, so each
+                # pair is tested once and counts once per module
+                modules_of = Counter(m.pair for m in mods)
+                isolated = sum(n for pair, n in modules_of.items() if IS_ISOLATED[kind](pair))
                 print(f"  {kind}({p},{q}) {len(mods):>8} {isolated:>9}  {hist}")
 
 

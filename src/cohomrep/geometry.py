@@ -229,7 +229,7 @@ def mc_verify_integral(s: float, p: int, n: int, samples: int, seed: int, batche
     on [-1,1]^{n x p}, acceptance tZ Z < 1, estimating int A^{s/2}.
     Deterministic for fixed (seed, batches); reports the 3-sigma interval.
     Raises ValueError when the closed form underflows a float, since the
-    relative error is then undefined.
+    relative error is then undefined, and when batches < 1.
 
     Each batch is eliminated in blocks of `MC_BLOCK` samples.  Acceptance
     comes from the elimination pivots, and A^{s/2} is computed for the
@@ -239,24 +239,30 @@ def mc_verify_integral(s: float, p: int, n: int, samples: int, seed: int, batche
     are its hit count, with no log or exp.  Every step is elementwise per
     sample, so the result is the float the whole-batch kernel that took
     every log returns."""
+    if batches < 1:
+        raise ValueError(f"batches must be >= 1, got {batches}")
     closed = gamma_integral_X(s, p, n)
     if closed == 0.0:
         raise ValueError("the closed form underflows a float")
     box_volume = 2.0 ** (n * p)
-    seeds = np.random.SeedSequence(seed).spawn(batches)
-    per = [samples // batches] * batches
-    per[-1] += samples - sum(per)
+    root = np.random.SeedSequence(seed)
+    per = samples // batches
+    last = samples - per * (batches - 1)
     sums, sqsums, accepted = [], [], 0
-    for k in range(batches):
-        rng = np.random.default_rng(seeds[k])
-        Z = rng.uniform(-1.0, 1.0, size=(per[k], n, p))
-        starts = range(0, per[k], MC_BLOCK)
+    # batch k draws from the k-th child `root.spawn` would make; with fewer
+    # samples than batches only the last batch has any, so only it is drawn
+    for k in range(0 if per else batches - 1, batches):
+        size = per if k < batches - 1 else last
+        rng = np.random.default_rng(np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (k,), pool_size=root.pool_size))
+        Z = rng.uniform(-1.0, 1.0, size=(size, n, p))
+        starts = range(0, size, MC_BLOCK)
         if s == 0:
             hits = sum(int(np.count_nonzero(_ball_pivots(Z[i:i + MC_BLOCK])[0])) for i in starts)
             sums.append(float(hits))
             sqsums.append(float(hits))
         else:
-            vals, hits = np.zeros(per[k]), 0
+            vals, hits = np.zeros(size), 0
             for i in starts:
                 ok, log_A = _ball_log_A(Z[i:i + MC_BLOCK])
                 vals[i:i + MC_BLOCK][ok] = np.exp(0.5 * s * log_A)

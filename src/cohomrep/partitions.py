@@ -125,7 +125,9 @@ def _conjugate(lam: Partition) -> Partition:
 
 
 def _complement(lam: Partition, p: int, q: int) -> Partition:
-    return tuple(q - v for v in reversed(pad(lam, p)) if v < q)
+    # lam's p - len(lam) empty rows become full rows, which have no box when q = 0
+    full = (q,) * (p - len(lam)) if q > 0 else ()
+    return full + tuple(q - v for v in reversed(lam) if v < q)
 
 
 class _BoxFields(NamedTuple):

@@ -7,6 +7,11 @@ give a single module A(lam); even ones give A(lam)_+- (type 1),
 A(lam)^+- (type 2) or the four A(lam)^{+-}_{+-} (type 3).  Each O entry
 also represents the unique extension of the module to the full orthogonal
 group, flagged rather than listed separately.
+
+Every module keeps, as `pair`, the `CompatiblePair` or `OrthoPartition` it
+was built from, the one object for all sign variants of a partition, so a
+consumer that needs the rectangles or the parity reads them there instead
+of classifying lam (and mu) again.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ class VZModule(NamedTuple):
     discrete_series: bool  # U: lam == mu (empty skew)
     holomorphic: bool  # U: mu == full box
     o_group_extension: bool  # O: the module extends to the disconnected group
+    pair: CompatiblePair | OrthoPartition  # the index it was built from; sign variants share one
 
     @property
     def label(self) -> str:
@@ -93,7 +99,7 @@ def module_from_pair(cp: CompatiblePair,
         levis[rects] = levi_of_pair(cp)
     ls, ms = shapes[lam], shapes[mu]
     return VZModule("U", p, q, lam, mu, None, None, rd._degree_U(ls.size, ms.size, p * q),
-                    levis[rects], rd._ktype_U(ls, ms), lam == mu, mu == (q,) * p, False)
+                    levis[rects], rd._ktype_U(ls, ms), lam == mu, mu == (q,) * p, False, cp)
 
 
 def sign_slots(orth: OrthoPartition) -> list[tuple[Optional[int], Optional[int]]]:
@@ -119,7 +125,7 @@ def modules_from_orth(orth: OrthoPartition) -> list[VZModule]:
     ktype = rd._ktype_O(lam, p, q)
     discrete = orth.rect_count == 0
     return [VZModule("O", p, q, lam, None, s1, s2, degree, levi, rd._sign_variant(ktype, s1, s2),
-                     discrete, False, True)
+                     discrete, False, True, orth)
             for s1, s2 in sign_slots(orth)]
 
 

@@ -277,6 +277,29 @@ class TestMonteCarlo:
                 want = mc_verify_integral_all_logs(s, p, n, samples, seed=seed)
                 assert geo.mc_verify_integral(s, p, n, samples, seed=seed) == want, (s, p, n, samples)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_batches_seeded_as_spawn_seeds_them(self, seed):
+        # each non-empty batch gets the seed `SeedSequence.spawn` would give
+        # it, so any batch count, samples < batches included, changes no bit
+        for s, p, n in ((0, 2, 1), (2, 1, 2), (4, 2, 2)):
+            for samples, batches in itertools.product((1, 5, 40, 1_000), (1, 2, 3, 16, 41, 1_500)):
+                want = mc_verify_integral_all_logs(s, p, n, samples, seed=seed, batches=batches)
+                got = geo.mc_verify_integral(s, p, n, samples, seed=seed, batches=batches)
+                assert got == want, (s, p, n, samples, batches)
+
+    def test_many_batches_draw_only_the_filled_ones(self, monkeypatch):
+        # 200,000 batches of 1,000 samples: the root and the last batch's seed, not 200,001
+        made = []
+        seq = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence", lambda *a, **k: made.append(k) or seq(*a, **k))
+        assert geo.mc_verify_integral(0, 2, 1, 1_000, seed=7, batches=200_000)["samples"] == 1_000
+        assert len(made) == 2 and made[1]["spawn_key"] == (199_999,)
+
+    @pytest.mark.parametrize("batches", [0, -3])
+    def test_batches_below_one_rejected(self, batches):
+        with pytest.raises(ValueError, match="batches must be >= 1"):
+            geo.mc_verify_integral(0, 2, 1, 100, seed=0, batches=batches)
+
     def test_no_eigendecomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("mc_verify_integral must not call eigvalsh")

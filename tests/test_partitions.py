@@ -40,6 +40,18 @@ class TestBasics:
         assert pt.complement((), 3, 4) == (4, 4, 4)
         assert pt.complement((4, 4, 4), 3, 4) == ()
 
+    def test_complement_keeps_the_padded_form(self):
+        # the internal forms callers pass: q = 0 (the b = 0 half boxes of
+        # enumerate_orthogonal), trailing zeros and parts >= q
+        def padded(lam, p, q):
+            return tuple(q - v for v in reversed(pt.pad(lam, p)) if v < q)
+
+        for p, q in itertools.product(range(6), repeat=2):
+            for length in range(p + 1):
+                # every weakly decreasing row list with parts 0..7
+                for lam in itertools.combinations_with_replacement(range(7, -1, -1), length):
+                    assert pt._complement(lam, p, q) == padded(lam, p, q), (lam, p, q)
+
     def test_complement_rejects_oversized(self):
         with pytest.raises(ValueError):
             pt.complement((5,), 2, 4)

@@ -23,7 +23,8 @@ REPRS = [
     (lambda: vz.catalog("U", 2, 2)[1],
      "VZModule(kind='U', p=2, q=2, lam=(), mu=(1,), sign1=None, sign2=None, degree=3,"
      " levi=(('U', 1, 1),), lowest_ktype=Weight(xs=(-1, -2), ys=(1, 2), conv='U'),"
-     " discrete_series=False, holomorphic=False, o_group_extension=False)"),
+     " discrete_series=False, holomorphic=False, o_group_extension=False,"
+     " pair=CompatiblePair(lam=(), mu=(1,), ctx=BoxContext(p=2, q=2), rects=((1, 1),)))"),
     (lambda: iso.min_degree_nonisolated("O", 3, 4),
      "DegreeThreshold(kind='O', p=3, q=4, rank=3, bound=4, witness=(3, 1),"
      " note='bound p+q-3, witness (q-1, 1^(p-2))')"),

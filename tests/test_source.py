@@ -246,6 +246,16 @@ def test_o_label_marks_come_from_one_table():
     assert "_O_MARKS" in {node.id for node in ast.walk(label) if isinstance(node, ast.Name)}
 
 
+def test_catalog_report_reads_each_modules_pair():
+    # a module carries the pair it was built from, so the report classifies nothing again
+    tree = ast.parse((ROOT / "scripts" / "catalog_report.py").read_text())
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    banned = {"compatible_pair", "ortho_classify", "BoxContext"}
+    assert not called & banned, sorted(called & banned)
+    assert "pair" in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 #: public functions that only tests call, each a documented wrapper that
 #: normalizes and checks its input before the underscored twin the library uses
 ORPHAN_ALLOWLIST = {

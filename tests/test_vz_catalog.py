@@ -115,6 +115,26 @@ class TestCatalogAgainstOracles:
         assert len(shaped) == len(set(shaped)) == 252
 
 
+class TestCarriedPair:
+    # each module keeps the index it was built from; the public classifiers,
+    # run again on the module's lam (and mu), are the oracle
+    def test_U_module_carries_its_compatible_pair(self, compatible_by_box):
+        for p, q in compatible_by_box:
+            ctx = BoxContext(p, q)
+            for m in vz.catalog("U", p, q):
+                assert m.pair == pt.compatible_pair(m.lam, m.mu, ctx), m.label
+                assert (m.pair.lam, m.pair.mu, m.pair.ctx) == (m.lam, m.mu, ctx)
+
+    def test_O_sign_variants_share_their_orthogonal_partition(self, orthogonal_by_box):
+        for p, q in orthogonal_by_box:
+            ctx = BoxContext(p, q)
+            first = {}
+            for m in vz.catalog("O", p, q):
+                assert m.pair == pt.ortho_classify(m.lam, ctx), m.label
+                assert (m.pair.lam, m.pair.ctx) == (m.lam, ctx)
+                assert m.pair is first.setdefault(m.lam, m.pair), m.label
+
+
 def label_by_fstring(m):
     """The label as the module used to write it, one list repr per call."""
     if m.kind == "U":
