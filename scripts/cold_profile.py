@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Where a cold command spends its time: each CLI example of README.md runs
 in --reps fresh interpreters, and each child times with perf_counter its
-`import cohomrep.cli`, `build_parser()`, `parse_args(argv)` and the run
+`import cohomrep.cli`, `build_parser()`, `parse(parser, argv)` and the run
 (config plus subcommand, stdout captured).  Prints the median of each stage
 in ms per command, with the median wall time of the whole process beside
 it, and the sums over the commands.  The children import the package from
@@ -31,7 +31,7 @@ from cohomrep import cli
 t1 = perf_counter()
 parser = cli.build_parser()
 t2 = perf_counter()
-args = parser.parse_args(sys.argv[1:])
+args = cli.parse(parser, sys.argv[1:])
 t3 = perf_counter()
 with contextlib.redirect_stdout(io.StringIO()):
     code = args.run(args, cli.make_config(args.config, format=args.format))

@@ -144,11 +144,14 @@ def render(rows: list[dict], fmt: str, **meta) -> str:
         return ser.dumps(ser.document(rows, **meta))
     import json  # csv and md cells only: the json format has its own writer
 
+    # the text of json.dumps(v, sort_keys=True), from one encoder per call
+    encode = json.JSONEncoder(sort_keys=True).encode
+
     def cell(v) -> str:
         if v is None:
             return ""
-        if isinstance(v, (dict, list)):
-            return json.dumps(v, sort_keys=True)
+        if isinstance(v, (dict, list, tuple)):
+            return encode(v)
         if isinstance(v, float):
             return repr(v)
         return str(v)
@@ -200,24 +203,24 @@ def cmd_isolation(args, cfg) -> int:
             cp = pt.compatible_pair(lam, mu, pt.BoxContext(args.p, args.q))
             if cp is None:
                 raise ValueError("not a compatible pair")
-            rows.append({"kind": "U", "lam": list(lam), "mu": list(mu),
+            rows.append({"kind": "U", "lam": lam, "mu": mu,
                          "isolated": iso.is_isolated_U(cp), "provenance": "Prop Uisol"})
         else:
             orth = pt.ortho_classify(lam, pt.BoxContext(args.p, args.q))
             if orth is None:
                 raise ValueError("not an orthogonal partition")
-            rows.append({"kind": "O", "lam": list(lam),
+            rows.append({"kind": "O", "lam": lam,
                          "isolated": iso.is_isolated_O(orth),
                          "degree": sum(lam), "provenance": "Prop Oisol"})
     else:
         th = iso.min_degree_nonisolated(args.kind, args.p, args.q)
         row = {"kind": args.kind, "p": args.p, "q": args.q, "rank": th.rank,
-               "bound": th.bound, "witness": list(th.witness) if th.witness else None,
+               "bound": th.bound, "witness": th.witness or None,
                "note": th.note, "provenance": "Cor mino"}
         if args.kind == "O" and args.p * args.q <= cfg.enum_cap:
             count, best, argmin = iso.nonisolated_degree_scan(args.p, args.q)
             row["scan_min_degree"] = best
-            row["scan_argmin"] = [list(a) for a in argmin]
+            row["scan_argmin"] = argmin
         rows.append(row)
     sys.stdout.write(render(rows, cfg.format, command="isolation"))
     return EXIT_OK
@@ -258,39 +261,38 @@ def cmd_branch(args, cfg) -> int:
         mu = ()  # these ops read an omitted --mu as the empty partition
     rows = []
     if args.op == "lr":
-        rows.append({"op": "lr", "lam": list(lam), "mu": list(mu), "nu": list(args.nu),
+        rows.append({"op": "lr", "lam": lam, "mu": mu, "nu": args.nu,
                      "coefficient": br.lr_coefficient(lam, mu, args.nu), "provenance": "computed"})
     elif args.op == "gl-to-o":
         val = br.gl_to_o_mult(lam, mu, args.n)
-        rows.append({"op": "gl-to-o", "lam": list(lam), "mu": list(mu), "n": args.n,
+        rows.append({"op": "gl-to-o", "lam": lam, "mu": mu, "n": args.n,
                      "multiplicity": val,
                      "note": None if val is not None else "outside stable range: needs character oracle",
                      "provenance": "computed"})
     elif args.op == "restrict-u":
         res = br.restrict_U_pair(lam, mu, pt.BoxContext(args.p, args.q), args.r)
-        rows.append({"op": "restrict-u", "lam": list(lam), "mu": list(mu),
+        rows.append({"op": "restrict-u", "lam": lam, "mu": mu,
                      "r": args.r, "contains": res["contains"],
                      "multiplicity": res["multiplicity"],
-                     "target": {"lam": list(res["target"][0]), "mu": list(res["target"][1])} if res["target"] else None,
+                     "target": {"lam": res["target"][0], "mu": res["target"][1]} if res["target"] else None,
                      "provenance": "computed"})
     elif args.op == "restrict-o":
         res = br.restrict_O(lam, pt.BoxContext(args.p, args.q), args.r)
-        rows.append({"op": "restrict-o", "lam": list(lam), "r": args.r,
+        rows.append({"op": "restrict-o", "lam": lam, "r": args.r,
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
                      "provenance": "computed"})
     elif args.op == "tensor":
         res = br.tensor_contains(args.kind, args.p, args.q, args.params)
-        rows.append({"op": "tensor", "kind": args.kind, "params": list(args.params),
+        rows.append({"op": "tensor", "kind": args.kind, "params": args.params,
                      "contains": res["contains"], "multiplicity": res["multiplicity"],
                      "provenance": "computed"})
     elif args.op == "kobayashi":
         ok = br.kobayashi_admissible(args.kind, args.p, args.q, args.r, lam, mu)
-        rows.append({"op": "kobayashi", "kind": args.kind, "lam": list(lam),
-                     "mu": None if mu is None else list(mu), "admissible": ok,
+        rows.append({"op": "kobayashi", "kind": args.kind, "lam": lam, "mu": mu, "admissible": ok,
                      "provenance": "Thm kobaU" if args.kind == "U" else "Thm kobaO"})
     elif args.op == "vanishing-uo":
         ok = br.restrict_UO_vanishing(lam, mu, pt.BoxContext(args.p, args.q))
-        rows.append({"op": "vanishing-uo", "lam": list(lam), "mu": list(mu),
+        rows.append({"op": "vanishing-uo", "lam": lam, "mu": mu,
                      "can_be_nontrivial": ok, "provenance": "computed"})
     sys.stdout.write(render(rows, cfg.format, command="branch"))
     return EXIT_OK
@@ -373,7 +375,6 @@ def build_parser() -> Parser:
 
     positive, natural = at_least(1), at_least(0)
     top = Parser(prog="cohomrep", description=__doc__, parents=[common])
-    top.set_defaults(config=None, format=None, strict=False)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, run, flags=None, **kw):
@@ -460,8 +461,16 @@ def build_parser() -> Parser:
     return top
 
 
+def parse(parser: Parser, argv=None) -> argparse.Namespace:
+    """argv parsed by parser, the global flags defaulting in the namespace.
+    `common`'s actions are shared by every parser, so a default set on them
+    would let each subparser overwrite a flag given before its subcommand;
+    given on both sides, the flag after the subcommand wins."""
+    return parser.parse_args(argv, argparse.Namespace(config=None, format=None, strict=False))
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse(build_parser(), argv)
     try:
         cfg = make_config(args.config, format=args.format)
         return args.run(args, cfg)

@@ -2,7 +2,12 @@
 
 Partitions are integer arrays, rectangle decompositions arrays of [a, b]
 pairs, weights {"xs": [...], "ys": [...], "conv": ...} with integer arrays.
-Every top-level document carries {"schema": "v1"}.
+Every top-level document carries {"schema": "v1"}.  A row shares the
+record's tuples: `module_to_json`, `weight_to_json` and `_component_json` put
+a module's lam, mu and Levi factors, a weight's xs and ys and a verdict's
+target partitions into the row as they are, with no list copy, since every
+writer (`dumps`, ``json.dumps`` and the csv and md cells of `cli.render`)
+prints a tuple as the array it prints for a list.
 
 `dumps` writes exactly the text of ``json.dumps(doc, sort_keys=True,
 indent=2)`` plus a newline.  On Python 3.11 ``json.dumps`` with an indent
@@ -42,7 +47,7 @@ SCHEMA = "v1"
 
 
 def weight_to_json(w: Weight) -> dict:
-    return {"xs": list(w.xs), "ys": list(w.ys), "conv": w.conv}
+    return {"xs": w.xs, "ys": w.ys, "conv": w.conv}
 
 
 _SIGN = {1: "+", -1: "-", None: None}
@@ -52,11 +57,11 @@ def module_to_json(m: VZModule) -> dict:
     return {
         "kind": m.kind, "p": m.p, "q": m.q,
         "label": m.label,
-        "lam": list(m.lam),
-        "mu": list(m.mu) if m.mu is not None else None,
+        "lam": m.lam,
+        "mu": m.mu,
         "sign1": _SIGN[m.sign1], "sign2": _SIGN[m.sign2],
         "degree": m.degree,
-        "levi": list(map(list, m.levi)),
+        "levi": m.levi,
         "lowest_ktype": weight_to_json(m.lowest_ktype),
         "discrete_series": m.discrete_series,
         "holomorphic": m.holomorphic,
@@ -80,8 +85,8 @@ def _component_json(c):
     if c is None:
         return None
     if isinstance(c, tuple) and len(c) == 2 and all(isinstance(x, tuple) for x in c):
-        return {"lam": list(c[0]), "mu": list(c[1])}
-    return {"lam": list(c)}
+        return {"lam": c[0], "mu": c[1]}
+    return {"lam": c}
 
 
 def document(payload, **meta) -> dict:

@@ -453,6 +453,64 @@ class TestConfig:
         assert (proc.returncode, proc.stdout, proc.stderr) == (64, "", want.format(cfg=cfg) + "\n")
 
 
+class TestGlobalFlags:
+    # --config, --format and --strict read the same before the subcommand as
+    # after it; given on both sides, the one after the subcommand wins
+    FAILS = ["lefschetz", "--mode", "restriction", "--G", "U:2,2", "--H", "U:2,1",
+             "--component", "2;2,1"]
+
+    def test_format_before_the_subcommand(self):
+        assert call(["--format", "md"] + CATALOG) == call(CATALOG + ["--format", "md"])
+        assert call(["--format", "md"] + CATALOG)[1].startswith("| degree |")
+
+    def test_missing_config_before_the_subcommand(self, tmp_path):
+        missing = tmp_path / "missing.conf"
+        assert call(["--config", str(missing)] + CATALOG) == (
+            64, "", f"config file {missing}: No such file or directory\n")
+
+    def test_config_before_the_subcommand(self, tmp_path):
+        cfg = tmp_path / "cohomrep.conf"
+        cfg.write_text("format = csv\n")
+        assert call(["--config", str(cfg)] + CATALOG) == call(CATALOG + ["--format", "csv"])
+
+    def test_strict_before_the_subcommand(self):
+        code, out, _ = call(["--strict"] + self.FAILS)
+        assert code == 2 and json.loads(out)["data"][0]["status"] == "fails-criterion"
+        assert call(self.FAILS)[0] == 0
+
+    @pytest.mark.parametrize("before, after", [("md", "json"), ("json", "csv"), ("csv", "md")])
+    def test_flag_after_the_subcommand_wins(self, before, after):
+        assert call(["--format", before] + CATALOG + ["--format", after]) == call(CATALOG + ["--format", after])
+
+
+_cells = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(), st.text(max_size=4))
+_arrays = st.recursive(_cells, lambda inner: st.lists(inner, max_size=4)
+                       | st.dictionaries(st.sampled_from("xyz"), inner, max_size=2), max_leaves=12)
+
+
+def _retyped(v, as_tuple):
+    """v with each list made a tuple where as_tuple() says so."""
+    if isinstance(v, list):
+        items = [_retyped(x, as_tuple) for x in v]
+        return tuple(items) if as_tuple() else items
+    if isinstance(v, dict):
+        return {k: _retyped(x, as_tuple) for k, x in v.items()}
+    return v
+
+
+@given(st.lists(st.dictionaries(st.sampled_from(["a", "b", "lam", "levi"]), _arrays, max_size=4),
+                max_size=5), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_render_writes_a_tuple_as_it_writes_a_list(rows, rng):
+    # the catalog rows share the records' tuples, so each writer must print
+    # a tuple exactly as it prints the list json reads back
+    mixed = [_retyped(row, lambda: rng.random() < 0.5) for row in rows]
+    tuples = [_retyped(row, lambda: True) for row in rows]
+    for fmt in ("json", "csv", "md"):
+        text = cli.render(rows, fmt, command="x")
+        assert cli.render(mixed, fmt, command="x") == text == cli.render(tuples, fmt, command="x")
+
+
 # Argument pools for the generated-argv contract.  None leaves the flag out
 # and True passes a bare switch.  Every pool mixes valid values with
 # malformed ones: negative, zero, huge, nan, a bad partition, and one or

@@ -17,8 +17,18 @@ def test_weight_half_integers():
         integer_weight([Fraction(3, 2)], [-1, 1], "U")
     w = integer_weight([Fraction(3)], [-1, 0], "U")
     doc = ser.weight_to_json(w)
-    assert doc == {"xs": [3], "ys": [-1, 0], "conv": "U"}
+    assert doc == {"xs": (3,), "ys": (-1, 0), "conv": "U"}
     assert json.dumps(doc) == '{"xs": [3], "ys": [-1, 0], "conv": "U"}'
+
+
+@pytest.mark.parametrize("kind, p, q", [("U", 2, 3), ("U", 3, 3), ("O", 2, 4), ("O", 3, 5)])
+def test_module_rows_share_the_records_tuples(kind, p, q):
+    # a row holds the module's own tuples, no list copies of them
+    for m in vz.catalog(kind, p, q):
+        row = ser.module_to_json(m)
+        assert row["lam"] is m.lam and row["mu"] is m.mu and row["levi"] is m.levi
+        assert row["lowest_ktype"]["xs"] is m.lowest_ktype.xs
+        assert row["lowest_ktype"]["ys"] is m.lowest_ktype.ys
 
 
 def test_document_schema():

@@ -308,3 +308,15 @@ def test_every_public_function_is_reached():
     assert ORPHAN_ALLOWLIST.keys() <= public.keys()
     orphans = {label for label, name in public.items() if name not in seen} - ORPHAN_ALLOWLIST.keys()
     assert not orphans, sorted(orphans)
+
+
+def test_serialize_rows_copy_no_tuples():
+    # a catalog row holds the record's own tuples, which every writer prints
+    # as arrays; a list() copy per tuple would only add collector work
+    tree = ast.parse((SRC / "serialize.py").read_text())
+    builders = {"module_to_json", "weight_to_json", "_component_json"}
+    found = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in builders}
+    assert set(found) == builders
+    calls = {name for name, fn in found.items() for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "list"}
+    assert not calls, f"list() in {sorted(calls)}"
