@@ -8,7 +8,9 @@ query; its criterion value is reported but never upgraded), and
 "not-covered" (outside every statement).  Conjecture-backed rows are never
 "guaranteed".  Degree queries read one ordered table of theorem rows,
 `_THEOREMS`; component queries, modular symbols and the L2 thresholds are
-answered in code.
+answered in code.  A restriction component verdict takes its criterion and
+target from the `branching` predicates, and the O ladder theorems share one
+range predicate, `_o_ladder_in_range`.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from .partitions import (
     BoxContext,
     Partition,
     _complement,
-    _inscribes,
+    _contains,
     _skew_decompose,
-    _subtract_rows,
     as_partition,
     boxed,
     ortho_classify,
@@ -256,21 +257,20 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     U(p,q) -> O(p,q) with component lam or (lam, mu).  With l2=True the
     isotropic variants answer, qualified as L2/cuspidal cohomology.  A
     component of another shape, outside the p x q box or with lam not
-    inside mu raises ValueError.
+    inside mu raises ValueError, as does an r outside the range of the
+    branching predicate (0..q for U -> U, 0..q-1 for O -> O).
     """
     p, q = G.p, G.q
     if degree is not None and component is None:
         return _degree_verdict("restriction", G, H, degree)
-    # component queries
     if component is None:
         raise ValueError("need a degree or a component")
-    if G.kind == "U" and _is(H, "U"):
+    from . import branching as br  # component queries only: degree queries never load it
+    if G.kind == "U" and _is(H, "U") and H.p == p:
         lam, mu = _component(component, "lam;mu", p, q)
         rr = q - H.q if r is None else r
-        if rr < 0:
-            raise ValueError("subgroup larger than the group")
-        ok = _inscribes(rr, lam, mu, p)
-        target = (lam, _subtract_rows(mu, rr, p)) if ok else None
+        res = br.restrict_U_pair(lam, mu, BoxContext(p, q), rr)
+        ok, target = res["contains"], res["target"]
         if not l2 or _ladder_in_l2_range(lam, mu, p, rr):
             return Verdict(GUARANTEED if ok else FAILS, "Thm anaU-L2" if l2 else "Thm analogue",
                            f"(r^p) = ({rr}^{p}) fits in mu/lam: {ok}", target_component=target,
@@ -281,36 +281,29 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     if G.kind == "O" and _is(H, "O") and H.p == p:
         lam, = _component(component, "lam", p, q)
         rr = q - H.q if r is None else r
-        if rr < 0:
-            raise ValueError("subgroup larger than the group")
-        if ortho_classify(lam, BoxContext(p, q)) is None:
-            raise ValueError(f"{lam} is not orthogonal in {p}x{q}")
-        ok = _inscribes(rr, lam, _complement(lam, p, q), p)
-        ladder = _is_ip_column(lam, p)
-        if ladder:
-            i = lam[0] if lam else 0
-            if 2 * i <= q - rr - 2 and p + q - rr - 2 * i >= 5 and p >= 2 and q >= 2:
-                return Verdict(GUARANTEED, "Thm anaO-L2" if l2 else "Thm anaO",
-                               f"i <= (q-r-2)/2: {i} <= {(q - rr - 2) / 2}; p+q-r-2i = {p + q - rr - 2 * i} >= 5",
-                               target_component=lam, qualifier="L2 cohomology" if l2 else None)
+        ok = br.restrict_O(lam, BoxContext(p, q), rr)["contains"]
+        i = _column(lam, p)
+        if i is not None and _o_ladder_in_range(p, q - rr, i):
+            return Verdict(GUARANTEED, "Thm anaO-L2" if l2 else "Thm anaO",
+                           f"i <= (q-r-2)/2: {i} <= {(q - rr - 2) / 2}; p+q-r-2i = {p + q - rr - 2 * i} >= 5",
+                           target_component=lam, qualifier="L2 cohomology" if l2 else None)
         return Verdict(CONJECTURED, "Conj CanaO",
-                       f"{'outside the proven range; ' if ladder else ''}criterion (r^p) fits: {ok}",
+                       f"{'' if i is None else 'outside the proven range; '}criterion (r^p) fits: {ok}",
                        target_component=lam if ok else None, criterion_value=ok)
     if G.kind == "U" and _is(H, "O", p, q):
         pieces = _component(component, "lam or lam;mu", p, q)
         lam = pieces[0]
         if len(pieces) == 2:
             mu = pieces[1]
-            if lam != () and mu != (q,) * p:
+            if not br.restrict_UO_vanishing(lam, mu, BoxContext(p, q)):
                 return Verdict(CONJECTURED, "Conj CanaUO",
                                "criterion lam = 0 or mu full: False", criterion_value=False)
             lam = lam if mu == (q,) * p else _complement(mu, p, q)
-        if _is_ip_column(lam, p):
-            i = lam[0] if lam else 0
-            if 2 * i <= q - 2 and p + q - 2 * i >= 5 and p >= 2 and q >= 2:
-                return Verdict(GUARANTEED, "Thm anaUO-L2" if l2 else "Thm anaUO",
-                               f"i <= (q-2)/2: {i} <= {(q - 2) / 2}; p+q-2i = {p + q - 2 * i} >= 5",
-                               target_component=lam, qualifier="L2 cohomology" if l2 else None)
+        i = _column(lam, p)
+        if i is not None and _o_ladder_in_range(p, q, i):
+            return Verdict(GUARANTEED, "Thm anaUO-L2" if l2 else "Thm anaUO",
+                           f"i <= (q-2)/2: {i} <= {(q - 2) / 2}; p+q-2i = {p + q - 2 * i} >= 5",
+                           target_component=lam, qualifier="L2 cohomology" if l2 else None)
         is_orth = ortho_classify(lam, BoxContext(p, q)) is not None
         return Verdict(CONJECTURED, "Conj CanaUO",
                        f"criterion lam orthogonal: {is_orth}", criterion_value=is_orth)
@@ -318,17 +311,25 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     return Verdict(NOT_COVERED, "Thm analogue", "no statement covers this component query")
 
 
+def _o_ladder_in_range(p: int, q: int, i: int) -> bool:
+    """The proven range of the O ladder theorems for (i^p) in a p x q box:
+    2i <= q-2, p+q-2i >= 5 and p >= 2 (q >= 2 follows, as i >= 0)."""
+    return 2 * i <= q - 2 and p + q - 2 * i >= 5 and p >= 2
+
+
 def _ladder_in_l2_range(lam, mu, p, r) -> bool:
     """(lam, mu) = ((i^p), ((q-j)^p)) with i + j <= q-r-2, i.e. the columns
     differ by at least r+2 (an empty lam is i = 0, an empty mu j = q)."""
-    return (_is_ip_column(lam, p) and _is_ip_column(mu, p)
-            and (mu[0] if mu else 0) - (lam[0] if lam else 0) >= r + 2)
+    i, m = _column(lam, p), _column(mu, p)
+    return i is not None and m is not None and m - i >= r + 2
 
 
-def _is_ip_column(lam: Partition, p: int) -> bool:
-    """lam = (i^p) for some i >= 0 (the empty partition counts as i = 0);
-    lam is normalized."""
-    return lam == () or (len(lam) == p and all(v == lam[0] for v in lam))
+def _column(lam: Partition, p: int) -> Optional[int]:
+    """i when lam = (i^p), the empty partition being i = 0, else None; lam
+    is normalized."""
+    if not lam:
+        return 0
+    return lam[0] if len(lam) == p and lam[-1] == lam[0] else None
 
 
 def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
@@ -345,17 +346,18 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
     rr, qq = cup_box(G, H, r)
     if G.kind == "O":
         lam, = _component(component, "lam", p, qq)
-        ok = (ortho_classify(lam, BoxContext(p, qq)) is not None
-              and _inscribes(rr, lam, _complement(lam, p, qq), p))
+        raised = _lam_plus_rp(lam, rr, p)  # (r^p) fits in the skew nu/lam iff lam + (r^p) lies in nu
+        ok = ortho_classify(lam, BoxContext(p, qq)) is not None and _contains(_complement(lam, p, qq), raised)
         anchor = "Conj conjl2O" if l2 else "Conj C100"
         return Verdict(CONJECTURED, anchor, f"criterion (r^p) fits in complement(lam)/lam: {ok}",
-                       target_component=_lam_plus_rp(lam, rr, p) if ok else None,
+                       target_component=raised if ok else None,
                        criterion_value=ok, qualifier="L2 cohomology" if l2 else None)
     lam, mu = _component(component, "lam;mu", p, qq)
-    ok = _skew_decompose(lam, mu, BoxContext(p, qq)) is not None and _inscribes(rr, lam, mu, p)
+    raised = _lam_plus_rp(lam, rr, p)
+    ok = _skew_decompose(lam, mu, BoxContext(p, qq)) is not None and _contains(mu, raised)
     anchor = "Conj conjl2" if l2 else "Conj conj2"
     return Verdict(CONJECTURED, anchor, f"criterion (r^p) fits in mu/lam: {ok}",
-                   target_component=(_lam_plus_rp(lam, rr, p), mu) if ok else None,
+                   target_component=(raised, mu) if ok else None,
                    criterion_value=ok, qualifier="L2 cohomology" if l2 else None)
 
 
@@ -383,12 +385,9 @@ def cup_classes_verdict(G: Group, k: int, l: int, components=None) -> Verdict:
     components must fit in G's box, else ValueError)."""
     p, q = G.p, G.q
     if components is not None:
-        a, b = _component(components, "lam;lam", p, q)
-        if G.kind == "O" and _is_ip_column(a, p) and _is_ip_column(b, p):
-            kk = a[0] if a else 0
-            ll = b[0] if b else 0
-            hyp = 2 * (kk + ll) <= q - 2 and p + q - 2 * (kk + ll) >= 5 and p >= 2 and q >= 2
-            if hyp:
+        kk, ll = (_column(c, p) for c in _component(components, "lam;lam", p, q))
+        if G.kind == "O" and kk is not None and ll is not None:
+            if _o_ladder_in_range(p, q, kk + ll):
                 return Verdict(GUARANTEED, "Thm cupO",
                                f"k+l <= (q-2)/2: {kk + ll} <= {(q - 2) / 2}; p+q-2(k+l) = {p + q - 2 * (kk + ll)} >= 5",
                                target_component=as_partition(((kk + ll),) * p))
@@ -425,7 +424,7 @@ def modular_symbol_verdict(kind: str, p: int, q: int, r: int) -> Verdict:
     if r < 0:
         raise ValueError(f"r = {r} must be >= 0")
     if kind == "O":
-        ok = q >= r + 2 and p + q - r >= 5 and p >= 2 and q >= 2
+        ok = _o_ladder_in_range(p, q - r, 0)
         target = as_partition((r,) * p)
         return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm symbmodul",
                        f"q >= r+2: {q} >= {r + 2}; p+q-r = {p + q - r} >= 5",

@@ -117,7 +117,7 @@ def test_criterion_3_cor_mino_bounds_and_rank3_attainment():
 @pytest.mark.xfail(strict=True, reason="spec defect: (floor(q/2)) is not an orthogonal "
                    "partition of the 2 x q box for odd q (its skew complement overlaps "
                    "along an edge), so the bound cannot be attained there; the scan "
-                   "bottoms out at ceil(q/2). See notes/decisions.md.")
+                   "bottoms out at ceil(q/2). See README, section 'Install and test'.")
 def test_criterion_3_rank2_attainment_as_stated():
     t0 = time.time()
     ok = True
@@ -264,7 +264,7 @@ def test_criterion_7_bracket_spectra_and_hessian():
 @pytest.mark.xfail(strict=True, reason="paper misprint: the printed normal multiset "
                    "-(lam_i - lam_j)^2 omits the -(lam_i + lam_j)^2 modes; the bracket "
                    "and finite-difference curvature force them whenever min(p,r) >= 2. "
-                   "See notes/decisions.md.")
+                   "See README, section 'Install and test'.")
 def test_criterion_7_printed_multiset_as_stated():
     t0 = time.time()
     lam = [Fraction(3, 5), Fraction(4, 5)]

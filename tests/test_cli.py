@@ -174,6 +174,12 @@ class TestPartitionArguments:
         # a malformed value is rejected on a flag the op does not read
         ["branch", "--op", "lr", "--lam", "2,1", "--mu", "1", "--nu", "1,1", "--n", "0"],
         ["branch", "--op", "restrict-u", "--lam", "1", "--mu", "2,2", "--p", "2", "--q", "2", "--r", "1", "--nu", "a"],
+        # a restriction --r outside the predicate's range: 0..q for U, 0..q-1 for O
+        ["lefschetz", "--mode", "restriction", "--G", "O:2,4", "--H", "O:2,3", "--component", "", "--r", "4"],
+        ["lefschetz", "--mode", "restriction", "--G", "O:2,4", "--H", "O:2,3", "--component", "", "--r", "-1"],
+        ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "1;2,1",
+         "--r", "7", "--strict"],
+        ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "1;2,1", "--r", "-1"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)
@@ -344,6 +350,26 @@ class TestLazyLayers:
             print(state())
         """)
         assert out == "([], True)\n([], True)\n"
+
+    def test_branching_loads_only_for_a_component_restriction(self):
+        # degree, tensor and modular-symbol verdicts never run the source of
+        # branching; a component restriction reads its predicates
+        out = self.probe("""
+            import contextlib, importlib.util, io, sys
+            from cohomrep import cli
+            lazy = []
+            for argv in (["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--degree", "3"],
+                         ["lefschetz", "--mode", "tensor", "--G", "O:3,9", "--degrees", "1,1",
+                          "--component", "1,1,1;1,1,1"],
+                         ["lefschetz", "--mode", "modular-symbol", "--G", "O:3,5", "--r", "2"],
+                         ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2",
+                          "--component", "1;2,1"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                lazy.append(type(sys.modules["cohomrep.branching"]) is importlib.util._LazyModule)
+            print(lazy)
+        """)
+        assert out == "[True, True, True, False]\n"
 
     @pytest.mark.parametrize("fmt, loaded", [("json", []), ("csv", ["csv", "json"]), ("md", ["json"])])
     def test_csv_and_json_load_with_their_renderer(self, fmt, loaded):

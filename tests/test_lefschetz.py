@@ -9,7 +9,7 @@ import pytest
 from cohomrep import branching as br
 from cohomrep import lefschetz as lef
 from cohomrep import vz_catalog as vz
-from cohomrep.partitions import BoxContext
+from cohomrep.partitions import BoxContext, as_partition
 
 from _golden import replay
 
@@ -131,6 +131,24 @@ class TestVerdictHygiene:
         G, H = lef.parse_group(G), lef.parse_group(H) if H else None
         with pytest.raises(ValueError, match=match):
             lef.cup_verdict(G, H, component=component, r=r)
+
+    @pytest.mark.parametrize("G, H, component, r, match", [
+        ("O:2,4", "O:2,3", (), 4, "r = 4 is outside 0..3"),
+        ("O:3,4", "O:3,3", (), -1, "r = -1 is outside 0..3"),
+        ("U:2,3", "U:2,2", ((1,), (2, 1)), 7, "r = 7 is outside 0..3"),
+        ("U:2,3", "U:2,2", ((1,), (2, 1)), -1, "r = -1 is outside 0..3"),
+        ("U:2,3", "U:2,5", ((1,), (2, 1)), None, "r = -2 is outside 0..3"),
+    ])
+    def test_restriction_component_r_outside_the_predicate_raises(self, G, H, component, r, match):
+        # the range is the branching predicate's: 0..q for U, 0..q-1 for O
+        with pytest.raises(ValueError, match=match):
+            lef.restriction_verdict(lef.parse_group(G), lef.parse_group(H), component=component, r=r)
+
+    def test_u_component_restriction_keeps_p(self):
+        # Thm analogue restricts U(p,q) to U(p,q-r); U(1,2) is not of that form
+        v = lef.restriction_verdict(lef.Group("U", 2, 3), lef.Group("U", 1, 2), component=((1,), (2, 1)))
+        assert tuple(v) == (lef.NOT_COVERED, "Thm analogue", "no statement covers this component query",
+                            None, None, None)
 
     @pytest.mark.parametrize("case, match", [
         ({"fn": "restriction", "G": "U:2,3", "H": "U:2,2", "component": [1]}, "reads a component 'lam;mu'"),
@@ -306,3 +324,73 @@ class TestDegreeRowsAgainstCatalog:
                     assert br.restrict_O(mod.lam, BoxContext(2, q), 1)["contains"], (q, mod.label)
                     checked += 1
         assert checked == 62
+
+
+class TestComponentVerdictsAgainstOracles:
+    # a guaranteed component verdict names a target; its multiplicity comes
+    # from the character oracles, which share no code with the predicates the
+    # verdicts read.  U -> O has no character oracle, and the O(n) oracle
+    # answers for n <= 3 only
+    def test_analogue_targets_restrict_once(self, compatible_by_box):
+        checked = 0
+        for (p, q), pairs in compatible_by_box.items():
+            if p > 3 or q > 4:
+                continue
+            for cp, r in itertools.product(pairs, range(1, q)):
+                v = lef.restriction_verdict(lef.Group("U", p, q), lef.Group("U", p, q - r), component=(cp.lam, cp.mu))
+                if v.status == lef.GUARANTEED:
+                    alpha, beta = v.target_component
+                    assert br.restrict_U_pair_oracle_mult(cp.lam, cp.mu, BoxContext(p, q), r, alpha, beta) == 1, (
+                        p, q, r, cp.lam, cp.mu)
+                    checked += 1
+        assert checked == 167
+
+    def test_anaO_targets_restrict_once(self, orthogonal_by_box):
+        checked = 0
+        for (p, q), orths in orthogonal_by_box.items():
+            if p > 3 or q > 3:
+                continue
+            for orth, r, l2 in itertools.product(orths, range(1, q), (False, True)):
+                v = lef.restriction_verdict(lef.Group("O", p, q), lef.Group("O", p, q - r), component=orth.lam, l2=l2)
+                if v.status == lef.GUARANTEED:
+                    assert v.anchor == ("Thm anaO-L2" if l2 else "Thm anaO")
+                    assert br.restrict_O_oracle_mult(orth.lam, BoxContext(p, q), r, v.target_component) == 1
+                    checked += 1
+        assert checked == 2  # O(3,3) -> O(3,2) on the trivial component, with and without l2
+
+    def test_ladder_theorems_answer_on_their_stated_range(self):
+        # each ladder theorem is guaranteed exactly where its CITATIONS
+        # statement holds, read here with Fractions, and names its target
+        half = lambda n: Fraction(n, 2)
+        seen = collections.Counter()
+
+        def check(v, want, anchor, target):
+            assert (v.status == lef.GUARANTEED) == want, (anchor, v)
+            if want:
+                assert (v.anchor, v.target_component) == (anchor, target)
+                seen[anchor] += 1
+
+        for p, q in itertools.product(range(1, 7), range(1, 9)):
+            O, U = lef.Group("O", p, q), lef.Group("U", p, q)
+            for i in range(q + 1):
+                col = as_partition((i,) * p)
+                for r in range(q):
+                    if 2 * i <= q:  # (i^p) is orthogonal
+                        want = p >= 2 and i <= half(q - r - 2) and p + q - r - 2 * i >= 5
+                        check(lef.restriction_verdict(O, lef.Group("O", p, q - r), component=col),
+                              want, "Thm anaO", col)
+                    for j in range(q - i + 1):
+                        want = i + j <= q - r - 2
+                        check(lef.restriction_verdict(U, lef.Group("U", p, q - r), component=(col, (q - j,) * p),
+                                                      l2=True),
+                              want, "Thm anaU-L2", (col, as_partition((q - j - r,) * p)) if want else None)
+                want = p >= 2 and i <= half(q - 2) and p + q - 2 * i >= 5
+                for component in (col, (col, (q,) * p), ((), (q - i,) * p)):
+                    check(lef.restriction_verdict(U, lef.Group("O", p, q), component=component), want, "Thm anaUO", col)
+                for k in range(i + 1):  # Thm cupO reads k + l = i
+                    v = lef.cup_classes_verdict(O, 1, 1, components=(as_partition((k,) * p), as_partition((i - k,) * p)))
+                    check(v, want, "Thm cupO", col)
+            for r in range(q + 2):
+                want = p >= 2 and q >= r + 2 and p + q - r >= 5
+                check(lef.modular_symbol_verdict("O", p, q, r), want, "Thm symbmodul", as_partition((r,) * p))
+        assert all(seen[anchor] for anchor in ("Thm anaO", "Thm anaU-L2", "Thm anaUO", "Thm cupO", "Thm symbmodul"))

@@ -144,6 +144,22 @@ def test_cold_imports_skip_dataclasses_and_load_numpy_only_with_geometry():
     assert numpy_at_top == {"geometry.py"}
 
 
+def test_lefschetz_loads_branching_only_for_component_restrictions():
+    # degree, tensor and modular-symbol verdicts never read the branching
+    # predicates, so lefschetz imports them inside the function that does
+    tree = ast.parse((SRC / "lefschetz.py").read_text())
+
+    def names_branching(node):
+        if isinstance(node, ast.ImportFrom):
+            return "branching" in (node.module or "").split(".") or "branching" in {a.name for a in node.names}
+        return isinstance(node, ast.Import) and any("branching" in a.name.split(".") for a in node.names)
+
+    assert not [node.lineno for node in _run_on_import(tree) if names_branching(node)]
+    inside = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn) if names_branching(node)}
+    assert inside == {"restriction_verdict"}
+
+
 @pytest.mark.parametrize("name", ["cli.py", "serialize.py", "rootdata.py"])
 def test_cold_modules_defer_json_csv_io_and_fractions(name):
     # every command loads cli and serialize, and every catalog rootdata:
