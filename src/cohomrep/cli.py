@@ -59,19 +59,8 @@ EXIT_CAP = 65
 
 
 class Parser(argparse.ArgumentParser):
-    """An ArgumentParser that exits 64 on a usage error.  A parser made with
-    `flags=fn` runs fn(self) once, when it first parses, so a cold command
-    builds the flags of the one subcommand its argv reaches."""
-
-    def __init__(self, *args, flags=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._flags = flags
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._flags is not None:
-            flags, self._flags = self._flags, None
-            flags(self)
-        return super().parse_known_args(args, namespace)
+    """An ArgumentParser that exits 64 on a usage error, with a one-line
+    message; its subparsers are Parsers too."""
 
     def error(self, message):
         if message.endswith("expected one argument"):
@@ -378,8 +367,10 @@ def build_parser() -> Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, run, flags=None, **kw):
-        parser = sub.add_parser(name, parents=[common], flags=flags, **kw)
+        parser = sub.add_parser(name, parents=[common], **kw)
         parser.set_defaults(run=run)
+        if flags is not None:
+            flags(parser)
         return parser
 
     def catalog(c):
@@ -457,7 +448,7 @@ def build_parser() -> Parser:
     gsub = g.add_subparsers(dest="geo_op", required=True)
     for op, flags in (("verify-integral", verify_integral), ("jacobi", jacobi), ("hessian", hessian),
                       ("volume", volume), ("thresholds", thresholds)):
-        gsub.add_parser(op, parents=[common], flags=flags)
+        flags(gsub.add_parser(op, parents=[common]))
     return top
 
 

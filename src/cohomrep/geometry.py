@@ -139,7 +139,7 @@ def jacobi_spectrum(M: np.ndarray, p: int, q: int, r: int) -> dict:
     bracket computation forces the +(sum) modes, which matter only when
     min(r, p) >= 2 (see lemma_jacobi_multiset for the printed variant)."""
     sv = np.linalg.svd(np.asarray(M, float), compute_uv=False)
-    lam = list(sv) + [0.0] * (max(r, p) - len(sv))
+    lam = sv.tolist() + [0.0] * (max(r, p) - len(sv))
     if abs(sum(v * v for v in lam) - 1.0) >= 1e-9:
         raise ValueError("Y must be a unit vector")
     return exact_jacobi_multiset(lam, p, q, r)
@@ -318,10 +318,13 @@ def riemannian_hessian_fd(func, Z: np.ndarray, h: float = 1e-4) -> np.ndarray:
         e[i] = 1.0
         return e
 
-    grad = np.array([(at(z0 + h * basis(i)) - at(z0 - h * basis(i))) / (2 * h) for i in range(dim)])
-    hess = np.zeros((dim, dim))
+    # f(z0) and f(z0 +- h e_i) serve both the gradient and the diagonal
+    f0 = at(z0)
+    fp = np.array([at(z0 + h * basis(i)) for i in range(dim)])
+    fm = np.array([at(z0 - h * basis(i)) for i in range(dim)])
+    grad = (fp - fm) / (2 * h)
+    hess = np.diag((fp - 2 * f0 + fm) / (h * h))
     for i in range(dim):
-        hess[i, i] = (at(z0 + h * basis(i)) - 2 * at(z0) + at(z0 - h * basis(i))) / (h * h)
         for j in range(i + 1, dim):
             v = (at(z0 + h * (basis(i) + basis(j))) - at(z0 + h * (basis(i) - basis(j)))
                  - at(z0 + h * (basis(j) - basis(i))) + at(z0 - h * (basis(i) + basis(j)))) / (4 * h * h)

@@ -258,7 +258,8 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     isotropic variants answer, qualified as L2/cuspidal cohomology.  A
     component of another shape, outside the p x q box or with lam not
     inside mu raises ValueError, as does an r outside the range of the
-    branching predicate (0..q for U -> U, 0..q-1 for O -> O).
+    branching predicate (0..q for U -> U, 0..q-1 for O -> O) or one that
+    disagrees with H's q - H.q.
     """
     p, q = G.p, G.q
     if degree is not None and component is None:
@@ -270,6 +271,7 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
         lam, mu = _component(component, "lam;mu", p, q)
         rr = q - H.q if r is None else r
         res = br.restrict_U_pair(lam, mu, BoxContext(p, q), rr)
+        _r_matches(G, H, r)
         ok, target = res["contains"], res["target"]
         if not l2 or _ladder_in_l2_range(lam, mu, p, rr):
             return Verdict(GUARANTEED if ok else FAILS, "Thm anaU-L2" if l2 else "Thm analogue",
@@ -282,6 +284,7 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
         lam, = _component(component, "lam", p, q)
         rr = q - H.q if r is None else r
         ok = br.restrict_O(lam, BoxContext(p, q), rr)["contains"]
+        _r_matches(G, H, r)
         i = _column(lam, p)
         if i is not None and _o_ladder_in_range(p, q - rr, i):
             return Verdict(GUARANTEED, "Thm anaO-L2" if l2 else "Thm anaO",
@@ -364,14 +367,22 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
 def cup_box(G: Group, H=None, r: Optional[int] = None) -> tuple[int, int]:
     """(r, q') for a component cup query: the codimension r (given, or q - q'
     from H) and H's box p x q' (q' = q - r without H) that holds the
-    component.  Raises ValueError without H and r, or when r is outside
-    1..q-1."""
+    component.  Raises ValueError without H and r, when r is outside 1..q-1,
+    or when a given r disagrees with H's q - q'."""
     rr = r if r is not None else (G.q - H.q if isinstance(H, Group) else None)
     if rr is None:
         raise ValueError("a component cup query needs H or r")
     if not 1 <= rr <= G.q - 1:
         raise ValueError(f"r = {rr} is outside 1..{G.q - 1} for {G}")
+    _r_matches(G, H, r)
     return rr, H.q if isinstance(H, Group) else G.q - rr
+
+
+def _r_matches(G: Group, H, r: Optional[int]) -> None:
+    """Raise ValueError when an explicit r and the group H name different
+    codimensions q - H.q; checked after r's range, so that message wins."""
+    if r is not None and isinstance(H, Group) and r != G.q - H.q:
+        raise ValueError(f"r = {r} disagrees with H = {H}, which has r = {G.q - H.q}")
 
 
 def _lam_plus_rp(lam: Partition, r: int, p: int) -> Partition:

@@ -21,13 +21,13 @@ from one `%d` row template instead.  When all of them are exact ints or strs,
 each distinct list of the batch is written once and its text reused for the
 lists equal to it; bools, floats and subclasses are left out of that, since
 ``True == 1``, ``1.0 == 1`` and ``-0.0 == 0.0`` print differently.  A batch
-of dicts is grouped by key tuple
-and written column by column, one batch per key, each row from one `%`
-template.  The texts go back in the order of the values.  Other types are
-first turned into the plain values json writes them as, in json's
-`isinstance` order, so `numpy.float64` is written as a float, a NamedTuple
-record as an array, and what json rejects raises TypeError.  A batch longer
-than `_BLOCK` is written in blocks, which bounds the texts held at once.
+of dicts is grouped by key tuple and written column by column, one batch per
+key, each row from one `%` template.  The texts go back in the order of the
+values.  A value no batch writes (a subclass, a numpy scalar, a dict with
+keys other than exact strs) is written by ``json.dumps`` itself and
+re-indented, so what json rejects raises json's error; no cohomrep document
+holds one.  A batch longer than `_BLOCK` is written in blocks, which bounds
+the texts held at once.
 """
 
 from __future__ import annotations
@@ -154,23 +154,17 @@ def _typed(t: type, values: list, nl: str) -> list:
         return _lists(values, nl)
     if t is dict:
         return _grouped(_dicts, values, list(map(tuple, values)), nl)
-    return _texts(list(map(_plain, values)), nl)
+    return [_stdlib(v, nl) for v in values]
 
 
-def _plain(o):
-    """o as the exact str, int, float, list or dict that json writes it as,
-    found in json's isinstance order."""
-    if isinstance(o, str):
-        return str.__str__(o)
-    if isinstance(o, int):
-        return int.__int__(o)
-    if isinstance(o, float):
-        return float.__float__(o)
-    if isinstance(o, (list, tuple)):
-        return list(o)
-    if isinstance(o, dict):
-        return dict(o.items())
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+def _stdlib(v, nl: str) -> str:
+    """The text of v from ``json.dumps``, its lines re-indented to start with
+    nl: for what no batch writes (subclasses, numpy scalars, dicts with keys
+    other than exact strs), which no cohomrep document holds.  json escapes
+    every newline inside a string, so each newline it writes starts a line."""
+    import json
+
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _lists(lists: list, nl: str) -> list:
@@ -212,32 +206,14 @@ def _int_lists(k: int, lists: list, nl: str) -> list:
 
 def _dicts(keys: tuple, dicts: list, nl: str) -> list:
     """The texts of dicts whose key tuples all equal keys: with exact str
-    keys, one batch per key and one row template; otherwise one at a time,
-    since equal keys such as 1, 1.0 and True print differently."""
+    keys, one batch per key and one row template; otherwise from json, since
+    equal keys such as 1, 1.0 and True print differently."""
     if not keys:
         return ["{}"] * len(dicts)
     if set(map(type, keys)) != {str}:
-        return [_dict(d, nl) for d in dicts]
+        return [_stdlib(d, nl) for d in dicts]
     inner = nl + "  "
     keys = sorted(keys)
     columns = [_texts(list(map(itemgetter(k), dicts)), inner) for k in keys]
     row = ("," + inner).join([_str(k).replace("%", "%%") + ": %s" for k in keys])
     return list(map(("{" + inner + row + nl + "}").__mod__, zip(*columns)))
-
-
-def _dict(d: dict, nl: str) -> str:
-    """The text of one dict, whose keys json may write as quoted scalars."""
-    inner = nl + "  "
-    items = sorted(d.items())
-    values = _texts([v for _, v in items], inner)
-    body = ("," + inner).join([_key(k) + ": " + v for (k, _), v in zip(items, values)])
-    return "{" + inner + body + nl + "}"
-
-
-def _key(k) -> str:
-    """A non-str key as json writes it: the text of the scalar, quoted."""
-    if isinstance(k, str):
-        return _str(k)
-    if isinstance(k, (int, float)) or k is None:
-        return _str(_texts([k], "")[0])
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -180,6 +181,10 @@ class TestPartitionArguments:
         ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "1;2,1",
          "--r", "7", "--strict"],
         ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "1;2,1", "--r", "-1"],
+        # a component --r that disagrees with --H: U and O restriction, cup
+        ["lefschetz", "--mode", "restriction", "--G", "U:2,3", "--H", "U:2,2", "--component", "1;3,3", "--r", "2"],
+        ["lefschetz", "--mode", "restriction", "--G", "O:2,4", "--H", "O:2,3", "--component", "", "--r", "2"],
+        ["lefschetz", "--mode", "cup", "--G", "O:3,6", "--H", "O:3,5", "--component", "()", "--r", "3"],
     ])
     def test_rejected_with_usage_exit(self, args):
         proc = run(*args, check=False)
@@ -405,9 +410,8 @@ HELP = json.loads((pathlib.Path(__file__).parent / "data" / "cli_help.json").rea
 
 
 class TestHelpAndUsageGolden:
-    # every --help text and a set of usage errors, byte for byte as the CLI
-    # wrote them before each parser built its flags only when it parses;
-    # argparse lays help out by Python version and terminal width
+    # every --help text and a set of usage errors, byte for byte; argparse
+    # lays help out by Python version and terminal width
     @pytest.mark.skipif("%d.%d" % sys.version_info[:2] != HELP["python"],
                         reason=f"help layout captured on Python {HELP['python']}")
     @pytest.mark.parametrize("case", HELP["cases"], ids=lambda case: " ".join(case["argv"]) or "(no argv)")
@@ -430,6 +434,33 @@ class TestDeterminism:
         a = run(*args).stdout
         b = run(*args).stdout
         assert a == b and a
+
+
+README = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+#: the README examples, then the benchmark's other cold commands: the
+#: largest catalog and the seeded geometry ops at further seeds
+DOCUMENTED = ([shlex.split(line, comments=True)[1:] for line in README.splitlines()
+               if line.startswith("cohomrep ")]
+              + [["catalog", "--kind", "U", "--p", "4", "--q", "4"]]
+              + [["geometry", op, "--p", "2", "--q", "2", *flags, "--seed", seed]
+                 for op, flags in (("jacobi", ["--r", "2"]), ("hessian", ["--points", "5"]))
+                 for seed in ("11", "1234567")])
+
+
+class TestDocumentsAvoidTheJsonFallback:
+    def test_readme_examples_are_found(self):
+        assert len(DOCUMENTED) == 15 + 5
+
+    @pytest.mark.parametrize("argv", DOCUMENTED, ids=" ".join)
+    def test_written_by_the_batches(self, argv, monkeypatch):
+        # every value of a cohomrep document has a batch type; the stdlib
+        # fallback is for values no document holds
+        def fallback(v, nl):
+            raise AssertionError(f"{type(v).__name__} reached serialize's json fallback")
+
+        monkeypatch.setattr(cli.ser, "_stdlib", fallback)
+        code, out, err = call(argv)
+        assert (code, err) == (0, "") and out
 
 
 HESSIAN = ["geometry", "hessian", "--p", "2", "--q", "2", "--points", "5"]

@@ -365,6 +365,22 @@ class TestHessian:
             ev = geo.hessian_eigenvalues(lambda W: geo.log_ba_half(W, 2), Z, 1e-4)
             assert ev.min() > -1e-5 and ev.max() < 1 + 1e-5
 
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (3, 1), (2, 3)])
+    def test_each_point_is_evaluated_once(self, rng, p, q):
+        # f(z0) once and f(z0 +- h e_i) once each, shared by the gradient and
+        # the diagonal, plus four points for each off-diagonal pair
+        calls = []
+        Z = geo.random_point(rng, p, q + 1) * 0.7
+
+        def f(W):
+            calls.append(W.tobytes())
+            return geo.distance_to_XV(W, q)
+
+        geo.riemannian_hessian_fd(f, Z)
+        dim = Z.size
+        assert len(calls) == 2 * dim + 1 + 2 * dim * (dim - 1)
+        assert len(calls) == len(set(calls))
+
     def test_limit_profile(self):
         prof = geo.hessian_profile_distance(40.0, 2, 2)
         assert prof == sorted([1.0] * 2 + [0.0] * 2 + [0.0] + [1.0])

@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,36 @@ class TestVerdictHygiene:
         # the range is the branching predicate's: 0..q for U, 0..q-1 for O
         with pytest.raises(ValueError, match=match):
             lef.restriction_verdict(lef.parse_group(G), lef.parse_group(H), component=component, r=r)
+
+    @pytest.mark.parametrize("fn, G, H, component, r", [
+        # U -> U, r within 0..q: a component of U(2,1), not of U(2,2), and
+        # H = G, whose codimension is 0
+        ("restriction", "U:2,3", "U:2,2", ((1,), (3, 3)), 2),
+        ("restriction", "U:2,3", "U:2,3", ((1,), (2, 1)), 1),
+        # O -> O, r within 0..q-1
+        ("restriction", "O:2,4", "O:2,3", (), 2),
+        ("restriction", "O:3,4", "O:3,4", (), 1),
+        # cup, r within 1..q-1, U and O: r = 3 would read H's 3x5 box as codimension 3
+        ("cup", "O:3,6", "O:3,5", (), 3),
+        ("cup", "U:2,4", "U:2,3", ((1,), (2, 2)), 2),
+    ])
+    def test_component_r_that_disagrees_with_h_raises(self, fn, G, H, component, r):
+        verdict = lef.restriction_verdict if fn == "restriction" else lef.cup_verdict
+        G, H = lef.parse_group(G), lef.parse_group(H)
+        with pytest.raises(ValueError, match=re.escape(f"r = {r} disagrees with H = {H}, which has r = {G.q - H.q}")):
+            verdict(G, H, component=component, r=r)
+
+    @pytest.mark.parametrize("fn, G, H, component", [
+        ("restriction", "U:2,3", "U:2,2", ((1,), (2, 1))),
+        ("restriction", "U:2,3", "U:2,3", ((1,), (2, 1))),
+        ("restriction", "O:3,6", "O:3,4", ()),
+        ("cup", "O:3,6", "O:3,5", (1, 1, 1)),
+        ("cup", "U:2,4", "U:2,3", ((1,), (2, 2))),
+    ])
+    def test_component_r_that_agrees_with_h_answers_as_omitted(self, fn, G, H, component):
+        verdict = lef.restriction_verdict if fn == "restriction" else lef.cup_verdict
+        G, H = lef.parse_group(G), lef.parse_group(H)
+        assert verdict(G, H, component=component, r=G.q - H.q) == verdict(G, H, component=component)
 
     def test_u_component_restriction_keeps_p(self):
         # Thm analogue restricts U(p,q) to U(p,q-r); U(1,2) is not of that form
