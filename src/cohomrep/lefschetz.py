@@ -310,6 +310,12 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
         is_orth = ortho_classify(lam, BoxContext(p, q)) is not None
         return Verdict(CONJECTURED, "Conj CanaUO",
                        f"criterion lam orthogonal: {is_orth}", criterion_value=is_orth)
+    return _uncovered_component(component, p, q)
+
+
+def _uncovered_component(component, p: int, q: int) -> Verdict:
+    """The answer to a component query with an H no statement covers, once
+    the component is a lam or a lam;mu inside the p x q box of G."""
     _component(component, "lam or lam;mu", p, q)
     return Verdict(NOT_COVERED, "Thm analogue", "no statement covers this component query")
 
@@ -340,12 +346,16 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
                 l2: bool = False) -> Verdict:
     """Cup product with the cycle class of H inside G, in degree k of H's
     cohomology, or on a named component (conjectural in general): (lam, mu)
-    for U, lam for O, inside H's box (see cup_box), else ValueError."""
+    for U, lam for O, inside H's box (see cup_box), else ValueError.  A
+    component query with a group H of another kind or p than G answers
+    not-covered, as a restriction component query does."""
     p, q = G.p, G.q
     if degree is not None and component is None:
         return _degree_verdict("cup", G, H, degree)
     if component is None:
         raise ValueError("need a degree or a component")
+    if isinstance(H, Group) and (H.kind, H.p) != (G.kind, p):
+        return _uncovered_component(component, p, q)
     rr, qq = cup_box(G, H, r)
     if G.kind == "O":
         lam, = _component(component, "lam", p, qq)

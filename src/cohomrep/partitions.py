@@ -22,6 +22,19 @@ enumerations fill one table of the (|lam|, lam, mu, rects) entries of
 every sub-box bottom-up (`_pair_table`), since a word is a first level
 followed by a word of a smaller box.  The word itself is the test oracle
 `level_word` in `tests/_partitions_reference.py`.
+
+Partitions are validated once, at the boundary.  A `_Checked` tuple marks
+a partition this module built or validated, and `as_partition` returns one
+after a single type test.  `enumerate_compatible` returns its lam and mu,
+`enumerate_orthogonal` its lam, and `as_partition` every input it converts
+as checked partitions.  So the modules of `vz_catalog`, and the pairs and
+orthogonal partitions passed back into `complement`, `compatible_pair`,
+`ortho_classify`, `boxed` and the `branching` and `lefschetz` entry points,
+skip the scans; `boxed` still checks box fit and nesting on every call.
+`enumerate_compatible` interns equal partitions through a table that lives
+for the one call, so the pairs of a box share one object per partition; a
+table kept across calls would hold the partitions of every box ever
+enumerated.
 """
 
 from __future__ import annotations
@@ -48,9 +61,31 @@ class CapExceededError(ValueError):
         super().__init__(f"cap exceeded: {name}={value} > {cap}")
 
 
+class _Checked(tuple):
+    """A partition tuple that this module built or has validated: exact
+    ints, weakly decreasing, no trailing zero.  `as_partition` returns one
+    after a single type test.  Only this module makes one, so no other
+    layer can mark an unchecked tuple as checked; it prints, compares and
+    hashes as the plain tuple, and slices and sums of it are plain tuples."""
+
+    __slots__ = ()
+
+
+class _CheckedTable(dict):
+    """Plain partition -> its one `_Checked` copy, made at the first lookup."""
+
+    def __missing__(self, lam: Partition) -> Partition:
+        checked = self[lam] = _Checked(lam)
+        return checked
+
+
 def as_partition(parts: Sequence[int]) -> Partition:
     """Normalize ``parts`` to a partition tuple (strip trailing zeros).  A
-    tuple of exact ints that is already a partition is returned as it is."""
+    checked partition, or a tuple of exact ints that is already a partition,
+    is returned as it is; anything else is converted, checked and returned
+    checked."""
+    if type(parts) is _Checked:
+        return parts
     if type(parts) is tuple and (not parts or (
             set(map(type, parts)) == _EXACT_INT and parts[-1] > 0 and all(map(ge, parts, parts[1:])))):
         return parts
@@ -62,7 +97,7 @@ def as_partition(parts: Sequence[int]) -> Partition:
         raise ValueError(f"negative part in {t}")
     while t and t[-1] == 0:
         t = t[:-1]
-    return t
+    return _Checked(t)
 
 
 def boxed(p: int, q: int, lam: Sequence[int] = (),
@@ -398,7 +433,8 @@ def enumerate_compatible(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[C
         raise CapExceededError("enumeration box area p*q", p * q, cap)
     entries = _pair_table(p, q)[p, q]
     entries.sort()  # (|lam|, lam, mu) is unique, so rects are never compared
-    return [CompatiblePair(lam, mu, ctx, rects) for _, lam, mu, rects in entries]
+    checked = _CheckedTable()  # the pairs of the box share one object per partition
+    return [CompatiblePair(checked[lam], checked[mu], ctx, rects) for _, lam, mu, rects in entries]
 
 
 def enumerate_orthogonal(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[OrthoPartition]:
@@ -425,5 +461,5 @@ def enumerate_orthogonal(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[O
             for _, lam_h, mu_h, rects in table[a, b]:
                 lam = tuple(q - b + v for v in pad(lam_h, a)) + mid_rows + _complement(mu_h, a, b)
                 found.append((sum(lam), lam, rects + mid_rect + rects[::-1]))
-    found.sort()  # lam is unique
-    return [_orthogonal(lam, rects, ctx) for _, lam, rects in found]
+    found.sort()  # lam is unique, so each is checked once
+    return [_orthogonal(_Checked(lam), rects, ctx) for _, lam, rects in found]

@@ -23,11 +23,13 @@ lists equal to it; bools, floats and subclasses are left out of that, since
 ``True == 1``, ``1.0 == 1`` and ``-0.0 == 0.0`` print differently.  A batch
 of dicts is grouped by key tuple and written column by column, one batch per
 key, each row from one `%` template.  The texts go back in the order of the
-values.  A value no batch writes (a subclass, a numpy scalar, a dict with
-keys other than exact strs) is written by ``json.dumps`` itself and
-re-indented, so what json rejects raises json's error; no cohomrep document
-holds one.  A batch longer than `_BLOCK` is written in blocks, which bounds
-the texts held at once.
+values.  A subclass of list or tuple (a checked partition of `partitions`,
+a NamedTuple) joins the batches of lists, since json writes each as an
+array.  A value no batch writes (a str, int, float or dict subclass, a
+numpy scalar, a dict with keys other than exact strs) is written by
+``json.dumps`` itself and re-indented, so what json rejects raises json's
+error; no cohomrep document holds one.  A batch longer than `_BLOCK` is
+written in blocks, which bounds the texts held at once.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def _typed(t: type, values: list, nl: str) -> list:
         return list(map(_BOOL.__getitem__, values))
     if t is _NONE:
         return ["null"] * len(values)
-    if t is list or t is tuple:
+    if issubclass(t, (list, tuple)):  # json writes every one as an array
         return _lists(values, nl)
     if t is dict:
         return _grouped(_dicts, values, list(map(tuple, values)), nl)
@@ -159,19 +161,21 @@ def _typed(t: type, values: list, nl: str) -> list:
 
 def _stdlib(v, nl: str) -> str:
     """The text of v from ``json.dumps``, its lines re-indented to start with
-    nl: for what no batch writes (subclasses, numpy scalars, dicts with keys
-    other than exact strs), which no cohomrep document holds.  json escapes
-    every newline inside a string, so each newline it writes starts a line."""
+    nl: for what no batch writes (str, int, float and dict subclasses, numpy
+    scalars, dicts with keys other than exact strs), which no cohomrep
+    document holds.  json escapes every newline inside a string, so each
+    newline it writes starts a line."""
     import json
 
     return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _lists(lists: list, nl: str) -> list:
-    """The texts of lists and tuples: all their items are written as one
-    batch, then cut back into one run of texts per list.  When every item is
-    an exact int or str, each distinct list is written once; when every item
-    is an exact int, the lists of each length are written from one template."""
+    """The texts of lists and tuples, subclasses included: all their items
+    are written as one batch, then cut back into one run of texts per list.
+    When every item is an exact int or str, each distinct list is written
+    once; when every item is an exact int, the lists of each length are
+    written from one template."""
     types = set(map(type, chain.from_iterable(lists)))
     keys = None
     if types <= _KEYED:  # equal lists of exact ints and strs have equal texts

@@ -73,6 +73,18 @@ class TestLefschetz:
         assert out["data"][0]["status"] == "conjectured"
         assert out["data"][0]["anchor"] == "Conj C100"
 
+    @pytest.mark.parametrize("argv", [
+        ["--G", "O:3,6", "--H", "U:1,5", "--component", "1,1,1"],
+        ["--G", "U:2,4", "--H", "U:1,3", "--component", "1;2,2"],
+    ])
+    def test_cup_component_with_h_of_another_kind_or_p_is_not_covered(self, argv):
+        # the answer a restriction component query gives such an H
+        code, out, err = call(["lefschetz", "--mode", "cup", *argv])
+        assert (code, err) == (0, "")
+        row = json.loads(out)["data"][0]
+        assert (row["status"], row["anchor"], row["target_component"]) == ("not-covered", "Thm analogue", None)
+        assert row == json.loads(call(["lefschetz", "--mode", "restriction", *argv])[1])["data"][0]
+
     def test_usage_error_exit(self):
         proc = run("lefschetz", "--mode", "restriction", "--G", "O:3,4",
                    "--bogus-flag", check=False)

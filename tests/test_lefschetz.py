@@ -181,6 +181,22 @@ class TestVerdictHygiene:
         assert tuple(v) == (lef.NOT_COVERED, "Thm analogue", "no statement covers this component query",
                             None, None, None)
 
+    @pytest.mark.parametrize("G, H, component", [
+        ("O:3,6", "U:1,5", (1, 1, 1)),
+        ("U:2,4", "U:1,3", ((1,), (2, 2))),
+        ("U:2,4", "O:2,3", ((1,), (2, 2))),
+        ("O:3,6", "O:2,5", (1,)),
+        ("O:3,6", "U:3,5", (1, 1, 1)),
+    ])
+    def test_cup_component_with_h_of_another_kind_or_p_answers_as_restriction(self, G, H, component):
+        G, H = lef.parse_group(G), lef.parse_group(H)
+        v = lef.cup_verdict(G, H, component=component)
+        assert v == lef.restriction_verdict(G, H, component=component)
+        assert (v.status, v.target_component) == (lef.NOT_COVERED, None)
+        # the component is still read in G's box
+        with pytest.raises(ValueError, match=f"does not fit in {G.p}x{G.q}"):
+            lef.cup_verdict(G, H, component=(G.q + 1,))
+
     @pytest.mark.parametrize("case, match", [
         ({"fn": "restriction", "G": "U:2,3", "H": "U:2,2", "component": [1]}, "reads a component 'lam;mu'"),
         ({"fn": "restriction", "G": "O:3,4", "H": "O:3,3", "component": [[1], [2]]}, "reads a component 'lam'"),

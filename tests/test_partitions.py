@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohomrep import branching as br
 from cohomrep import partitions as pt
 from cohomrep.partitions import BoxContext
 
@@ -93,8 +94,10 @@ class TestBasics:
             assert outcome(pt.as_partition, make()) == outcome(converted, make())
 
     def test_as_partition_returns_a_partition_tuple_as_it_is(self):
-        lam = (4, 2, 2, 1)
-        assert pt.as_partition(lam) is lam
+        for lam in [(), (3,), (4, 2, 2, 1), pt.enumerate_compatible(BoxContext(2, 3))[-1].mu]:
+            assert pt.as_partition(lam) is lam
+        # what as_partition converts comes back checked
+        assert type(pt.as_partition([2, 1, 0])) is pt._Checked
 
     @given(boxed_partitions())
     @settings(max_examples=60)
@@ -378,6 +381,64 @@ class TestEnumeration:
                 for r in range(1, q + 1):
                     if rows <= p - 1 or any(b < r for _, b in cp.rects):
                         assert area < p * q - q + r, (p, q, cp.lam, cp.mu, r)
+
+
+#: the boxes of the benchmark's catalog sweep: p <= q, U up to p*q <= 25, O up to 42
+SWEEP_BOXES = ([("U", p, q) for p in range(1, 26) for q in range(p, 26) if p * q <= 25]
+               + [("O", p, q) for p in range(1, 43) for q in range(p, 43) if p * q <= 42])
+
+
+class TestCheckedPartitions:
+    # a partition the library built or validated is a `_Checked` tuple, which
+    # as_partition trusts; a plain tuple is trusted only after the scans
+
+    @staticmethod
+    def assert_checked(parts, where):
+        for lam in parts:
+            assert type(lam) is pt._Checked, where
+            # the plain copy passes the full checks, and comes back as it is
+            plain = tuple(lam)
+            assert pt.as_partition(plain) is plain and plain == lam, where
+
+    def test_enumerators_and_catalogs_return_checked_partitions(self):
+        from cohomrep import vz_catalog as vz
+
+        assert len(SWEEP_BOXES) == 133
+        for kind, p, q in SWEEP_BOXES:
+            ctx = BoxContext(p, q)
+            if kind == "U":
+                pairs = pt.enumerate_compatible(ctx)
+                parts = [x for cp in pairs for x in (cp.lam, cp.mu)]
+                # one object per partition of the box
+                assert len(set(map(id, parts))) == len(set(parts)), (p, q)
+            else:
+                parts = [orth.lam for orth in pt.enumerate_orthogonal(ctx)]
+            self.assert_checked(parts, (kind, p, q))
+            mods = vz.catalog(kind, p, q)
+            self.assert_checked([m.lam for m in mods] + [m.mu for m in mods if kind == "U"], (kind, p, q))
+
+    @pytest.mark.parametrize("call", [
+        lambda lam: pt.complement(lam, 2, 3),
+        lambda lam: pt.compatible_pair(lam, (3, 3), BoxContext(2, 3)),
+        lambda lam: pt.compatible_pair((), lam, BoxContext(2, 3)),
+        lambda lam: pt.ortho_classify(lam, BoxContext(2, 3)),
+        lambda lam: pt.boxed(2, 3, lam),
+        lambda lam: pt.boxed(2, 3, (), lam),
+        lambda lam: br.restrict_U_pair_oracle_mult(lam, (3, 3), BoxContext(2, 3), 1, (), (2, 2)),
+        lambda lam: br.restrict_U_pair_oracle_mult((), (3, 3), BoxContext(2, 3), 1, lam, (2, 2)),
+    ], ids=["complement", "compatible_pair-lam", "compatible_pair-mu", "ortho_classify",
+            "boxed-lam", "boxed-mu", "oracle_mult-big", "oracle_mult-small"])
+    @pytest.mark.parametrize("bad", [(1, 2), (2, -1), (1, 1, 1), [4]], ids=repr)
+    def test_entry_points_still_reject_unchecked_input(self, call, bad):
+        with pytest.raises(ValueError):
+            call(bad)
+
+    def test_bools_normalize_to_exact_ints(self):
+        lam = pt.as_partition((True, 1))
+        assert lam == (1, 1) and list(map(type, lam)) == [int, int]
+        assert str(list(lam)) == "[1, 1]"
+        lam, mu = pt.boxed(2, 3, (True, 1), (3, True))
+        assert str([list(lam), list(mu)]) == "[[1, 1], [3, 1]]"
 
 
 class TestOptimizedMode:

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _catalog_reference import integer_weight
+from cohomrep import partitions as pt
 from cohomrep import serialize as ser
 from cohomrep import vz_catalog as vz
 
@@ -132,6 +135,28 @@ _B = ser._BLOCK
 ])
 def test_dumps_edge_cases(doc):
     assert ser.dumps(doc) == _json_oracle(doc)
+
+
+def test_list_and_tuple_subclasses_are_written_in_batch(monkeypatch):
+    # json writes every list and tuple subclass as an array, so the batches
+    # of lists take them: the checked partitions of a catalog, NamedTuples
+    def fallback(v, nl):
+        raise AssertionError(f"{type(v).__name__} reached the json fallback")
+
+    monkeypatch.setattr(ser, "_stdlib", fallback)
+    lam, mu = pt.enumerate_compatible(pt.BoxContext(2, 2))[4][:2]
+    assert type(lam) is pt._Checked and type(mu) is pt._Checked
+    for doc in ([lam, mu, (2, 1), [2, 1], lam], {"lam": lam, "mu": mu}, [{"lam": lam}, {"lam": (1,)}],
+                [_List([lam, 1]), _Record(lam, [mu]), ()], [pt.as_partition([])]):
+        assert ser.dumps(doc) == _json_oracle(doc)
+
+
+def test_import_loads_no_other_cohomrep_module():
+    # a fresh interpreter, so no earlier import counts
+    code = "import sys, cohomrep.serialize\nprint(sorted(m for m in sys.modules if 'cohomrep' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['cohomrep', 'cohomrep.serialize']\n"
 
 
 def test_dumps_rejects_an_int_past_the_digit_limit_as_json_does():

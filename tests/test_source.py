@@ -59,6 +59,28 @@ def test_box_and_nesting_rule_lives_in_one_function():
     assert "boxed" not in {node.name for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)}
 
 
+def test_checked_partitions_are_made_only_in_partitions():
+    # as_partition trusts a partitions._Checked tuple after one type test, so
+    # only partitions.py names the type: no other layer can mark an unchecked
+    # tuple as checked.  It makes one where it built or validated a partition
+    named, made = set(), set()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+                if "_Checked" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                    named.add(path.stem)
+                if isinstance(child, ast.Call) and "_Checked" in (getattr(child.func, "id", None),
+                                                                  getattr(child.func, "attr", None)):
+                    made.add(f"{path.stem}.{'.'.join(scope)}")
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), ())
+    assert named == {"partitions"}
+    assert made == {"partitions.as_partition", "partitions._CheckedTable.__missing__",
+                    "partitions.enumerate_orthogonal"}
+
+
 def _reached(tree, roots):
     """(functions, names): the module-level functions of tree that roots reach
     through one another, and every name those functions reference."""
