@@ -347,14 +347,15 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
     """Cup product with the cycle class of H inside G, in degree k of H's
     cohomology, or on a named component (conjectural in general): (lam, mu)
     for U, lam for O, inside H's box (see cup_box), else ValueError.  A
-    component query with a group H of another kind or p than G answers
-    not-covered, as a restriction component query does."""
+    component query with an H other than one group of G's kind and p (a
+    group of another kind or p, or two groups) answers not-covered, as a
+    restriction component query does."""
     p, q = G.p, G.q
     if degree is not None and component is None:
         return _degree_verdict("cup", G, H, degree)
     if component is None:
         raise ValueError("need a degree or a component")
-    if isinstance(H, Group) and (H.kind, H.p) != (G.kind, p):
+    if H is not None and not (_is(H, G.kind) and H.p == p):
         return _uncovered_component(component, p, q)
     rr, qq = cup_box(G, H, r)
     if G.kind == "O":

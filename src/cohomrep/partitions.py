@@ -12,16 +12,16 @@ A compatible pair is the comparison pattern of one dominant torus element,
 read as a *level word*: the merged chain of rows (top down) and columns
 (right to left), one level per free row (1, 0), free column (0, 1) or tie
 block (a, b), a, b >= 1, whose tie blocks are the skew rectangles.  The
-library builds no word.  One walk, `_runs`, reads the levels off the runs
-of rows with equal (lam_i, mu_i), free rows and free columns merged, and
-returns None when the pair is not nested or not compatible; its tie blocks
-are the rectangles of `skew_decompose` and of `ortho_classify`, which walks
-(lam, complement(lam)) without building the complement, and the witness
-vector and `isolation._torus_chain` are loops over its runs.  The
-enumerations fill one table of the (|lam|, lam, mu, rects) entries of
-every sub-box bottom-up (`_pair_table`), since a word is a first level
-followed by a word of a smaller box.  The word itself is the test oracle
-`level_word` in `tests/_partitions_reference.py`.
+library builds no word.  One walk, `_runs`, a plain loop over the rows,
+reads the levels off the runs of rows with equal (lam_i, mu_i), free rows
+and free columns merged, and returns None when the pair is not nested or
+not compatible; its tie blocks are the rectangles of `skew_decompose` and
+of `ortho_classify`, which walks (lam, complement(lam)) without building
+the complement, and the witness vector and `isolation._torus_chain` are
+loops over its runs.  The enumerations fill one table of the (|lam|, lam,
+mu, rects) entries of every sub-box bottom-up (`_pair_table`), since a
+word is a first level followed by a word of a smaller box.  The word
+itself is the test oracle `level_word` in `tests/_partitions_reference.py`.
 
 Partitions are validated once, at the boundary.  A `_Checked` tuple marks
 a partition this module built or validated, and `as_partition` returns one
@@ -30,7 +30,8 @@ after a single type test.  `enumerate_compatible` returns its lam and mu,
 as checked partitions.  So the modules of `vz_catalog`, and the pairs and
 orthogonal partitions passed back into `complement`, `compatible_pair`,
 `ortho_classify`, `boxed` and the `branching` and `lefschetz` entry points,
-skip the scans; `boxed` still checks box fit and nesting on every call.
+skip the scans.  `boxed` makes the type test itself, so a checked lam or
+mu costs it no call, and still checks box fit and nesting on every call.
 `enumerate_compatible` interns equal partitions through a table that lives
 for the one call, so the pairs of a box share one object per partition; a
 table kept across calls would hold the partitions of every box ever
@@ -39,7 +40,6 @@ enumerated.
 
 from __future__ import annotations
 
-from itertools import groupby
 from operator import ge
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -108,12 +108,14 @@ def boxed(p: int, q: int, lam: Sequence[int] = (),
     it returns to the underscored twins below, which check nothing."""
     if p < 1 or q < 1:
         raise ValueError(f"box {p}x{q}: p and q must be >= 1")
-    lam = as_partition(lam)
+    if type(lam) is not _Checked:
+        lam = as_partition(lam)
     if len(lam) > p or (lam and lam[0] > q):
         raise ValueError(f"lam {list(lam)} does not fit in {p}x{q}")
     if mu is None:
         return lam, None
-    mu = as_partition(mu)
+    if type(mu) is not _Checked:
+        mu = as_partition(mu)
     if len(mu) > p or (mu and mu[0] > q):
         raise ValueError(f"mu {list(mu)} does not fit in {p}x{q}")
     if not _contains(mu, lam):
@@ -131,7 +133,10 @@ def part(lam: Sequence[int], i: int) -> int:
 
 
 def pad(lam: Partition, rows: int) -> tuple[int, ...]:
-    return tuple(lam) + (0,) * (rows - len(lam))
+    """lam with zero rows appended up to `rows`, as an exact tuple: a tuple,
+    checked or not, is not copied first."""
+    zeros = (0,) * (rows - len(lam))
+    return lam + zeros if isinstance(lam, tuple) else tuple(lam) + zeros
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -253,20 +258,31 @@ def _runs(lam_rows: Iterable[int], mu_rows: Iterable[int], q: int) -> Optional[l
     the pair is not nested or not compatible.  A run is (0, c), c free
     columns; (n, 0), n free rows; or (a, b), a, b >= 1, a tie block.
 
-    One `groupby` pass over the runs of rows with equal (lam_i, mu_i): the
-    columns j > mu_i still unplaced above a run are free columns, then the
-    run is free rows when lam_i = mu_i and else one tie block of the columns
-    down to lam_i + 1.  A row with mu_i > j would share an edge with the
-    tie block above it.  The columns left of every row end the walk."""
+    One loop over the rows: a row equal to the one above it, (lam_i, mu_i)
+    both, extends its run.  A row that starts a run first closes the run
+    above it; then the columns j > mu_i still unplaced are free columns, and
+    the run is free rows when lam_i = mu_i and else one tie block of the
+    columns down to lam_i + 1.  A row with mu_i > j would share an edge with
+    the tie block above it.  The columns left of every row end the walk."""
     runs = []
     j = q  # columns right of j are placed
-    for (lam_i, mu_i), rows in groupby(zip(lam_rows, mu_rows)):
+    n = 0  # rows in the run of (run_lam, run_mu)
+    run_lam = run_mu = None
+    for lam_i, mu_i in zip(lam_rows, mu_rows):
+        if lam_i == run_lam and mu_i == run_mu:
+            n += 1
+            continue
+        if n:
+            runs.append((n, run_mu - run_lam))
         if lam_i > mu_i or mu_i > j:
             return None
         if j > mu_i:
             runs.append((0, j - mu_i))
-        runs.append((len(list(rows)), mu_i - lam_i))
-        j = lam_i
+        j = run_lam = lam_i
+        run_mu = mu_i
+        n = 1
+    if n:
+        runs.append((n, run_mu - run_lam))
     if j:
         runs.append((0, j))
     return runs

@@ -174,12 +174,14 @@ def _lists(lists: list, nl: str) -> list:
     """The texts of lists and tuples, subclasses included: all their items
     are written as one batch, then cut back into one run of texts per list.
     When every item is an exact int or str, each distinct list is written
-    once; when every item is an exact int, the lists of each length are
-    written from one template."""
+    once, keyed by a tuple copy of each list and by each tuple itself, so a
+    checked partition is not copied; when every item is an exact int, the
+    lists of each length are written from one template."""
     types = set(map(type, chain.from_iterable(lists)))
     keys = None
     if types <= _KEYED:  # equal lists of exact ints and strs have equal texts
-        keys = list(map(tuple, lists))
+        # the values of a batch share one type, so the first says which
+        keys = lists if isinstance(lists[0], tuple) else list(map(tuple, lists))
         lists = list(dict.fromkeys(keys))
     lengths = list(map(len, lists))
     if types == _INT:
@@ -198,14 +200,15 @@ def _lists(lists: list, nl: str) -> list:
 
 
 def _int_lists(k: int, lists: list, nl: str) -> list:
-    """The texts of lists of k exact ints each, from one `%d` row template:
+    """The texts of tuples of k exact ints each, the keys of `_lists`, from
+    one `%d` row template, which takes a tuple subclass as it takes a tuple:
     `%d` writes an exact int as its repr, and past the digit limit raises
     the ValueError json raises."""
     if not k:
         return ["[]"] * len(lists)
     inner = nl + "  "
     row = "[" + inner + ("," + inner).join(["%d"] * k) + nl + "]"
-    return list(map(row.__mod__, map(tuple, lists)))
+    return list(map(row.__mod__, lists))
 
 
 def _dicts(keys: tuple, dicts: list, nl: str) -> list:

@@ -91,15 +91,18 @@ def module_from_pair(cp: CompatiblePair,
     shapes, levis = tables if tables is not None else ({}, {})
     lam, mu, ctx, rects = cp
     p, q = ctx
-    if lam not in shapes:
-        shapes[lam] = rd._shape_U(lam, p, q)
-    if mu not in shapes:
-        shapes[mu] = rd._shape_U(mu, p, q)
-    if rects not in levis:
-        levis[rects] = levi_of_pair(cp)
-    ls, ms = shapes[lam], shapes[mu]
+    ls = shapes.get(lam)
+    if ls is None:
+        ls = shapes[lam] = rd._shape_U(lam, p, q)
+    ms = shapes.get(mu)  # after lam's entry, which it is when lam == mu
+    if ms is None:
+        ms = shapes[mu] = rd._shape_U(mu, p, q)
+    levi = levis.get(rects)
+    if levi is None:
+        levi = levis[rects] = levi_of_pair(cp)
+    # mu fits in the box, so it is the full box when its last of p rows is full
     return VZModule("U", p, q, lam, mu, None, None, rd._degree_U(ls.size, ms.size, p * q),
-                    levis[rects], rd._ktype_U(ls, ms), lam == mu, mu == (q,) * p, False, cp)
+                    levi, rd._ktype_U(ls, ms), lam == mu, len(mu) == p and mu[-1] == q, False, cp)
 
 
 def sign_slots(orth: OrthoPartition) -> list[tuple[Optional[int], Optional[int]]]:

@@ -16,6 +16,10 @@ themselves, each word read back into its pair.  `witness_by_word` gives
 level k of the word the value p + q - k, as `partitions.build_witness_X`
 did from the word.
 
+`runs_by_groupby` is the former body of `partitions._runs`, one `groupby`
+pass over the runs of rows with equal (lam_i, mu_i), which the plain loop
+of `_runs` replaced.
+
 It also keeps the former forms of two O-path helpers, as oracles:
 `even_type_by_conjugate` reads the column corner of an even orthogonal
 partition off its conjugate, where `partitions._even_type` tests whether a
@@ -103,6 +107,26 @@ def merged_word(word):
         else:
             out.append((a, b))
     return out
+
+
+def runs_by_groupby(lam_rows, mu_rows, q):
+    """The level runs of the pair with these rows, top down, or None when
+    the pair is not nested or not compatible, from one `groupby` pass: the
+    columns j > mu_i still unplaced above a run are free columns, then the
+    run is free rows when lam_i = mu_i and else one tie block of the columns
+    down to lam_i + 1."""
+    runs = []
+    j = q  # columns right of j are placed
+    for (lam_i, mu_i), rows in itertools.groupby(zip(lam_rows, mu_rows)):
+        if lam_i > mu_i or mu_i > j:
+            return None
+        if j > mu_i:
+            runs.append((0, j - mu_i))
+        runs.append((len(list(rows)), mu_i - lam_i))
+        j = lam_i
+    if j:
+        runs.append((0, j))
+    return runs
 
 
 def ortho_classify_by_complement(lam, ctx: BoxContext):

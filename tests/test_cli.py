@@ -76,6 +76,8 @@ class TestLefschetz:
     @pytest.mark.parametrize("argv", [
         ["--G", "O:3,6", "--H", "U:1,5", "--component", "1,1,1"],
         ["--G", "U:2,4", "--H", "U:1,3", "--component", "1;2,2"],
+        ["--G", "U:2,4", "--H", "U:2,3+U:1,4", "--component", "1;2,2", "--r", "1"],
+        ["--G", "O:3,6", "--H", "O:3,5+O:2,6", "--component", "1,1,1", "--r", "1"],
     ])
     def test_cup_component_with_h_of_another_kind_or_p_is_not_covered(self, argv):
         # the answer a restriction component query gives such an H

@@ -197,6 +197,20 @@ class TestVerdictHygiene:
         with pytest.raises(ValueError, match=f"does not fit in {G.p}x{G.q}"):
             lef.cup_verdict(G, H, component=(G.q + 1,))
 
+    @pytest.mark.parametrize("G, H, component", [
+        ("U:2,4", "U:2,3+U:1,4", ((1,), (2, 2))),
+        ("O:3,6", "O:3,5+O:2,6", (1, 1, 1)),
+    ])
+    @pytest.mark.parametrize("r", [None, 1])
+    def test_cup_component_with_two_groups_h_answers_as_restriction(self, G, H, component, r):
+        # H of two groups names no codimension: r is not read, as in restriction
+        G, H = lef.parse_group(G), tuple(map(lef.parse_group, H.split("+")))
+        v = lef.cup_verdict(G, H, component=component, r=r)
+        assert v == lef.restriction_verdict(G, H, component=component, r=r)
+        assert (v.status, v.target_component) == (lef.NOT_COVERED, None)
+        with pytest.raises(ValueError, match=f"does not fit in {G.p}x{G.q}"):
+            lef.cup_verdict(G, H, component=(G.q + 1,), r=r)
+
     @pytest.mark.parametrize("case, match", [
         ({"fn": "restriction", "G": "U:2,3", "H": "U:2,2", "component": [1]}, "reads a component 'lam;mu'"),
         ({"fn": "restriction", "G": "O:3,4", "H": "O:3,3", "component": [[1], [2]]}, "reads a component 'lam'"),

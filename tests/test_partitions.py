@@ -1,6 +1,7 @@
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,8 @@ from cohomrep.partitions import BoxContext
 
 from _partitions_reference import (all_pairs_compatible, compatible_by_words, even_type_by_conjugate,
                                    level_word, level_words, merged_word, ortho_classify_by_complement,
-                                   orthogonal_by_words, pair_of_word, round_trip_rects, witness_by_word)
+                                   orthogonal_by_words, pair_of_word, round_trip_rects, runs_by_groupby,
+                                   witness_by_word)
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -191,6 +193,23 @@ class TestRuns:
                     assert runs is None, (p, q, lam, mu)
                 else:
                     assert runs == merged_word(level_word(lam, mu, p, q)), (p, q, lam, mu)
+
+    def test_equals_the_groupby_walk(self):
+        # every pair of partitions, nested or not, compatible or not, fed as
+        # tuples of p rows, as one-shot iterators (mu's rows read back off its
+        # reversed complement, as isolation._torus_chain passes them) and with
+        # lam padded only to the rows of mu, as _skew_decompose pads it
+        for p, q in itertools.product(range(1, 6), repeat=2):
+            parts = list(pt.partitions_in_box(p, q))
+            for lam, mu in itertools.product(parts, parts):
+                rows = pt.pad(lam, p), pt.pad(mu, p)
+                runs = runs_by_groupby(*rows, q)
+                assert pt._runs(*rows, q) == runs, (p, q, lam, mu)
+                flipped = tuple(q - v for v in reversed(rows[1]))  # mu is the complement of this
+                one_shot = reversed(rows[0][::-1]), map(q.__sub__, reversed(flipped))
+                assert pt._runs(*one_shot, q) == runs, (p, q, lam, mu)
+                short = lam + (0,) * (len(mu) - len(lam))
+                assert pt._runs(short, mu, q) == runs_by_groupby(short, mu, q), (p, q, lam, mu)
 
 
 class TestWitness:
@@ -432,6 +451,44 @@ class TestCheckedPartitions:
     def test_entry_points_still_reject_unchecked_input(self, call, bad):
         with pytest.raises(ValueError):
             call(bad)
+
+    def test_boxed_takes_checked_partitions_without_a_call(self, monkeypatch):
+        # boxed makes the type test itself: a checked lam or mu comes back as
+        # the same object, and still meets every box-fit and nesting check
+        lam, mu, big = pt.as_partition([1]), pt.as_partition([3, 2]), pt.as_partition([4])
+
+        def refuse(parts):
+            raise AssertionError(f"as_partition({parts!r}) was called")
+
+        monkeypatch.setattr(pt, "as_partition", refuse)
+        out = pt.boxed(2, 3, lam, mu)
+        assert out[0] is lam and out[1] is mu
+        out = pt.boxed(2, 3, mu)
+        assert out[0] is mu and out[1] is None
+        for args, message in [((1, 3, mu), "lam [3, 2] does not fit in 1x3"),
+                              ((2, 3, big), "lam [4] does not fit in 2x3"),
+                              ((1, 3, lam, mu), "mu [3, 2] does not fit in 1x3"),
+                              ((2, 3, lam, big), "mu [4] does not fit in 2x3"),
+                              ((2, 3, mu, lam), "lam [3, 2] is not contained in mu [1]"),
+                              ((0, 3, lam, mu), "box 0x3: p and q must be >= 1")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                pt.boxed(*args)
+
+    @pytest.mark.parametrize("lam", [(1,), [1], (True,), (1, 0)], ids=repr)
+    def test_boxed_sends_every_other_input_through_as_partition(self, monkeypatch, lam):
+        seen = []
+        as_partition = pt.as_partition
+        monkeypatch.setattr(pt, "as_partition", lambda parts: seen.append(parts) or as_partition(parts))
+        mu = (True, 1)
+        out = pt.boxed(2, 3, lam, mu)
+        assert list(map(id, seen)) == [id(lam), id(mu)]
+        assert out == ((1,), (1, 1)) and {type(v) for part in out for v in part} == {int}
+
+    @pytest.mark.parametrize("lam", [pt.as_partition([2, 1]), (2, 1), [2, 1], pt.as_partition([]), ()], ids=repr)
+    @pytest.mark.parametrize("rows", [0, 2, 4])
+    def test_pad_returns_an_exact_tuple(self, lam, rows):
+        out = pt.pad(lam, rows)
+        assert type(out) is tuple and out == tuple(lam) + (0,) * (rows - len(lam))
 
     def test_bools_normalize_to_exact_ints(self):
         lam = pt.as_partition((True, 1))

@@ -151,6 +151,17 @@ def test_list_and_tuple_subclasses_are_written_in_batch(monkeypatch):
         assert ser.dumps(doc) == _json_oracle(doc)
 
 
+def test_checked_plain_and_list_partitions_are_written_alike():
+    # each batch keys its dedup by the tuples themselves and by tuple copies
+    # of lists: a checked partition and an equal plain tuple or list print
+    # the same array, in a list and in a dict column
+    lam, mu, empty = pt.as_partition([2, 1]), pt.as_partition([3, 3]), pt.as_partition([])
+    mixed = [lam, (2, 1), [2, 1], mu, [3, 3], (3, 3), empty, (), [], lam, ["U", 2, 1], ("U", 2, 1)]
+    rows = [{"lam": x, "mu": y} for x, y in zip(mixed, reversed(mixed))]
+    for doc in (mixed, rows, [mixed, rows], mixed * (_B // 4 + 1)):
+        assert ser.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_import_loads_no_other_cohomrep_module():
     # a fresh interpreter, so no earlier import counts
     code = "import sys, cohomrep.serialize\nprint(sorted(m for m in sys.modules if 'cohomrep' in m))"

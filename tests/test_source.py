@@ -212,23 +212,60 @@ def test_compatibility_scan_stays_independent_of_the_level_word_oracle():
 
 def test_row_runs_are_read_in_one_walk():
     # compatibility, the orthogonal classifier, the witness and the torus
-    # chain all read a pair's levels off partitions._runs: no other function
-    # groups rows into runs, and only partitions imports groupby
-    sites, imports = set(), set()
+    # chain all read a pair's levels off partitions._runs, so each calls it;
+    # grouping rows with groupby is the test oracle runs_by_groupby, which
+    # stays independent of the walk it checks, so no library module names it
+    named = set()
     for path in sorted(SRC.glob("*.py")):
-        def visit(node, scope):
-            for child in ast.iter_child_nodes(node):
-                inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-                if ((isinstance(child, ast.Name) and child.id == "groupby")
-                        or (isinstance(child, ast.Attribute) and child.attr == "groupby")):
-                    sites.add(f"{path.stem}.{'.'.join(scope)}")
-                if isinstance(child, ast.alias) and child.name == "groupby":
-                    imports.add(path.stem)
-                visit(child, inner)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if ((isinstance(node, ast.Name) and node.id == "groupby")
+                    or (isinstance(node, ast.Attribute) and node.attr == "groupby")
+                    or (isinstance(node, ast.alias) and node.name == "groupby")):
+                named.add(f"{path.name}:{node.lineno}")
+    assert not named, sorted(named)
+    readers = {("partitions", "_skew_decompose"), ("partitions", "build_witness_X"), ("isolation", "_torus_chain")}
+    calling = set()
+    for module, name in readers:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+        if any(isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_runs"
+               for node in ast.walk(fn)):
+            calling.add((module, name))
+    assert calling == readers, sorted(readers - calling)
 
-        visit(ast.parse(path.read_text(), filename=str(path)), ())
-    assert sites == {"partitions._runs"}, sorted(sites)
-    assert imports == {"partitions"}, sorted(imports)
+
+def _imported_modules(tree):
+    """Every module an import statement anywhere in tree names, relative
+    ones with their dots: ``from . import rootdata`` gives ".rootdata"."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            found |= {base + alias.name for alias in node.names} if node.module is None else {base}
+    return found
+
+
+#: what each catalog-path module imports, at the top, under TYPE_CHECKING or
+#: inside a function
+CATALOG_PATH_IMPORTS = {
+    "partitions": {"__future__", "operator", "typing"},
+    "vz_catalog": {"__future__", "functools", "typing", ".partitions", ".rootdata"},
+    "isolation": {"__future__", "typing", ".partitions", ".rootdata"},
+    "serialize": {"__future__", "itertools", "_json", "operator", "typing", "json",
+                  ".lefschetz", ".rootdata", ".vz_catalog"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PATH_IMPORTS))
+def test_catalog_path_imports_no_new_module(name):
+    # every catalog-sweep pass compiles these modules from source and loads
+    # what they import, which setup time and peak RSS pay for: a walk or a
+    # key that needs another module (bisect, collections) has to earn it
+    tree = ast.parse((SRC / f"{name}.py").read_text(), filename=name)
+    extra = _imported_modules(tree) - CATALOG_PATH_IMPORTS[name]
+    assert not extra, sorted(extra)
 
 
 def test_o_ktype_oracle_uses_only_the_weight_record_of_rootdata():
