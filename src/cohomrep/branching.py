@@ -221,9 +221,6 @@ class FormalCharacter(Counter):
         self.kind = kind
         self.rank = rank
 
-    def dim(self) -> int:
-        return sum(self.values())
-
 
 def gl_weyl_dim(hw, n: int, cap: Optional[int] = None) -> int:
     """Weyl dimension formula for GL_n with weakly decreasing hw: the
@@ -394,20 +391,13 @@ def _restricted_decomposition(hw_big: tuple[int, ...], n: int, r: int) -> Counte
 # K-type highest weights as GL pairs, and the oracle-backed restriction count
 
 
-def ktype_gl_pair_hw(lam: Partition, mu: Partition, ctx: BoxContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Highest weight of V(lam, mu) as a GL_p x GL_q module, both factors in
-    the standard descending convention.  The GL_q part is listed so that its
-    first coordinates correspond to the columns dropped by the block
-    embedding GL_{q-r} -> GL_q.  lam <= mu must fit in the box."""
-    return _gl_pair_hw(*boxed(ctx.p, ctx.q, lam, mu), ctx.p, ctx.q)
-
-
 @functools.lru_cache(maxsize=GL_MEMO_SIZE)
 def _gl_pair_hw(lam: Partition, mu: Partition, p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """ktype_gl_pair_hw for normalized lam, mu, in O(p+q): the GL_p part is
-    lam_i + mu_i - q on the first p rows, and the GL_q part, read from column
-    q down to column 1, is p - lam*_j - mu*_j, where the column lengths
-    lam*_j + mu*_j are tail sums of one count of the parts by size."""
+    """Highest weight of V(lam, mu), for normalized lam <= mu in the p x q
+    box, as a descending GL_p x GL_q weight, in O(p+q): lam_i + mu_i - q on
+    the first p rows, then p - lam*_j - mu*_j from column q down to 1, so
+    the columns GL_{q-r} -> GL_q drops come first, the column lengths being
+    tail sums of one count of the parts by size."""
     a = [-q] * p
     count = [0] * (q + 1)  # parts of lam and mu by size, those above q at q
     for nu in (lam, mu):

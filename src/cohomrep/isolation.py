@@ -7,7 +7,7 @@ variants of A(lam) are isolated or not all together, governed by the
 palindromic decomposition and the same no-common-corner condition applied to
 (lam, complement(lam)).  Non-isolated modules have degree bounded below:
 p+q-3 for p,q >= 3, floor(max(p,q)/2) in rank two, and in rank one nothing
-is isolated.
+is isolated.  r_G = min(p, q) lives here, so it imports only `partitions`.
 
 The torus chain of an orthogonal partition is a loop over the level runs
 that `partitions._runs` reads off (lam, complement(lam)); the corner test
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from . import rootdata as rd
 from .partitions import (
     BoxContext,
     CompatiblePair,
@@ -152,6 +151,13 @@ def is_isolated_O(orth: OrthoPartition) -> bool:
     return not _cond3_violated(orth)
 
 
+def r_G(kind: str, p: int, q: int) -> int:
+    """Minimal strongly primitive degree: min(p, q) for U(p,q) and O(p,q)."""
+    if p < 1 or q < 1:
+        raise ValueError("p, q must be >= 1")
+    return min(p, q)
+
+
 class DegreeThreshold(NamedTuple):
     kind: str
     p: int
@@ -170,7 +176,7 @@ def min_degree_nonisolated(kind: str, p: int, q: int) -> DegreeThreshold:
     (p, q >= 3): non-isolated degree >= p+q-3, attained at (q-1, 1^{p-2}).
     For U the rank-one groups SU(1,q) likewise have no isolated modules.
     """
-    rank = rd.r_G(kind, p, q)
+    rank = r_G(kind, p, q)
     if rank == 1:
         return DegreeThreshold(kind, p, q, 1, None, None, "no cohomological module is isolated")
     if kind == "U":

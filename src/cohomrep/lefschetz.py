@@ -10,24 +10,15 @@ query; its criterion value is reported but never upgraded), and
 `_THEOREMS`; component queries, modular symbols and the L2 thresholds are
 answered in code.  A restriction component verdict takes its criterion and
 target from the `branching` predicates, and the O ladder theorems share one
-range predicate, `_o_ladder_in_range`.
+range predicate, `_o_ladder_in_range`.  It calls partitions as `pt.<name>`,
+so a degree query or an L2 threshold never runs a lazy `partitions` source.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .partitions import (
-    BoxContext,
-    Partition,
-    _complement,
-    _contains,
-    _skew_decompose,
-    as_partition,
-    boxed,
-    ortho_classify,
-    pad,
-)
+from . import partitions as pt
 
 GUARANTEED = "guaranteed"
 CONJECTURED = "conjectured"
@@ -120,7 +111,7 @@ def parse_group(text: str) -> Group:
 _PIECES = {"lam": (1,), "lam;mu": (2,), "lam or lam;mu": (1, 2), "lam;lam": (2,)}
 
 
-def _component(component, shape: str, p: int, q: int) -> tuple[Partition, ...]:
+def _component(component, shape: str, p: int, q: int) -> tuple[pt.Partition, ...]:
     """The pieces of a component, each normalized once: a pair is given as
     two sequences, one partition as a sequence of ints.  Raises ValueError
     unless the component has `shape` (a key of _PIECES), every piece fits in
@@ -129,8 +120,8 @@ def _component(component, shape: str, p: int, q: int) -> tuple[Partition, ...]:
     if len(pieces) not in _PIECES[shape]:
         raise ValueError(f"this query reads a component {shape!r}, not {component!r}")
     if shape == "lam;lam":
-        return tuple(boxed(p, q, c)[0] for c in pieces)
-    lam, mu = boxed(p, q, *pieces)
+        return tuple(pt.boxed(p, q, c)[0] for c in pieces)
+    lam, mu = pt.boxed(p, q, *pieces)
     return (lam,) if mu is None else (lam, mu)
 
 
@@ -270,7 +261,7 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     if G.kind == "U" and _is(H, "U") and H.p == p:
         lam, mu = _component(component, "lam;mu", p, q)
         rr = q - H.q if r is None else r
-        res = br.restrict_U_pair(lam, mu, BoxContext(p, q), rr)
+        res = br.restrict_U_pair(lam, mu, pt.BoxContext(p, q), rr)
         _r_matches(G, H, r)
         ok, target = res["contains"], res["target"]
         if not l2 or _ladder_in_l2_range(lam, mu, p, rr):
@@ -283,7 +274,7 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     if G.kind == "O" and _is(H, "O") and H.p == p:
         lam, = _component(component, "lam", p, q)
         rr = q - H.q if r is None else r
-        ok = br.restrict_O(lam, BoxContext(p, q), rr)["contains"]
+        ok = br.restrict_O(lam, pt.BoxContext(p, q), rr)["contains"]
         _r_matches(G, H, r)
         i = _column(lam, p)
         if i is not None and _o_ladder_in_range(p, q - rr, i):
@@ -298,26 +289,28 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
         lam = pieces[0]
         if len(pieces) == 2:
             mu = pieces[1]
-            if not br.restrict_UO_vanishing(lam, mu, BoxContext(p, q)):
+            if not br.restrict_UO_vanishing(lam, mu, pt.BoxContext(p, q)):
                 return Verdict(CONJECTURED, "Conj CanaUO",
                                "criterion lam = 0 or mu full: False", criterion_value=False)
-            lam = lam if mu == (q,) * p else _complement(mu, p, q)
+            lam = lam if mu == (q,) * p else pt._complement(mu, p, q)
         i = _column(lam, p)
         if i is not None and _o_ladder_in_range(p, q, i):
             return Verdict(GUARANTEED, "Thm anaUO-L2" if l2 else "Thm anaUO",
                            f"i <= (q-2)/2: {i} <= {(q - 2) / 2}; p+q-2i = {p + q - 2 * i} >= 5",
                            target_component=lam, qualifier="L2 cohomology" if l2 else None)
-        is_orth = ortho_classify(lam, BoxContext(p, q)) is not None
+        is_orth = pt.ortho_classify(lam, pt.BoxContext(p, q)) is not None
         return Verdict(CONJECTURED, "Conj CanaUO",
                        f"criterion lam orthogonal: {is_orth}", criterion_value=is_orth)
-    return _uncovered_component(component, p, q)
+    return _uncovered_component(component, G)
 
 
-def _uncovered_component(component, p: int, q: int) -> Verdict:
+def _uncovered_component(component, G: Group) -> Verdict:
     """The answer to a component query with an H no statement covers, once
-    the component is a lam or a lam;mu inside the p x q box of G."""
-    _component(component, "lam or lam;mu", p, q)
-    return Verdict(NOT_COVERED, "Thm analogue", "no statement covers this component query")
+    the component is a lam or a lam;mu inside G's box: it cites the
+    component theorem of G's kind."""
+    _component(component, "lam or lam;mu", G.p, G.q)
+    return Verdict(NOT_COVERED, "Thm analogue" if G.kind == "U" else "Thm anaO",
+                   "no statement covers this component query")
 
 
 def _o_ladder_in_range(p: int, q: int, i: int) -> bool:
@@ -333,7 +326,7 @@ def _ladder_in_l2_range(lam, mu, p, r) -> bool:
     return i is not None and m is not None and m - i >= r + 2
 
 
-def _column(lam: Partition, p: int) -> Optional[int]:
+def _column(lam: pt.Partition, p: int) -> Optional[int]:
     """i when lam = (i^p), the empty partition being i = 0, else None; lam
     is normalized."""
     if not lam:
@@ -356,19 +349,20 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
     if component is None:
         raise ValueError("need a degree or a component")
     if H is not None and not (_is(H, G.kind) and H.p == p):
-        return _uncovered_component(component, p, q)
+        return _uncovered_component(component, G)
     rr, qq = cup_box(G, H, r)
     if G.kind == "O":
         lam, = _component(component, "lam", p, qq)
         raised = _lam_plus_rp(lam, rr, p)  # (r^p) fits in the skew nu/lam iff lam + (r^p) lies in nu
-        ok = ortho_classify(lam, BoxContext(p, qq)) is not None and _contains(_complement(lam, p, qq), raised)
+        ok = (pt.ortho_classify(lam, pt.BoxContext(p, qq)) is not None
+              and pt._contains(pt._complement(lam, p, qq), raised))
         anchor = "Conj conjl2O" if l2 else "Conj C100"
         return Verdict(CONJECTURED, anchor, f"criterion (r^p) fits in complement(lam)/lam: {ok}",
                        target_component=raised if ok else None,
                        criterion_value=ok, qualifier="L2 cohomology" if l2 else None)
     lam, mu = _component(component, "lam;mu", p, qq)
     raised = _lam_plus_rp(lam, rr, p)
-    ok = _skew_decompose(lam, mu, BoxContext(p, qq)) is not None and _contains(mu, raised)
+    ok = pt._skew_decompose(lam, mu, pt.BoxContext(p, qq)) is not None and pt._contains(mu, raised)
     anchor = "Conj conjl2" if l2 else "Conj conj2"
     return Verdict(CONJECTURED, anchor, f"criterion (r^p) fits in mu/lam: {ok}",
                    target_component=(raised, mu) if ok else None,
@@ -396,9 +390,9 @@ def _r_matches(G: Group, H, r: Optional[int]) -> None:
         raise ValueError(f"r = {r} disagrees with H = {H}, which has r = {G.q - H.q}")
 
 
-def _lam_plus_rp(lam: Partition, r: int, p: int) -> Partition:
+def _lam_plus_rp(lam: pt.Partition, r: int, p: int) -> pt.Partition:
     """lam + (r^p) for a normalized lam and r >= 1."""
-    return tuple(v + r for v in pad(lam, p))
+    return tuple(v + r for v in pt.pad(lam, p))
 
 
 def cup_classes_verdict(G: Group, k: int, l: int, components=None) -> Verdict:
@@ -412,7 +406,7 @@ def cup_classes_verdict(G: Group, k: int, l: int, components=None) -> Verdict:
             if _o_ladder_in_range(p, q, kk + ll):
                 return Verdict(GUARANTEED, "Thm cupO",
                                f"k+l <= (q-2)/2: {kk + ll} <= {(q - 2) / 2}; p+q-2(k+l) = {p + q - 2 * (kk + ll)} >= 5",
-                               target_component=as_partition(((kk + ll),) * p))
+                               target_component=pt.as_partition(((kk + ll),) * p))
             return Verdict(NOT_COVERED, "Thm cupO", "outside the proven component range")
     return _degree_verdict("classes", G, None, k + l)
 
@@ -447,13 +441,13 @@ def modular_symbol_verdict(kind: str, p: int, q: int, r: int) -> Verdict:
         raise ValueError(f"r = {r} must be >= 0")
     if kind == "O":
         ok = _o_ladder_in_range(p, q - r, 0)
-        target = as_partition((r,) * p)
+        target = pt.as_partition((r,) * p)
         return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm symbmodul",
                        f"q >= r+2: {q} >= {r + 2}; p+q-r = {p + q - r} >= 5",
                        target_component=target if ok else None)
     if kind == "U":
         ok = q >= r + 2 and p >= 2 and q >= 2
-        target = (as_partition((r,) * p), as_partition((q,) * p))
+        target = (pt.as_partition((r,) * p), pt.as_partition((q,) * p))
         return Verdict(GUARANTEED if ok else NOT_COVERED, "Thm symbmodulU",
                        f"q >= r+2: {q} >= {r + 2}",
                        target_component=target if ok else None)

@@ -15,8 +15,8 @@ block (a, b), a, b >= 1, whose tie blocks are the skew rectangles.  The
 library builds no word.  One walk, `_runs`, a plain loop over the rows,
 reads the levels off the runs of rows with equal (lam_i, mu_i), free rows
 and free columns merged, and returns None when the pair is not nested or
-not compatible; its tie blocks are the rectangles of `skew_decompose` and
-of `ortho_classify`, which walks (lam, complement(lam)) without building
+not compatible; its tie blocks are the rectangles of `compatible_pair`
+and of `ortho_classify`, which walks (lam, complement(lam)) without building
 the complement, and the witness vector and `isolation._torus_chain` are
 loops over its runs.  The enumerations fill one table of the (|lam|, lam,
 mu, rects) entries of every sub-box bottom-up (`_pair_table`), since a
@@ -139,10 +139,6 @@ def pad(lam: Partition, rows: int) -> tuple[int, ...]:
     return lam + zeros if isinstance(lam, tuple) else tuple(lam) + zeros
 
 
-def contains(outer: Partition, inner: Partition) -> bool:
-    return _contains(as_partition(outer), as_partition(inner))
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram: (lam*)_j = #{i : lam_i >= j}."""
     return _conjugate(as_partition(lam))
@@ -245,14 +241,6 @@ def _pair_table(p: int, q: int) -> dict[tuple[int, int], list]:
     return table
 
 
-def skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[tuple[tuple[int, int], ...]]:
-    """Rectangle decomposition of mu/lam, or None when the skew is not a
-    corner-disjoint union of rectangles: one rectangle per run of rows with
-    equal (lam_i, mu_i) and lam_i < mu_i, top down.  lam == mu yields ().
-    """
-    return _skew_decompose(*boxed(ctx.p, ctx.q, lam, mu), ctx)
-
-
 def _runs(lam_rows: Iterable[int], mu_rows: Iterable[int], q: int) -> Optional[list[Level]]:
     """The level runs of the pair with these rows, top down, or None when
     the pair is not nested or not compatible.  A run is (0, c), c free
@@ -296,13 +284,11 @@ def _skew_decompose(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[
 
 
 def compatible_pair(lam: Partition, mu: Partition, ctx: BoxContext) -> Optional[CompatiblePair]:
+    """(lam, mu) with the rectangles of mu/lam, top down, or None when the
+    skew is not a corner-disjoint union of rectangles."""
     lam, mu = boxed(ctx.p, ctx.q, lam, mu)
     rects = _skew_decompose(lam, mu, ctx)
     return None if rects is None else CompatiblePair(lam, mu, ctx, rects)
-
-
-def is_compatible(lam: Partition, mu: Partition, ctx: BoxContext) -> bool:
-    return skew_decompose(lam, mu, ctx) is not None
 
 
 def build_witness_X(cp: CompatiblePair) -> tuple[tuple[int, ...], tuple[int, ...]]:

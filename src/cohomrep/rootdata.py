@@ -78,13 +78,6 @@ class RootSystemData(NamedTuple):
     rho_n2: Weight
 
 
-def r_G(kind: str, p: int, q: int) -> int:
-    """Minimal strongly primitive degree: min(p, q) for U(p,q) and O(p,q)."""
-    if p < 1 or q < 1:
-        raise ValueError("p, q must be >= 1")
-    return min(p, q)
-
-
 # ---------------------------------------------------------------------------
 # K-type highest weights 2rho(u cap p)
 

@@ -25,13 +25,18 @@ It also keeps the former forms of two O-path helpers, as oracles:
 partition off its conjugate, where `partitions._even_type` tests whether a
 row has s boxes, and `torus_chain_by_sort` walks the whole level word and
 sorts the chain, where `isolation._torus_chain` emits it in order from the
-first levels.
+first levels.  `contains` is the oracles' own containment test, row by row.
 """
 
 import itertools
 
 from cohomrep.partitions import (BoxContext, CompatiblePair, OrthoPartition, _is_level, _orthogonal, as_partition,
-                                 complement, conjugate, contains, pad, part, partitions_in_box, weight)
+                                 complement, conjugate, pad, part, partitions_in_box, weight)
+
+
+def contains(outer, inner) -> bool:
+    """Whether the diagram of inner lies inside that of outer, row by row."""
+    return all(part(outer, i) >= v for i, v in enumerate(inner, 1))
 
 
 def level_word(lam, mu, p, q):

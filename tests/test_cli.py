@@ -80,12 +80,25 @@ class TestLefschetz:
         ["--G", "O:3,6", "--H", "O:3,5+O:2,6", "--component", "1,1,1", "--r", "1"],
     ])
     def test_cup_component_with_h_of_another_kind_or_p_is_not_covered(self, argv):
-        # the answer a restriction component query gives such an H
+        # the answer a restriction component query gives such an H, citing
+        # the component theorem of G's kind
         code, out, err = call(["lefschetz", "--mode", "cup", *argv])
         assert (code, err) == (0, "")
         row = json.loads(out)["data"][0]
-        assert (row["status"], row["anchor"], row["target_component"]) == ("not-covered", "Thm analogue", None)
+        anchor = "Thm analogue" if argv[1].startswith("U") else "Thm anaO"
+        assert (row["status"], row["anchor"], row["target_component"]) == ("not-covered", anchor, None)
         assert row == json.loads(call(["lefschetz", "--mode", "restriction", *argv])[1])["data"][0]
+
+    @pytest.mark.parametrize("G, component, anchor", [
+        ("O:3,6", "1,1,1", "Thm anaO"),
+        ("U:2,4", "1;2,2", "Thm analogue"),
+    ])
+    def test_restriction_component_without_h_cites_the_theorem_of_gs_kind(self, G, component, anchor):
+        code, out, err = call(["lefschetz", "--mode", "restriction", "--G", G, "--component", component])
+        assert (code, err) == (0, "")
+        row = json.loads(out)["data"][0]
+        assert (row["status"], row["anchor"], row["target_component"]) == ("not-covered", anchor, None)
+        assert row["citation"].startswith(G[0])
 
     def test_usage_error_exit(self):
         proc = run("lefschetz", "--mode", "restriction", "--G", "O:3,4",
@@ -369,6 +382,32 @@ class TestLazyLayers:
             print(state())
         """)
         assert out == "([], True)\n([], True)\n"
+
+    def test_degree_queries_and_thresholds_skip_partitions_and_isolation_skips_rootdata(self):
+        # lefschetz calls partitions as pt.<name>, so a degree verdict or an
+        # L2 threshold never runs the lazy module's source (its __dict__,
+        # read past the lazy loader, has no `boxed`); isolation computes
+        # r_G itself and imports no rootdata
+        out = self.probe("""
+            import contextlib, io, sys
+            from cohomrep import cli
+            mod = sys.modules["cohomrep.partitions"]
+            ran = []
+            for argv in (["lefschetz", "--mode", "restriction", "--G", "O:3,4", "--degree", "3"],
+                         ["lefschetz", "--mode", "cup", "--G", "O:2,9", "--H", "O:2,8", "--degree", "2"],
+                         ["geometry", "thresholds", "--p", "2", "--q", "5", "--r", "1"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                ran.append("boxed" in object.__getattribute__(mod, "__dict__"))
+            rootdata = []
+            for argv in (["isolation", "--kind", "O", "--p", "3", "--q", "4"],
+                         ["isolation", "--kind", "O", "--p", "3", "--q", "4", "--lam", "3,1"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                rootdata.append("cohomrep.rootdata" in sys.modules)
+            print(ran, rootdata)
+        """)
+        assert out == "[False, False, False] [False, False]\n"
 
     def test_branching_loads_only_for_a_component_restriction(self):
         # degree, tensor and modular-symbol verdicts never run the source of

@@ -1,3 +1,5 @@
+import pytest
+
 from cohomrep import isolation as iso
 from cohomrep import partitions as pt
 from cohomrep.partitions import BoxContext
@@ -64,6 +66,15 @@ class TestTorusChain:
                 chain = iso._torus_chain(o)
                 assert chain == torus_chain_by_sort(o), (p, q, o.lam)
                 assert iso._torus_chain(pt.ortho_classify(o.lam, ctx)) == chain
+
+
+class TestRG:
+    def test_values(self):
+        assert iso.r_G("U", 2, 3) == 2
+        assert iso.r_G("O", 5, 5) == 5
+        assert iso.r_G("U", 1, 1) == 1
+        with pytest.raises(ValueError, match="p, q must be >= 1"):
+            iso.r_G("U", 0, 3)
 
 
 class TestCorMino:

@@ -193,6 +193,7 @@ class TestVerdictHygiene:
         v = lef.cup_verdict(G, H, component=component)
         assert v == lef.restriction_verdict(G, H, component=component)
         assert (v.status, v.target_component) == (lef.NOT_COVERED, None)
+        assert v.anchor == ("Thm analogue" if G.kind == "U" else "Thm anaO")
         # the component is still read in G's box
         with pytest.raises(ValueError, match=f"does not fit in {G.p}x{G.q}"):
             lef.cup_verdict(G, H, component=(G.q + 1,))
@@ -208,6 +209,7 @@ class TestVerdictHygiene:
         v = lef.cup_verdict(G, H, component=component, r=r)
         assert v == lef.restriction_verdict(G, H, component=component, r=r)
         assert (v.status, v.target_component) == (lef.NOT_COVERED, None)
+        assert v.anchor == ("Thm analogue" if G.kind == "U" else "Thm anaO")
         with pytest.raises(ValueError, match=f"does not fit in {G.p}x{G.q}"):
             lef.cup_verdict(G, H, component=(G.q + 1,), r=r)
 

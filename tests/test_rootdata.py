@@ -125,15 +125,6 @@ class TestDegrees:
                 assert rd.degree_O(orth) == p
 
 
-class TestRG:
-    def test_values(self):
-        assert rd.r_G("U", 2, 3) == 2
-        assert rd.r_G("O", 5, 5) == 5
-        assert rd.r_G("U", 1, 1) == 1
-        with pytest.raises(ValueError):
-            rd.r_G("U", 0, 3)
-
-
 def _catalog_ktypes(boxes):
     return [(kind, p, q, mod.label, mod.lowest_ktype)
             for kind, p, q in boxes for mod in vz.catalog(kind, p, q)]

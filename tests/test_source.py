@@ -106,7 +106,7 @@ def test_gl_character_oracle_shares_no_code_with_the_fast_route():
     # function the oracle names and collect what each one references
     tree = ast.parse((SRC / "branching.py").read_text())
     seen, names = _reached(tree, ["gl_character", "gl_decompose", "gl_branching_mult",
-                                  "restrict_U_pair_oracle_mult", "ktype_gl_pair_hw"])
+                                  "restrict_U_pair_oracle_mult"])
     assert {"_gl_weights", "_kostka_numbers", "_orbit", "_gl_pair_hw", "_checked_weights",
             "_restricted_decomposition"} <= seen
     banned = {"inscribes", "_inscribes", "subtract_rows", "_subtract_rows", "_skew_decompose",
@@ -197,7 +197,7 @@ def test_compatibility_scan_stays_independent_of_the_level_word_oracle():
     # against the level word, so the word lives in the test oracle alone:
     # no library module defines or names it
     tree = ast.parse((SRC / "partitions.py").read_text())
-    seen, _ = _reached(tree, ["compatible_pair", "skew_decompose", "_skew_decompose", "ortho_classify"])
+    seen, _ = _reached(tree, ["compatible_pair", "_skew_decompose", "ortho_classify"])
     assert {"boxed", "_skew_decompose", "_runs", "_orthogonal"} <= seen
     word = {"_level_word", "level_word", "_pair_of_word", "pair_of_word"}
     found = {f"{path.name}:{getattr(node, 'name', None) or getattr(node, 'id', None) or node.attr}"
@@ -252,7 +252,7 @@ def _imported_modules(tree):
 CATALOG_PATH_IMPORTS = {
     "partitions": {"__future__", "operator", "typing"},
     "vz_catalog": {"__future__", "functools", "typing", ".partitions", ".rootdata"},
-    "isolation": {"__future__", "typing", ".partitions", ".rootdata"},
+    "isolation": {"__future__", "typing", ".partitions"},
     "serialize": {"__future__", "itertools", "_json", "operator", "typing", "json",
                   ".lefschetz", ".rootdata", ".vz_catalog"},
 }
@@ -331,28 +331,27 @@ def test_catalog_report_reads_each_modules_pair():
     assert "pair" in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
-#: public functions that only tests call, each a documented wrapper that
-#: normalizes and checks its input before the underscored twin the library uses
-ORPHAN_ALLOWLIST = {
-    "contains": "checked form of partitions._contains, the containment test",
-    "skew_decompose": "checked form of partitions._skew_decompose, the rectangle decomposition",
-    "is_compatible": "the compatibility predicate: skew_decompose(...) is not None",
-    "ktype_gl_pair_hw": "the GL_p x GL_q highest weight of a K-type, which the GL-character oracle restricts",
-}
-
-
 def _references(node):
-    return {getattr(n, "id", None) or n.attr for n in ast.walk(node)
-            if isinstance(n, ast.Name) or isinstance(n, ast.Attribute)}
+    """Every name node reads, and each attribute it reads as both "attr" and
+    ".attr": a module's function is reached either way, a method only by
+    attribute."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs |= {n.attr, "." + n.attr}
+    return refs
 
 
 def test_every_public_function_is_reached():
     # the library holds what a command, a script, a workload or an
     # acceptance test runs: start from their names and from what each
     # library module runs on import, follow every module-level function and
-    # class those names reach, and find every public function left over.  A
-    # public method or property of a class is reached by its name, the rest
-    # of the class with the class
+    # class those names reach, and find every public function left over, with
+    # no exceptions.  A public method or property of a class is reached by
+    # an attribute of its name (x.dim, not a local dim), the rest of the
+    # class with the class
     roots = [SRC / "cli.py", SRC / "__main__.py", *sorted((ROOT / "scripts").glob("*.py")),
              *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
     todo = [name for path in roots for name in _references(ast.parse(path.read_text(), filename=str(path)))]
@@ -366,8 +365,8 @@ def test_every_public_function_is_reached():
             elif isinstance(node, ast.ClassDef):
                 members = [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
                 for m in members:
-                    defs.setdefault(m.name, []).append(m)
-                    public[f"{node.name}.{m.name}"] = m.name
+                    defs.setdefault("." + m.name, []).append(m)
+                    public[f"{node.name}.{m.name}"] = "." + m.name
                 defs.setdefault(node.name, []).extend(
                     [*node.bases, *node.keywords, *node.decorator_list, *(m for m in node.body if m not in members)])
             else:
@@ -378,10 +377,7 @@ def test_every_public_function_is_reached():
         if name not in seen:
             seen.add(name)
             todo += [ref for node in defs.get(name, ()) for ref in _references(node)]
-    # an allowed name that gains a consumer, or is deleted, leaves the list
-    assert not ORPHAN_ALLOWLIST.keys() & seen, sorted(ORPHAN_ALLOWLIST.keys() & seen)
-    assert ORPHAN_ALLOWLIST.keys() <= public.keys()
-    orphans = {label for label, name in public.items() if name not in seen} - ORPHAN_ALLOWLIST.keys()
+    orphans = {label for label, name in public.items() if name not in seen}
     assert not orphans, sorted(orphans)
 
 
