@@ -217,11 +217,17 @@ def _theorem(mode: str, G: Group, H) -> _Theorem:
                 if row.mode == mode and row.kind == G.kind and row.applies(G.p, G.q, H))
 
 
-def _degree_verdict(mode: str, G: Group, H, k: int) -> Verdict:
-    """The answer in degree k (k + l for two classes) of the row that
-    applies.  Raises ValueError unless G is U or O."""
+def _known_kind(G: Group) -> None:
+    """Raise ValueError unless G is U or O: every query checks this first,
+    degree and component alike.  parse_group admits only U and O, so only a
+    Group built by hand can fail it."""
     if G.kind not in ("U", "O"):
         raise ValueError(f"unknown kind {G.kind!r}")
+
+
+def _degree_verdict(mode: str, G: Group, H, k: int) -> Verdict:
+    """The answer in degree k (k + l for two classes) of the row that
+    applies, for G of a known kind."""
     row = _theorem(mode, G, H)
     bound = row.bound and row.bound(G.p, G.q, H)
     halves = row.halves and row.halves(G.p, G.q, H)
@@ -250,8 +256,10 @@ def restriction_verdict(G: Group, H=None, degree: Optional[int] = None,
     component of another shape, outside the p x q box or with lam not
     inside mu raises ValueError, as does an r outside the range of the
     branching predicate (0..q for U -> U, 0..q-1 for O -> O) or one that
-    disagrees with H's q - H.q.
+    disagrees with H's q - H.q.  A G of a kind other than U or O raises
+    ValueError.
     """
+    _known_kind(G)
     p, q = G.p, G.q
     if degree is not None and component is None:
         return _degree_verdict("restriction", G, H, degree)
@@ -342,7 +350,9 @@ def cup_verdict(G: Group, H=None, degree: Optional[int] = None,
     for U, lam for O, inside H's box (see cup_box), else ValueError.  A
     component query with an H other than one group of G's kind and p (a
     group of another kind or p, or two groups) answers not-covered, as a
-    restriction component query does."""
+    restriction component query does.  A G of a kind other than U or O
+    raises ValueError."""
+    _known_kind(G)
     p, q = G.p, G.q
     if degree is not None and component is None:
         return _degree_verdict("cup", G, H, degree)
@@ -398,7 +408,9 @@ def _lam_plus_rp(lam: pt.Partition, r: int, p: int) -> pt.Partition:
 def cup_classes_verdict(G: Group, k: int, l: int, components=None) -> Verdict:
     """Nonvanishing of a translated cup product of two classes of degrees
     k and l (optionally in named ladder components (k'^p), (l'^p); the two
-    components must fit in G's box, else ValueError)."""
+    components must fit in G's box, else ValueError).  A G of a kind other
+    than U or O raises ValueError."""
+    _known_kind(G)
     p, q = G.p, G.q
     if components is not None:
         kk, ll = (_column(c, p) for c in _component(components, "lam;lam", p, q))

@@ -18,10 +18,11 @@ and free columns merged, and returns None when the pair is not nested or
 not compatible; its tie blocks are the rectangles of `compatible_pair`
 and of `ortho_classify`, which walks (lam, complement(lam)) without building
 the complement, and the witness vector and `isolation._torus_chain` are
-loops over its runs.  The enumerations fill one table of the (|lam|, lam,
-mu, rects) entries of every sub-box bottom-up (`_pair_table`), since a
-word is a first level followed by a word of a smaller box.  The word
-itself is the test oracle `level_word` in `tests/_partitions_reference.py`.
+loops over its runs.  The enumerations read its rules forwards (`_pairs`):
+the compatible mu of a lam are a product of one choice per run of equal
+rows of lam, so the pairs come out in order, with no table and no sort.
+The word itself is the test oracle `level_word` in
+`tests/_partitions_reference.py`.
 
 Partitions are validated once, at the boundary.  A `_Checked` tuple marks
 a partition this module built or validated, and `as_partition` returns one
@@ -217,30 +218,6 @@ def _is_level(a: int, b: int) -> bool:
     return (a >= 1 and b >= 1) or a + b == 1
 
 
-def _pair_table(p: int, q: int) -> dict[tuple[int, int], list]:
-    """For every sub-box (i, j) <= (p, q), the entries (|lam|, lam, mu, rects)
-    of all its level words, one each.  A word is its first level (a, b)
-    followed by a word of the (i - a, j - b) box, so each entry is a sub-box
-    entry with the rows (j - b,) * a of lam, the rows (j,) * a of mu and, for
-    a tie block, the rectangle (a, b) put in front (zero rows stripped)."""
-    table = {(0, 0): [(0, (), (), ())]}
-    for i in range(p + 1):
-        for j in range(q + 1):
-            if not i and not j:
-                continue
-            # a free column lies right of every row: the (i, j - 1) pairs as they are
-            entries = list(table[i, j - 1]) if j else []
-            for a in range(1, i + 1):
-                mu_rows = (j,) * a if j else ()
-                for b in range(0 if a == 1 else 1, j + 1):  # (a, 0) is a level only as a free row
-                    lam_rows = (j - b,) * a if j > b else ()
-                    w, rect = a * (j - b), ((a, b),) if b else ()
-                    entries += [(w + v, lam_rows + lam, mu_rows + mu, rect + rects)
-                                for v, lam, mu, rects in table[i - a, j - b]]
-            table[i, j] = entries
-    return table
-
-
 def _runs(lam_rows: Iterable[int], mu_rows: Iterable[int], q: int) -> Optional[list[Level]]:
     """The level runs of the pair with these rows, top down, or None when
     the pair is not nested or not compatible.  A run is (0, c), c free
@@ -427,16 +404,38 @@ def partitions_in_box(p: int, q: int) -> Iterator[Partition]:
     return gen(p, q)
 
 
+def _pairs(p: int, q: int) -> Iterator[tuple[Partition, Partition, tuple[Level, ...]]]:
+    """(lam, mu, rects) for every compatible pair of the p x q box, one per
+    level word, in (|lam|, lam, mu) order.  The mu of one lam are a product
+    of independent choices, one per run of k rows of value v of the padded
+    lam, top down, under a run of value j (q at the top): free rows, mu
+    rows (v,) * k; or a tie block (t, m - v), mu rows (m,) * t + (v,) * (k - t)
+    for v < m <= j and 1 <= t <= k.  These are `_runs`'s rules read forwards;
+    choices in (m, t) order make mu ascending, so nothing is sorted.  The
+    zero run's zero rows are dropped."""
+    for lam in sorted(partitions_in_box(p, q), key=sum):
+        pairs = [((), ())]  # (mu, rects) of the runs above
+        j = q
+        rows = pad(lam, p)
+        for v in dict.fromkeys(rows):  # the run values, top down
+            k = rows.count(v)
+            keep = k if v else 0  # rows of v kept in mu: none of the zero run
+            run = [((v,) * keep, ())] + [((m,) * t + (v,) * (keep - t), ((t, m - v),))
+                                         for m in range(v + 1, j + 1) for t in range(1, k + 1)]
+            pairs = [(mu + mu_rows, rects + rect) for mu, rects in pairs for mu_rows, rect in run]
+            j = v
+        for mu, rects in pairs:
+            yield lam, mu, rects
+
+
 def enumerate_compatible(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[CompatiblePair]:
     """All compatible pairs in the box, one per level word, ordered by
     (|lam|, lam, mu)."""
     p, q = ctx.p, ctx.q
     if p * q > cap:
         raise CapExceededError("enumeration box area p*q", p * q, cap)
-    entries = _pair_table(p, q)[p, q]
-    entries.sort()  # (|lam|, lam, mu) is unique, so rects are never compared
     checked = _CheckedTable()  # the pairs of the box share one object per partition
-    return [CompatiblePair(checked[lam], checked[mu], ctx, rects) for _, lam, mu, rects in entries]
+    return [CompatiblePair(checked[lam], checked[mu], ctx, rects) for lam, mu, rects in _pairs(p, q)]
 
 
 def enumerate_orthogonal(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[OrthoPartition]:
@@ -451,7 +450,6 @@ def enumerate_orthogonal(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[O
     p, q = ctx.p, ctx.q
     if p * q > cap:
         raise CapExceededError("enumeration box area p*q", p * q, cap)
-    table = _pair_table(p // 2, q // 2)
     found = []
     for a in range(p // 2 + 1):
         for b in range(q // 2 + 1):
@@ -460,7 +458,7 @@ def enumerate_orthogonal(ctx: BoxContext, cap: int = DEFAULT_ENUM_CAP) -> list[O
                 continue
             mid_rows = (b,) * centre[0] if b else ()
             mid_rect = (centre,) if centre[0] and centre[1] else ()
-            for _, lam_h, mu_h, rects in table[a, b]:
+            for lam_h, mu_h, rects in _pairs(a, b):
                 lam = tuple(q - b + v for v in pad(lam_h, a)) + mid_rows + _complement(mu_h, a, b)
                 found.append((sum(lam), lam, rects + mid_rect + rects[::-1]))
     found.sort()  # lam is unique, so each is checked once

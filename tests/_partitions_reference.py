@@ -3,7 +3,10 @@
 The library reads a pair's levels off its row runs in one walk
 (`partitions._runs`), behind the compatibility test, the orthogonal
 classifier, the witness vector and the O torus chain, and builds both
-enumerations from a bottom-up table of sub-box pairs.  This module keeps
+enumerations from the same rules read forwards: the compatible mu of a lam
+are a product of one choice per run of equal rows of lam (free rows, or one
+tie block on top), and the orthogonal partitions are read off the pairs of
+the half-size sub-boxes.  This module keeps
 the level word the walk replaced (`level_word`) and the former routes built
 on it.  The first is the level-word round trip: a nested pair is compatible
 iff its level word reads back as the pair, and the tie blocks of the word

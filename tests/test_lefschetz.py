@@ -230,9 +230,13 @@ class TestVerdictHygiene:
         lambda G: lef.restriction_verdict(G, degree=1),
         lambda G: lef.cup_verdict(G, lef.Group("X", 2, 2), degree=1),
         lambda G: lef.cup_classes_verdict(G, 1, 1),
+        lambda G: lef.restriction_verdict(G, component=(1,)),
+        lambda G: lef.cup_verdict(G, lef.Group("U", 2, 2), component=(1,)),
+        lambda G: lef.cup_verdict(G, component=((1,), (2,)), r=1),
     ])
-    def test_degree_query_on_an_unknown_kind_raises(self, query):
-        # parse_group admits only U and O; a Group built by hand is checked too
+    def test_query_on_an_unknown_kind_raises(self, query):
+        # parse_group admits only U and O; a Group built by hand is checked
+        # too, by one check that degree and component queries share
         with pytest.raises(ValueError, match="unknown kind 'X'"):
             query(lef.Group("X", 2, 3))
 

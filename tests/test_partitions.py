@@ -360,18 +360,19 @@ class TestEnumeration:
         assert len(pairs) == len(set((c.lam, c.mu) for c in pairs))
 
     def test_cap(self, monkeypatch):
-        # the cap is checked before any sub-box table is built
+        # the cap is checked before any pair is walked
         def refuse(p, q):
-            raise AssertionError(f"table built for {p}x{q}")
-        monkeypatch.setattr(pt, "_pair_table", refuse)
+            raise AssertionError(f"pairs walked for {p}x{q}")
+        monkeypatch.setattr(pt, "_pairs", refuse)
         for enumerate_ in (pt.enumerate_compatible, pt.enumerate_orthogonal):
             with pytest.raises(pt.CapExceededError):
                 enumerate_(BoxContext(7, 7))
 
     def test_matches_the_level_word_walk(self):
-        # every catalog-sweep box: lists and order as the former walk gave them
+        # every catalog-sweep box in both orientations: lists and order as
+        # the former walk gave them
         for p in range(1, 43):
-            for q in range(p, 43):
+            for q in range(1, 43):
                 ctx = BoxContext(p, q)
                 if p * q <= 25:
                     assert pt.enumerate_compatible(ctx) == compatible_by_words(ctx), (p, q)

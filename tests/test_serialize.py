@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -207,6 +210,25 @@ def test_dumps_writes_every_small_catalog_as_json_does():
         rows = [dict(ser.module_to_json(m), provenance="computed") for m in vz.catalog(kind, p, q)]
         doc = ser.document(rows, command="catalog", kind=kind, p=p, q=q)
         assert ser.dumps(doc) == _json_oracle(doc), (kind, p, q)
+
+
+#: the benchmark's recorded outputs, read only
+BENCH_REFERENCES = pathlib.Path(__file__).resolve().parents[1] / "bench" / "references.json"
+
+
+def test_catalog_sweep_documents_match_the_benchmark_references():
+    # [module count, sha256 of the json document] of every catalog-sweep box,
+    # built as the benchmark builds them; its isolated count is the
+    # benchmark's own check
+    refs = json.loads(BENCH_REFERENCES.read_text())["catalog-sweep"]
+    assert len(refs) == 133
+    for key, want in refs.items():
+        kind, p, q = re.fullmatch(r"([UO])\((\d+),(\d+)\)", key).groups()
+        p, q = int(p), int(q)
+        mods = vz.catalog(kind, p, q)
+        rows = [dict(ser.module_to_json(m), provenance="computed") for m in mods]
+        doc = ser.dumps(ser.document(rows, command="catalog", kind=kind, p=p, q=q))
+        assert [len(mods), hashlib.sha256(doc.encode()).hexdigest()] == want[:2], key
 
 
 def test_dumps_rejects_what_json_rejects():
