@@ -128,9 +128,10 @@ def _require(args, command: str, *flags: str) -> None:
         raise ValueError(f"{command} needs {' '.join(missing)}")
 
 
-def render(rows: list[dict], fmt: str, **meta) -> str:
+def render(rows: list[dict], fmt: str, out, **meta) -> None:
+    """Pass rows in fmt to out (sys.stdout.write): json in parts, csv and md whole."""
     if fmt == "json":
-        return ser.dumps(ser.document(rows, **meta))
+        return ser.write(ser.document(rows, **meta), out)
     import json  # csv and md cells only: the json format has its own writer
 
     # the text of json.dumps(v, sort_keys=True), from one encoder per call
@@ -155,13 +156,13 @@ def render(rows: list[dict], fmt: str, **meta) -> str:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: cell(row.get(k)) for k in keys})
-        return buf.getvalue()
+        return out(buf.getvalue())
     if fmt == "md":
         lines = ["| " + " | ".join(keys) + " |",
                  "| " + " | ".join("---" for _ in keys) + " |"]
         for row in rows:
             lines.append("| " + " | ".join(cell(row.get(k)) for k in keys) + " |")
-        return "\n".join(lines) + "\n"
+        return out("\n".join(lines) + "\n")
     raise ValueError(fmt)
 
 
@@ -174,8 +175,8 @@ def cmd_catalog(args, cfg) -> int:
         row = ser.module_to_json(mod)
         row["provenance"] = "computed"
         rows.append(row)
-    sys.stdout.write(render(rows, cfg.format, command="catalog",
-                            kind=args.kind, p=args.p, q=args.q))
+    render(rows, cfg.format, sys.stdout.write, command="catalog",
+           kind=args.kind, p=args.p, q=args.q)
     return EXIT_OK
 
 
@@ -211,7 +212,7 @@ def cmd_isolation(args, cfg) -> int:
             row["scan_min_degree"] = best
             row["scan_argmin"] = argmin
         rows.append(row)
-    sys.stdout.write(render(rows, cfg.format, command="isolation"))
+    render(rows, cfg.format, sys.stdout.write, command="isolation")
     return EXIT_OK
 
 
@@ -230,8 +231,8 @@ def cmd_lefschetz(args, cfg) -> int:
         v = lef.modular_symbol_verdict(G.kind, G.p, G.q, 1 if args.r is None else args.r)
     row = ser.verdict_to_json(v)
     row["provenance"] = v.anchor
-    sys.stdout.write(render([row], cfg.format, command="lefschetz", mode=args.mode,
-                            G=str(G), H=args.H))
+    render([row], cfg.format, sys.stdout.write, command="lefschetz", mode=args.mode,
+           G=str(G), H=args.H)
     if args.strict and v.status == lef.FAILS:
         return EXIT_CRITERION
     return EXIT_OK
@@ -283,7 +284,7 @@ def cmd_branch(args, cfg) -> int:
         ok = br.restrict_UO_vanishing(lam, mu, pt.BoxContext(args.p, args.q))
         rows.append({"op": "vanishing-uo", "lam": lam, "mu": mu,
                      "can_be_nontrivial": ok, "provenance": "computed"})
-    sys.stdout.write(render(rows, cfg.format, command="branch"))
+    render(rows, cfg.format, sys.stdout.write, command="branch")
     return EXIT_OK
 
 
@@ -346,7 +347,7 @@ def cmd_geometry(args, cfg) -> int:
             "poincare_exponent": (args.p + args.q + args.r - 1) * (min(args.r, args.p) ** 0.5) / 2.0,
             "provenance": "Thm cohom l2",
         })
-    sys.stdout.write(render(rows, cfg.format, command=f"geometry {args.geo_op}"))
+    render(rows, cfg.format, sys.stdout.write, command=f"geometry {args.geo_op}")
     return EXIT_OK
 
 

@@ -29,7 +29,12 @@ array.  A value no batch writes (a str, int, float or dict subclass, a
 numpy scalar, a dict with keys other than exact strs) is written by
 ``json.dumps`` itself and re-indented, so what json rejects raises json's
 error; no cohomrep document holds one.  A batch longer than `_BLOCK` is
-written in blocks, which bounds the texts held at once.
+written in blocks.  `write` walks the spine top down (each dict with exact
+str keys, each exact list or tuple longer than `_BLOCK`) and passes its sink
+one part per key and per block, so no level copies the text below it:
+`dumps` joins the parts and peaks at 2.0x its text (3.3x with one text per
+level), and the CLI passes each part to stdout, where only an encode error
+in mid-document could leave partial output.
 """
 
 from __future__ import annotations
@@ -101,7 +106,31 @@ def document(payload, **meta) -> dict:
 def dumps(doc) -> str:
     """The JSON text of doc with sorted keys and a two-space indent, plus a
     newline; raises TypeError on what json cannot encode."""
-    return _texts([doc], "\n")[0] + "\n"
+    parts = []
+    write(doc, parts.append)
+    return "".join(parts)
+
+
+def write(doc, out) -> None:
+    """Pass the text of dumps(doc) to out in parts: one per key and per
+    block on the spine, one for every other value."""
+    _spine(doc, out, "\n")
+    out("\n")
+
+
+def _spine(v, out, nl: str) -> None:
+    inner = nl + "  "
+    if type(v) is dict and v and set(map(type, v)) == {str}:
+        for i, k in enumerate(sorted(v)):
+            out(("," if i else "{") + inner + _str(k) + ": ")
+            _spine(v[k], out, inner)
+        out(nl + "}")
+    elif type(v) in (list, tuple) and len(v) > _BLOCK:
+        for i in range(0, len(v), _BLOCK):
+            out(("," if i else "[") + inner + ("," + inner).join(_texts(v[i:i + _BLOCK], inner)))
+        out(nl + "]")
+    else:
+        out(_texts([v], nl)[0])
 
 
 #: values written per batch; longer batches go in blocks of this many, which

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -516,6 +518,36 @@ class TestDocumentsAvoidTheJsonFallback:
         assert (code, err) == (0, "") and out
 
 
+#: stdout's sha256 per argv, as the whole-text writer printed it
+STREAMED = {
+    "catalog --kind U --p 5 --q 6": "dd0baea6845300a3071c1e311a3b06ca336950a5a474f21c18302124980097c8",
+    "catalog --kind O --p 6 --q 7": "2573d6f02f4e3319af2f52e810cac863c9d708f9c3a8b3e19b65596524ced263",
+    "catalog --kind U --p 2 --q 3 --format csv": "644c8c2f6f22a81dc4d56ab4cff332d54f7e1123a03aa91f23f933c63c25b1bb",
+    "catalog --kind O --p 3 --q 4 --format md": "f8145c7bb9be59e1cd4b25612e22f503db65792f82909005238c749d41ac2427",
+}
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("argv", STREAMED)
+    def test_bytes(self, argv):
+        code, out, err = call(argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == STREAMED[argv]
+
+    def test_json_goes_to_stdout_in_parts(self, monkeypatch):
+        parts = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=parts.append))
+        assert cli.main(["catalog", "--kind", "U", "--p", "5", "--q", "5"]) == 0
+        text = "".join(parts)
+        assert json.loads(text)["data"] and max(map(len, parts)) <= len(text) / 8
+
+    @pytest.mark.parametrize("argv, want", [("catalog --kind U --p 7 --q 7", 65),
+                                            ("catalog --kind U --p 0 --q 2", 64)])
+    def test_an_error_leaves_stdout_empty(self, argv, want):
+        code, out, err = call(argv.split())
+        assert (code, out) == (want, "") and len(err.splitlines()) == 1
+
+
 HESSIAN = ["geometry", "hessian", "--p", "2", "--q", "2", "--points", "5"]
 CATALOG = ["catalog", "--kind", "U", "--p", "1", "--q", "1"]
 
@@ -616,9 +648,14 @@ def test_render_writes_a_tuple_as_it_writes_a_list(rows, rng):
     # a tuple exactly as it prints the list json reads back
     mixed = [_retyped(row, lambda: rng.random() < 0.5) for row in rows]
     tuples = [_retyped(row, lambda: True) for row in rows]
+    def rendered(rows, fmt):
+        parts = []
+        cli.render(rows, fmt, parts.append, command="x")
+        return "".join(parts)
+
     for fmt in ("json", "csv", "md"):
-        text = cli.render(rows, fmt, command="x")
-        assert cli.render(mixed, fmt, command="x") == text == cli.render(tuples, fmt, command="x")
+        text = rendered(rows, fmt)
+        assert rendered(mixed, fmt) == text == rendered(tuples, fmt)
 
 
 # Argument pools for the generated-argv contract.  None leaves the flag out

@@ -61,3 +61,14 @@ def test_mc_report_cases():
     assert len(lines) == 6
     for line in lines:
         assert re.match(r"\(s,p,n\)=\(\d+,\d+,\d+\): closed=\d+\.\d{6}  3sigma coverage \d/2  ", line), line
+
+
+def test_cold_profile_adds_the_argv_command():
+    header, *rows, total = run_script("cold_profile.py", "--reps", "1", "--argv", "catalog --kind U --p 2 --q 3")
+    assert header.split() == ["command", "import", "build_parser", "parse", "run", "process", "peak_rss_mb"]
+    readme = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
+    assert len(rows) == sum(line.startswith("cohomrep ") for line in readme.splitlines()) + 1
+    assert rows[-1].startswith("catalog --kind U --p 2 --q 3 ")
+    peaks = [float(row.split()[-1]) for row in rows]
+    assert all(5 < mb < 1000 for mb in peaks)
+    assert total.startswith("sum of medians") and float(total.split()[-1]) == max(peaks)

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -94,18 +95,36 @@ _number_keys = st.sampled_from([1, 1.0, True, 0, 0.0, False, 2.5])
 _item_pairs = st.sampled_from([(0, False), (1, True), (1, 1.0), (0.0, -0.0), (0, 0.0), ("1", 1), (1, _Int(1))])
 _pooled_lists = _item_pairs.flatmap(
     lambda pair: st.lists(st.lists(st.sampled_from(pair), min_size=1, max_size=2), min_size=2, max_size=8))
+_B = ser._BLOCK
+
+
+# a list of a few drawn items repeated to a length around `_BLOCK`, so that
+# the spine walk of `write` splits it into blocks; its items nest no further,
+# which keeps the documents small
+_long = st.tuples(st.lists(_scalars | _pooled_lists | st.dictionaries(_key_pool, _scalars, max_size=3),
+                           min_size=1, max_size=3),
+                  st.integers(_B - 1, 2 * _B + 1)).map(lambda t: (t[0] * t[1])[:t[1]])
+
+
 _docs = st.recursive(_scalars | _pooled_lists, lambda inner: (
     st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_text, inner | _long | _long.map(tuple), min_size=1, max_size=3)
     | st.lists(inner, max_size=5).map(_List) | st.tuples(inner, inner).map(lambda t: _Record(*t))
     | st.dictionaries(_text, inner, max_size=5) | st.dictionaries(_text, inner, max_size=3).map(_Dict)
     | st.lists(st.dictionaries(_key_pool, inner, max_size=3), max_size=6)
     | st.lists(st.dictionaries(_number_keys, inner, max_size=2), max_size=4)), max_leaves=30)
+# documents whose top is a dict, as every cohomrep document's is
+_docs |= st.dictionaries(_text, _docs | _long, min_size=1, max_size=3)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_docs)
 def test_dumps_is_the_json_text(doc):
-    assert ser.dumps(doc) == _json_oracle(doc)
+    text = ser.dumps(doc)
+    assert text == _json_oracle(doc)
+    parts = []
+    ser.write(doc, parts.append)
+    assert "".join(parts) == text
 
 
 def _rows_across_a_block(n):
@@ -113,10 +132,25 @@ def _rows_across_a_block(n):
     return [{"a": i, "%": [i, {}]} if i % 2 else {"a": None, "b": [[i]], "c": "x"} for i in range(n)]
 
 
-_B = ser._BLOCK
+def _mixed(n):
+    # items of every batch type, in a cycle that does not divide `_BLOCK`
+    cycle = [1, "s", None, 2.5, True, [1, "x"], {"a": [2]}, (3,), {}, []]
+    return [cycle[i % len(cycle)] for i in range(n)]
+
+
+class _Wide(NamedTuple("_Wide", [(f"f{i}", int) for i in range(_B + 3)])):
+    pass
 
 
 @pytest.mark.parametrize("doc", [
+    # the spine walk of `write`: dicts with exact str keys and exact lists
+    # and tuples longer than `_BLOCK` on the way down, in parts
+    {"a": _mixed(_B), "b": _mixed(_B + 1), "c": _mixed(2 * _B + 1)},
+    _mixed(2 * _B + 3), tuple(_mixed(_B + 1)), {"x": {"y": tuple(_mixed(_B + 2)), "z": [_mixed(_B + 1)]}},
+    {"a": {}, "b": [], "c": {"d": {}, "e": [[]], "f": ()}}, [{}] * (_B + 1), [[]] * (2 * _B),
+    {"x": {1: "a", 2.5: _mixed(_B + 1)}}, [{True: 1}] * (_B + 1), {"x": _Dict(b=_mixed(_B + 1))},
+    {"lam": pt.as_partition([1] * (_B + 44))}, [pt.as_partition([2] * (_B + 1))] * 3,
+    _Wide(*range(_B + 3)), {"w": [_Wide(*range(_B + 3))]}, _List(_mixed(_B + 1)),
     {}, [], (), [[], {}], {"a": [(), {}]}, {"\u00e9\x00\n": [1, 2, 3]}, [True, 1, False, 0],
     [1, 2.0], {"x": [np.float64("nan"), np.float64(-0.0)]}, {1: "a", 2: "b"}, {2.5: 1, -1.0: 2},
     [{"%s": 1, "%": "%d"}, {'"{x}"': [{}]}], [{1: "a"}, {1.0: "b"}, {True: "c"}, {None: "d"}],
@@ -187,16 +221,26 @@ def _nested(depth):
     return doc
 
 
+def _dict_chain(depth):
+    doc = {}
+    for _ in range(depth - 1):
+        doc = {"a": doc}
+    return doc
+
+
 def test_nesting_depth_limit():
     # the batch writer spends a few frames per level, so it reaches fewer
-    # levels than json's encoder (see README); cohomrep documents nest five deep
-    doc = _nested(200)
-    assert ser.dumps(doc) == _json_oracle(doc)
-    doc = _nested(2000)
-    with pytest.raises(RecursionError):
-        _json_oracle(doc)
-    with pytest.raises(RecursionError):
-        ser.dumps(doc)
+    # levels of lists than json's encoder; the spine walk spends one frame
+    # per dict (see README); cohomrep documents nest five deep
+    for doc in (_nested(200), _dict_chain(200), _dict_chain(600)):
+        assert ser.dumps(doc) == _json_oracle(doc)
+    for doc in (_nested(2000), _dict_chain(2000)):
+        with pytest.raises(RecursionError):
+            _json_oracle(doc)
+        with pytest.raises(RecursionError):
+            ser.dumps(doc)
+        with pytest.raises(RecursionError):
+            ser.write(doc, lambda part: None)
 
 
 def test_dumps_writes_every_small_catalog_as_json_does():
@@ -210,6 +254,34 @@ def test_dumps_writes_every_small_catalog_as_json_does():
         rows = [dict(ser.module_to_json(m), provenance="computed") for m in vz.catalog(kind, p, q)]
         doc = ser.document(rows, command="catalog", kind=kind, p=p, q=q)
         assert ser.dumps(doc) == _json_oracle(doc), (kind, p, q)
+
+
+def _catalog_document(kind, p, q):
+    rows = [dict(ser.module_to_json(m), provenance="computed") for m in vz.catalog(kind, p, q)]
+    return ser.document(rows, command="catalog", kind=kind, p=p, q=q)
+
+
+def test_dumps_peaks_at_about_twice_its_text():
+    # the parts `write` makes and their join: one text per nesting level
+    # peaked at 3.3x
+    doc = _catalog_document("O", 6, 7)
+    text = ser.dumps(doc)
+    tracemalloc.start()
+    try:
+        assert ser.dumps(doc) == text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(text), peak / len(text)
+
+
+def test_write_passes_the_catalog_in_small_parts():
+    doc = _catalog_document("U", 5, 5)
+    parts = []
+    ser.write(doc, parts.append)
+    text = "".join(parts)
+    assert text == ser.dumps(doc) and len(text) > 4_000_000
+    assert max(map(len, parts)) <= len(text) / 8
 
 
 #: the benchmark's recorded outputs, read only
