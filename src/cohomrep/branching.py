@@ -3,16 +3,18 @@
 The fast route is combinatorial: Littlewood-Richardson coefficients by
 direct enumeration of LR skew tableaux, Littlewood's GL -> O restriction in
 its stable range, and the K-type restriction predicates driven by rectangle
-inscription.  The slow route, used to cross-check, expands characters into
-exact weight multiplicities (semistandard tableaux for GL, explicit
-character theory for O(n), n <= 3) and decomposes restrictions by peeling
-highest weights.
+inscription.  The oracles that cross-check it share none of its code.  The
+GL oracle restricts a module's dominant weights, read off Kostka numbers
+(semistandard tableaux counted by horizontal strips), and peels highest
+weights; it never builds a weight orbit or a full character.  The O(n)
+oracle, n <= 3, is explicit character theory.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from typing import Optional
 
@@ -210,16 +212,7 @@ def kobayashi_admissible(kind: str, p: int, q: int, r: int, lam: Partition, mu: 
 
 
 # ---------------------------------------------------------------------------
-# GL character oracle (exact weight multiplicities via semistandard tableaux)
-
-
-class FormalCharacter(Counter):
-    """Finitely supported weight -> multiplicity map for a fixed group."""
-
-    def __init__(self, kind: str, rank: int, data=None):
-        super().__init__(data or {})
-        self.kind = kind
-        self.rank = rank
+# GL restriction oracle (Kostka numbers of dominant weights)
 
 
 def gl_weyl_dim(hw, n: int, cap: Optional[int] = None) -> int:
@@ -245,40 +238,8 @@ def gl_weyl_dim(hw, n: int, cap: Optional[int] = None) -> int:
     return dim
 
 
-def gl_character(hw, n: int, cap: int = DIM_CAP) -> FormalCharacter:
-    """Weight multiplicities of the irreducible GL_n module with highest
-    weight hw (weakly decreasing integers, negatives allowed).  Every call
-    returns a fresh character, built from the per-process memo."""
-    return FormalCharacter("GL", n, _checked_weights(tuple(int(v) for v in hw), n, cap))
-
-
-def _checked_weights(hw: tuple[int, ...], n: int, cap: int) -> dict[tuple[int, ...], int]:
-    """The memo entry _gl_weights(hw, n), read only once hw has length n, is
-    dominant and its module has dimension at most cap.  The entry is shared:
-    callers copy it or only read it."""
-    if len(hw) != n:
-        raise ValueError(f"highest weight must have length {n}: {hw}")
-    if any(hw[i] < hw[i + 1] for i in range(n - 1)):
-        raise ValueError(f"not dominant for GL_{n}: {hw}")
-    if gl_weyl_dim(hw, n, cap) > cap:
-        raise ValueError(f"dimension cap exceeded for {hw}")
-    return _gl_weights(hw, n)
-
-
-#: entries kept by each GL-character and GL-branching memo
+#: entries kept by each GL-branching memo
 GL_MEMO_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=GL_MEMO_SIZE)
-def _gl_weights(hw: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
-    """The weights of gl_character(hw, n): every permutation of a dominant
-    weight nu + hw_n carries the Kostka number of nu."""
-    shift = hw[-1] if hw else 0
-    out = {}
-    for nu, mult in _kostka_numbers(as_partition(tuple(v - shift for v in hw)), n).items():
-        for w in _orbit(tuple(v + shift for v in pad(nu, n)) if shift else pad(nu, n)):
-            out[w] = mult
-    return out
 
 
 @functools.lru_cache(maxsize=GL_MEMO_SIZE)
@@ -307,64 +268,13 @@ def _kostka_numbers(lam: Partition, n: int) -> dict[Partition, int]:
     return out
 
 
-def _orbit(w: tuple[int, ...]):
-    """Every distinct permutation of the weakly decreasing w, in increasing
-    lexicographic order (Narayana's next-permutation step)."""
-    w = list(reversed(w))
-    while True:
-        yield tuple(w)
-        i = len(w) - 2
-        while i >= 0 and w[i] >= w[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(w) - 1
-        while w[j] <= w[i]:
-            j -= 1
-        w[i], w[j] = w[j], w[i]
-        w[i + 1:] = reversed(w[i + 1:])
-
-
-def gl_restrict_drop(char: FormalCharacter, keep: tuple[int, ...]) -> FormalCharacter:
-    """Push a character along a coordinate projection (block embedding)."""
-    out = FormalCharacter("GL", len(keep))
-    for w, m in char.items():
-        w = tuple(map(w.__getitem__, keep))
-        out[w] = out.get(w, 0) + m
-    return out
-
-
-#: highest weights gl_decompose peels before it gives up
-DECOMPOSE_CAP = 10**5
-
-
-def gl_decompose(char: FormalCharacter) -> Counter:
-    """Decompose a nonvirtual GL character into irreducibles by repeatedly
-    peeling the lexicographically greatest weight.  Each peel reads the
-    weights of that irreducible from the memo, after the checks
-    gl_character makes, and returns a fresh Counter."""
-    n = char.rank
-    work = {w: m for w, m in char.items() if m}
-    out: Counter = Counter()
-    iters = 0
-    while work:
-        iters += 1
-        if iters > DECOMPOSE_CAP:
-            raise RuntimeError("decomposition did not terminate")
-        top = max(work)
-        mult = work[top]
-        if mult <= 0:
-            raise ValueError(f"virtual character: leading weight {top} has multiplicity {mult}")
-        if any(top[i] < top[i + 1] for i in range(n - 1)):
-            raise ValueError(f"non-dominant leading weight {top}")
-        out[top] += mult
-        for w, m in _checked_weights(top, n, DIM_CAP).items():
-            left = work.get(w, 0) - mult * m
-            if left:
-                work[w] = left
-            else:
-                del work[w]
-    return out
+def _dominant_weights(hw: tuple[int, ...], n: int):
+    """(d, K) for every dominant weight d of the GL_n module with dominant
+    highest weight hw, K its multiplicity: the Kostka numbers of hw - hw_n,
+    shifted back by hw_n."""
+    shift = hw[-1] if hw else 0
+    for nu, k in _kostka_numbers(as_partition(tuple(v - shift for v in hw)), n).items():
+        yield tuple(v + shift for v in pad(nu, n)) if shift else pad(nu, n), k
 
 
 def gl_branching_mult(hw_big, n: int, r: int, hw_small) -> int:
@@ -380,11 +290,54 @@ def gl_branching_mult(hw_big, n: int, r: int, hw_small) -> int:
 
 
 @functools.lru_cache(maxsize=GL_MEMO_SIZE)
-def _restricted_decomposition(hw_big: tuple[int, ...], n: int, r: int) -> Counter:
-    """gl_decompose of the GL_n module hw_big restricted to GL_{n-r}, kept
-    for the process: the one Counter is shared, so its readers only look
-    multiplicities up."""
-    return gl_decompose(gl_restrict_drop(gl_character(hw_big, n), tuple(range(n - r))))
+def _restricted_decomposition(hw: tuple[int, ...], n: int, r: int) -> dict[tuple[int, ...], int]:
+    """{highest weight: multiplicity} of the GL_n module hw restricted to
+    GL_{n-r}, kept for the process: the one dict is shared, so its readers
+    only look multiplicities up.  hw is checked for length, dominance and
+    DIM_CAP before any Kostka number is read.
+
+    The restricted character is Weyl-invariant, so its dominant weights fix
+    it.  A weight restricts to nu when its first n - r entries are nu and
+    its last r a multiset U.  So a dominant weight d of multiplicity K adds
+    K r!/prod_v u_v! (the arrangements of U, u_v of them equal to v) to
+    nu = d - U, for every sub-multiset U of r entries of d."""
+    if len(hw) != n:
+        raise ValueError(f"highest weight must have length {n}: {hw}")
+    if any(hw[i] < hw[i + 1] for i in range(n - 1)):
+        raise ValueError(f"not dominant for GL_{n}: {hw}")
+    if gl_weyl_dim(hw, n, DIM_CAP) > DIM_CAP:
+        raise ValueError(f"dimension cap exceeded for {hw}")
+    char: dict[tuple[int, ...], int] = {}
+    for d, k in _dominant_weights(hw, n):
+        drops = [((), r, k)]  # (entries kept, entries left to drop, K times arrangements)
+        for v, c in Counter(d).items():  # the runs of d, top down
+            drops = [(kept + (v,) * (c - u), left - u, ways * math.comb(left, u))
+                     for kept, left, ways in drops for u in range(min(c, left) + 1)]
+        for nu, left, ways in drops:
+            if not left:
+                char[nu] = char.get(nu, 0) + ways
+    return _peel(char, n - r)
+
+
+def _peel(char: dict[tuple[int, ...], int], m: int) -> dict[tuple[int, ...], int]:
+    """The GL_m highest weights, with multiplicities, of the character whose
+    dominant weights char holds, used up on the way: the lexicographically
+    greatest weight left is a highest weight, and the dominant weights of
+    its module are subtracted."""
+    out = {}
+    while char:
+        top = max(char)
+        mult = char[top]
+        if mult <= 0:
+            raise RuntimeError(f"virtual character: leading weight {top} has multiplicity {mult}")
+        out[top] = mult
+        for w, k in _dominant_weights(top, m):
+            left = char.get(w, 0) - mult * k
+            if left:
+                char[w] = left
+            else:
+                del char[w]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from cohomrep import branching as br
 from cohomrep import partitions as pt
 from cohomrep import rootdata as rd
 from cohomrep.partitions import BoxContext
-from _branching_reference import gl_character_by_cells
+from _branching_reference import gl_character_by_cells, restricted_decomposition_by_characters
 from _partitions_reference import contains
 
 
@@ -88,33 +88,36 @@ class TestLittlewood:
 
     def test_sym2_oracle_n3(self):
         # Sym^2 C^3 = Gamma_(2) + trivial as an O(3) module, via characters
-        char = br.gl_character((2, 0, 0), 3)
+        char = gl_character_by_cells((2, 0, 0), 3)
         assert sum(char.values()) == 6
         assert br.gl_to_o_mult((2,), (), 3) == 1 and br.gl_to_o_mult((2,), (2,), 3) == 1
 
 
 class TestCharacterOracle:
+    # full characters live in the test reference, which checks the library's
+    # restriction through dominant weights
     def test_gl2_vector(self):
-        c = br.gl_character((1, 0), 2)
+        c = gl_character_by_cells((1, 0), 2)
         assert sum(c.values()) == 2 and set(c) == {(1, 0), (0, 1)}
 
     def test_weyl_dim(self):
         assert br.gl_weyl_dim((2, 1, 0), 3) == 8
-        assert sum(br.gl_character((2, 1, 0), 3).values()) == 8
+        assert sum(gl_character_by_cells((2, 1, 0), 3).values()) == 8
 
     def test_branching_gl3_gl2(self):
-        dec = br.gl_decompose(br.gl_restrict_drop(br.gl_character((1, 0, 0), 3), (0, 1)))
-        assert dec == {(1, 0): 1, (0, 0): 1}
+        want = {(1, 0): 1, (0, 0): 1}
+        assert restricted_decomposition_by_characters((1, 0, 0), 3, 1) == want
+        assert br._restricted_decomposition((1, 0, 0), 3, 1) == want
 
     def test_negative_weights(self):
-        c = br.gl_character((0, -1), 2)
+        c = gl_character_by_cells((0, -1), 2)
         assert sum(c.values()) == 2
 
     @given(st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=20, deadline=None)
     def test_dim_formula_matches_enumeration(self, a, b):
         hw = (a + b, b, 0)
-        assert sum(br.gl_character(hw, 3).values()) == br.gl_weyl_dim(hw, 3)
+        assert sum(gl_character_by_cells(hw, 3).values()) == br.gl_weyl_dim(hw, 3)
 
 
 def dominant_weights(n, spread, shifts):
@@ -129,44 +132,46 @@ def dominant_weights(n, spread, shifts):
 
 
 class TestCharacterAgainstCells:
-    # gl_character counts tableaux through Kostka numbers of a memoized
+    # the oracle counts tableaux through Kostka numbers of a memoized
     # horizontal-strip recursion; the per-cell enumerator is its oracle
     @pytest.mark.parametrize("n", range(5))
-    def test_matches_the_cell_enumerator(self, n):
+    def test_kostka_numbers_are_the_dominant_part_of_the_cell_count(self, n):
         for hw in dominant_weights(n, 4, range(-2, 2)):
-            char = br.gl_character(hw, n)
-            assert char == gl_character_by_cells(hw, n), hw
-            assert sum(char.values()) == br.gl_weyl_dim(hw, n), hw
-            assert char.kind == "GL" and char.rank == n
-
-    def test_mutating_a_result_leaves_the_memo_alone(self):
-        want = gl_character_by_cells((2, 1, 0), 3)
-        char = br.gl_character((2, 1, 0), 3)
-        char[(2, 1, 0)] += 5
-        char[(9, 9, 9)] = 1
-        del char[(0, 1, 2)]
-        assert br.gl_character((2, 1, 0), 3) == want
-        assert br.gl_character((2, 1, 0), 3) is not br.gl_character((2, 1, 0), 3)
+            cells = gl_character_by_cells(hw, n)
+            dominant = {w: k for w, k in cells.items() if all(a >= b for a, b in zip(w, w[1:]))}
+            assert dict(br._dominant_weights(hw, n)) == dominant, hw
+            shift = hw[-1] if hw else 0
+            lam = pt.as_partition(tuple(v - shift for v in hw))
+            assert br._kostka_numbers(lam, n) == {pt.as_partition(tuple(v - shift for v in w)): k
+                                                  for w, k in dominant.items()}, hw
+            assert sum(cells.values()) == br.gl_weyl_dim(hw, n), hw
 
     @pytest.mark.parametrize("hw, n, match", [
-        ((1, 0), 3, "must have length 3"),
-        ((0, 1), 2, "not dominant"),
-        ((60, 30, 0, 0), 4, "dimension cap exceeded"),
+        ((1, 0), 3, r"^highest weight must have length 3: \(1, 0\)$"),
+        ((0, 1), 2, r"^not dominant for GL_2: \(0, 1\)$"),
+        ((60, 30, 0, 0), 4, r"^dimension cap exceeded for \(60, 30, 0, 0\)$"),
     ])
     def test_every_call_validates(self, hw, n, match):
-        br.gl_character((1, 0, 0), 3)  # a filled memo changes nothing
+        br.gl_branching_mult((1, 0, 0), 3, 1, (0, 0))  # a filled memo changes nothing
         with pytest.raises(ValueError, match=match):
-            br.gl_character(hw, n)
+            br.gl_branching_mult(hw, n, 1, (0,) * (n - 1))
 
-    def test_cap_argument(self):
-        assert sum(br.gl_character((2, 0), 2, cap=3).values()) == 3
+    def test_dimension_cap_is_inclusive(self, monkeypatch):
+        # the cap is read before any Kostka number, on every memo miss
+        clear_branching_memos()
+        monkeypatch.setattr(br, "DIM_CAP", 3)
+        assert br.gl_branching_mult((2, 0), 2, 1, (1,)) == 1
+        clear_branching_memos()
+        monkeypatch.setattr(br, "DIM_CAP", 2)
         with pytest.raises(ValueError, match="dimension cap exceeded"):
-            br.gl_character((2, 0), 2, cap=2)
+            br.gl_branching_mult((2, 0), 2, 1, (1,))
+        assert br._kostka_numbers.cache_info().currsize == 0
 
     def test_large_rank_small_shape(self):
         # the recursion is as deep as |lam|, not n
-        char = br.gl_character((1,) + (0,) * 199, 200)
-        assert sum(char.values()) == 200 and char[(0,) * 199 + (1,)] == 1
+        hw = (1,) + (0,) * 199
+        assert br._restricted_decomposition(hw, 200, 1) == {hw[:199]: 1, (0,) * 199: 1}
+        assert br.gl_branching_mult(hw, 200, 200, ()) == 200
 
     def test_weyl_dim_matches_the_full_product(self):
         def full_product(hw, n):
@@ -192,10 +197,10 @@ class TestCharacterAgainstCells:
         # all n(n-1)/2 factors never returned here
         code = textwrap.dedent("""
             from cohomrep import branching as br
-            assert sum(br.gl_character((1,) + (0,) * 1999, 2000).values()) == 2000
+            assert br.gl_branching_mult((1,) + (0,) * 1999, 2000, 1, (0,) * 1999) == 1
             for hw in ((1,) * 1000 + (0,) * 1000, tuple(range(1999, -1, -1))):
                 try:
-                    br.gl_character(hw, 2000)
+                    br.gl_branching_mult(hw, 2000, 1, hw[:1999])
                 except ValueError as exc:
                     assert "dimension cap exceeded" in str(exc)
                 else:
@@ -215,15 +220,15 @@ class TestCharacterAgainstCells:
                 assert br._gl_pair_hw(*pt.boxed(p, q, cp.lam, cp.mu), p, q) == by_conjugates(cp.lam, cp.mu, p, q)
 
     @pytest.mark.parametrize("weights, rank, match", [
-        ({(1, 0): 1, (0, 1): 1, (0, 0): -1}, 2, r"virtual character: leading weight \(0, 0\)"),
-        ({(0, 1): 1}, 2, "non-dominant leading weight"),
-        ({(1, 0, 0): 1}, 2, "must have length 2"),
-        ({(60, 30, 0, 0): 1}, 4, "dimension cap exceeded"),
-    ], ids=["virtual", "non-dominant", "length", "cap"])
-    def test_decompose_refuses_before_it_peels(self, weights, rank, match):
-        # each peel reads the memo directly, after the checks gl_character makes
-        with pytest.raises(ValueError, match=match):
-            br.gl_decompose(br.FormalCharacter("GL", rank, weights))
+        ({(1, 0): 1, (0, 0): -1}, 2, r"^virtual character: leading weight \(0, 0\) has multiplicity -1$"),
+        ({(2, 0): 1, (1, 1): 1, (0, 0): 0}, 2, r"^virtual character: leading weight \(0, 0\) has multiplicity 0$"),
+        ({(0, 0, 0): -2}, 3, r"^virtual character: leading weight \(0, 0, 0\) has multiplicity -2$"),
+    ], ids=["negative", "zero", "first"])
+    def test_peel_refuses_a_leading_multiplicity_below_one(self, weights, rank, match):
+        # the peel holds dominant weights only, so a leading multiplicity
+        # below one can only come from a wrong restriction
+        with pytest.raises(RuntimeError, match=match):
+            br._peel(weights, rank)
 
     def test_oracle_mult_r_range(self):
         with pytest.raises(ValueError, match="outside 0..1"):
@@ -399,7 +404,7 @@ class TestCharacterSymmetry:
     def test_gl_characters_weyl_invariant(self):
         # weight multiplicities are symmetric under coordinate permutations
         for hw, n in [((2, 1, 0), 3), ((3, 1), 2), ((2, 0, -1), 3)]:
-            char = br.gl_character(hw, n)
+            char = gl_character_by_cells(hw, n)
             for w, m in char.items():
                 assert char[tuple(sorted(w, reverse=True))] == m
 
@@ -428,8 +433,7 @@ class TestEntryPointsCheckTheBox:
             br.tensor_contains(kind, 2, 3, params)
 
 
-BRANCHING_MEMOS = (br._count_lr_tableaux, br._gl_weights, br._kostka_numbers, br._gl_pair_hw,
-                   br._restricted_decomposition)
+BRANCHING_MEMOS = (br._count_lr_tableaux, br._kostka_numbers, br._gl_pair_hw, br._restricted_decomposition)
 
 
 def clear_branching_memos():
@@ -473,18 +477,34 @@ def test_oracle_answers_the_same_from_cold_and_warm_memos(compatible_by_box):
 
 
 def test_peeling_leaves_the_weight_memo_as_the_cells_count_it(compatible_by_box, monkeypatch):
-    # gl_decompose subtracts each memo entry from its work map without a
-    # copy; every entry the oracle calls read must still be the character
-    memo, read = br._gl_weights, set()
+    # the restriction and the peel read each Kostka memo entry without a
+    # copy; every entry the oracle calls read must still be the dominant
+    # part of the character
+    memo, read = br._kostka_numbers, set()
 
-    def recording(hw, n):
-        read.add((hw, n))
-        return memo(hw, n)
+    def recording(lam, n):
+        read.add((lam, n))
+        return memo(lam, n)
 
     clear_branching_memos()
-    monkeypatch.setattr(br, "_gl_weights", recording)
+    monkeypatch.setattr(br, "_kostka_numbers", recording)
     for call in u_oracle_calls(ORACLE_BOXES, compatible_by_box):
         br.restrict_U_pair_oracle_mult(*call)
     assert len(read) == memo.cache_info().currsize > 0
-    for hw, n in read:
-        assert memo(hw, n) == gl_character_by_cells(hw, n), hw
+    for lam, n in read:
+        # the recursion also reads shapes with more rows than letters, which no tableau fills
+        cells = gl_character_by_cells(pt.pad(lam, n), n) if len(lam) <= n else {}
+        dominant = {pt.as_partition(w): k for w, k in cells.items() if all(a >= b for a, b in zip(w, w[1:]))}
+        assert memo(lam, n) == dominant, (lam, n)
+
+
+def test_restriction_matches_the_full_character_route(compatible_by_box):
+    # the oracle restricts dominant weights, each weighed by the arrangements
+    # of the entries it drops; the reference projects every weight of the
+    # full character, built cell by cell, and peels with full characters
+    cases = {(hw, n, r) for n in range(5) for hw in itertools.combinations_with_replacement(range(3, -3, -1), n)
+             for r in range(n + 1)}
+    cases |= {(br._gl_pair_hw(*pt.boxed(p, q, cp.lam, cp.mu), p, q)[1], q, 1)
+              for (p, q), pairs in compatible_by_box.items() if p * q <= 16 for cp in pairs}
+    for hw, n, r in sorted(cases):
+        assert br._restricted_decomposition(hw, n, r) == restricted_decomposition_by_characters(hw, n, r), (hw, n, r)

@@ -547,6 +547,16 @@ class TestStreamedOutput:
         code, out, err = call(argv.split())
         assert (code, out) == (want, "") and len(err.splitlines()) == 1
 
+    def test_unseeded_cli_cold_commands_match_the_benchmark_references(self):
+        # [exit code, stdout sha256] of every cli-cold command without a seed,
+        # as the benchmark recorded them, read only; run here in-process
+        refs = json.loads((pathlib.Path(__file__).parent.parent / "bench" / "references.json").read_text())
+        pinned = {argv: want for argv, want in refs["cli-cold"].items() if isinstance(want, list)}
+        assert len(pinned) == 13
+        for argv, want in pinned.items():
+            code, out, _ = call(argv.split())
+            assert [code, hashlib.sha256(out.encode()).hexdigest()] == want, argv
+
 
 HESSIAN = ["geometry", "hessian", "--p", "2", "--q", "2", "--points", "5"]
 CATALOG = ["catalog", "--kind", "U", "--p", "1", "--q", "1"]
