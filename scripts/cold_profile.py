@@ -6,8 +6,10 @@ cohomrep.cli`, `build_parser()`, `parse(parser, argv)` and the run (config
 plus subcommand, stdout written to os.devnull).  Prints the median of each
 stage in ms per command, with the median wall time of the whole process and
 its median peak RSS in MB (`ru_maxrss` from os.wait4) beside them, and the
-sums over the commands.  The children import the package from this
-checkout's src.
+sums over the commands.  The last column names the cohomrep modules whose
+source ran: those in sys.modules that the CLI's lazy loader has not left
+unloaded, so it shows which layers a command loads.  The children import
+the package from this checkout's src.
 
     python3 scripts/cold_profile.py --reps 5
     python3 scripts/cold_profile.py --reps 3 --argv "catalog --kind U --p 6 --q 7"
@@ -27,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("import", "build_parser", "parse", "run")
 
 CHILD = """
-import contextlib, os, sys
+import contextlib, importlib.util, os, sys
 from time import perf_counter
 t0 = perf_counter()
 from cohomrep import cli
@@ -40,6 +42,8 @@ with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
     code = args.run(args, cli.make_config(args.config, format=args.format))
 t4 = perf_counter()
 print([code, t1 - t0, t2 - t1, t3 - t2, t4 - t3])
+print(*sorted(name for name, module in sys.modules.items() if name.startswith("cohomrep.")
+              and not isinstance(module, importlib.util._LazyModule)))
 """
 
 
@@ -60,10 +64,11 @@ def main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     columns = STAGES + ("process", "peak_rss_mb")
-    print(f"{'command':<58}" + "".join(f"{c:>13}" for c in columns))
+    print(f"{'command':<58}" + "".join(f"{c:>13}" for c in columns) + "  modules_run")
     totals = dict.fromkeys(columns, 0.0)
     for argv in readme_commands() + ([args.argv] if args.argv else []):
         samples = {c: [] for c in columns}
+        ran = set()
         for _ in range(args.reps):
             t0 = time.perf_counter()
             # the child's own stderr goes with its stdout, read before os.wait4 reaps it
@@ -76,7 +81,9 @@ def main():
             proc.returncode = os.waitstatus_to_exitcode(status)
             if proc.returncode != 0:
                 sys.exit(f"{shlex.join(argv)}: exit {proc.returncode}\n{output}")
-            code, *times = json.loads(output)
+            first, _, modules = output.partition("\n")
+            code, *times = json.loads(first)
+            ran.update(name.removeprefix("cohomrep.") for name in modules.split())
             if code != 0:
                 sys.exit(f"{shlex.join(argv)}: the command returned {code}")
             for stage, seconds in zip(columns, times + [wall]):
@@ -86,7 +93,8 @@ def main():
         for c in STAGES + ("process",):
             totals[c] += medians[c]
         totals["peak_rss_mb"] = max(totals["peak_rss_mb"], medians["peak_rss_mb"])
-        print(f"{shlex.join(argv)[:57]:<58}" + "".join(f"{medians[c]:>13.1f}" for c in columns))
+        print(f"{shlex.join(argv)[:57]:<58}" + "".join(f"{medians[c]:>13.1f}" for c in columns)
+              + "  " + ",".join(sorted(ran)))
     print(f"{'sum of medians (ms), largest peak (MB)':<58}" + "".join(f"{totals[c]:>13.1f}" for c in columns))
 
 

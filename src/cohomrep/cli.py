@@ -334,7 +334,7 @@ def cmd_geometry(args, cfg) -> int:
                      "provenance": "computed"})
     elif args.geo_op == "thresholds":
         th = cf.dx_threshold(args.p, args.q, args.r)
-        l2 = lef.l2_cup_threshold(args.p, args.q, args.r)
+        l2 = cf.l2_cup_threshold(args.p, args.q, args.r)
         rows.append({
             "p": args.p, "q": args.q, "r": args.r,
             "dx_limit_ones": th["limit_ones"],

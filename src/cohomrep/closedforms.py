@@ -1,15 +1,18 @@
 """Closed forms on X_{p,q+r} that need no numpy.
 
 Volume growth around the totally geodesic X_V, the Gamma-product integrals
-of A^{s/2} over the matrix ball and the Donnelly-Xavier degree thresholds
-for the spectral gap.  Everything here is plain `math` on floats, so
-`cohomrep geometry thresholds` and `volume` answer without loading numpy;
-`geometry` checks the Gamma integrals by Monte Carlo.
+of A^{s/2} over the matrix ball, the Donnelly-Xavier degree thresholds for
+the spectral gap and the L2 thresholds of the cup product with the cycle
+class ("Thm cohom l2").  Everything here is plain `math` on floats or
+integer arithmetic, so `cohomrep geometry thresholds` and `volume` answer
+without loading numpy or the verdict engine; `geometry` checks the Gamma
+integrals by Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +86,7 @@ def gamma_integral_X(s: float, p: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spectral gap: Donnelly-Xavier thresholds
+# spectral gap and L2 cohomology: Donnelly-Xavier and cup-product thresholds
 
 
 def dx_threshold(p: int, q: int, r: int) -> dict:
@@ -100,3 +103,26 @@ def dx_threshold(p: int, q: int, r: int) -> dict:
         "threshold_pqr": (p + q * r - 1) / 2.0,
         "convention": "k < (q+pr-1)/2",
     }
+
+
+class L2CupThresholds(NamedTuple):
+    p: int
+    q: int
+    r: int
+    iso_max_degree: Optional[int]  # largest k with an isomorphism, target degree
+    iso_range: str
+    middle_injective: Optional[int]  # p = 1, q+r even: extra injective degree
+    anchor: str = "Thm cohom l2"
+
+
+def l2_cup_threshold(p: int, q: int, r: int) -> L2CupThresholds:
+    """Cup product with the cycle class into the L2 cohomology of the
+    ambient quotient: isomorphism in target degrees k < (q + pr - 1)/2;
+    for p = 1 and q + r even it stays injective in the middle degree
+    (q+r)/2.  r = 0 degenerates to the identity map."""
+    if r == 0:
+        return L2CupThresholds(p, q, 0, None, "identity map (r = 0)", None)
+    bound2 = q + p * r - 1  # twice the threshold
+    iso_max = (bound2 + 1) // 2 - 1  # largest integer strictly below bound2/2
+    middle = (q + r) // 2 if (p == 1 and (q + r) % 2 == 0) else None
+    return L2CupThresholds(p, q, r, iso_max, f"k < (q+pr-1)/2 = {bound2}/2", middle)

@@ -7,11 +7,12 @@ criterion evaluates false), "conjectured" (only a conjecture covers the
 query; its criterion value is reported but never upgraded), and
 "not-covered" (outside every statement).  Conjecture-backed rows are never
 "guaranteed".  Degree queries read one ordered table of theorem rows,
-`_THEOREMS`; component queries, modular symbols and the L2 thresholds are
-answered in code.  A restriction component verdict takes its criterion and
-target from the `branching` predicates, and the O ladder theorems share one
-range predicate, `_o_ladder_in_range`.  It calls partitions as `pt.<name>`,
-so a degree query or an L2 threshold never runs a lazy `partitions` source.
+`_THEOREMS`; component queries and modular symbols are answered in code,
+and the L2 thresholds of "Thm cohom l2" are the closed form
+`closedforms.l2_cup_threshold`.  A restriction component verdict takes its
+criterion and target from the `branching` predicates, and the O ladder
+theorems share one range predicate, `_o_ladder_in_range`.  It calls partitions as `pt.<name>`,
+so a degree query never runs a lazy `partitions` source.
 """
 
 from __future__ import annotations
@@ -421,29 +422,6 @@ def cup_classes_verdict(G: Group, k: int, l: int, components=None) -> Verdict:
                                target_component=pt.as_partition(((kk + ll),) * p))
             return Verdict(NOT_COVERED, "Thm cupO", "outside the proven component range")
     return _degree_verdict("classes", G, None, k + l)
-
-
-class L2CupThresholds(NamedTuple):
-    p: int
-    q: int
-    r: int
-    iso_max_degree: Optional[int]  # largest k with an isomorphism, target degree
-    iso_range: str
-    middle_injective: Optional[int]  # p = 1, q+r even: extra injective degree
-    anchor: str = "Thm cohom l2"
-
-
-def l2_cup_threshold(p: int, q: int, r: int) -> L2CupThresholds:
-    """Cup product with the cycle class into the L2 cohomology of the
-    ambient quotient: isomorphism in target degrees k < (q + pr - 1)/2;
-    for p = 1 and q + r even it stays injective in the middle degree
-    (q+r)/2.  r = 0 degenerates to the identity map."""
-    if r == 0:
-        return L2CupThresholds(p, q, 0, None, "identity map (r = 0)", None)
-    bound2 = q + p * r - 1  # twice the threshold
-    iso_max = (bound2 + 1) // 2 - 1  # largest integer strictly below bound2/2
-    middle = (q + r) // 2 if (p == 1 and (q + r) % 2 == 0) else None
-    return L2CupThresholds(p, q, r, iso_max, f"k < (q+pr-1)/2 = {bound2}/2", middle)
 
 
 def modular_symbol_verdict(kind: str, p: int, q: int, r: int) -> Verdict:

@@ -1,19 +1,21 @@
-"""Torus coordinates, root systems and weight computations for U(p,q) and O(p,q).
+"""Root systems, Weyl chambers and the Parthasarathy-Dirac bound for U(p,q)
+and O(p,q).
 
-Weights live on the compact torus in the coordinates (x_1..x_p; y_1..y_q)
-for U(p,q), resp. (x_1..x_r; y_1..y_s) with r = floor(p/2), s = floor(q/2)
-for O(p,q).  The fixed positive compact systems are
+Weights are `vz_catalog.Weight`s on the compact torus, in the coordinates
+(x_1..x_p; y_1..y_q) for U(p,q), resp. (x_1..x_r; y_1..y_s) with
+r = floor(p/2), s = floor(q/2) for O(p,q).  The fixed positive compact
+systems are
 
   U:  x_i - x_j (i < j)  and  y_j - y_i (i < j)
   O:  x_i +- x_j (i < j), y_j +- y_i (i < j), plus the short roots x_i / y_i
       when p resp. q is odd,
 
-so dominance means x descending and y *ascending in index*.  Weights are
-integer vectors: the lowest K-types 2rho(u cap p) are sums of roots.  rho is
-the only half-integral vector, so it is kept doubled (2rho, 2rho_c, 2rho_n).
+so dominance means x descending and y *ascending in index*.  rho is the
+only half-integral vector, so it is kept doubled (2rho, 2rho_c, 2rho_n).
 The Dirac bound builds its chambers once per (kind, p, q) and evaluates them
 on the doubled weight in int64; only its signs and zero tests are
-meaningful, not its absolute normalization.
+meaningful, not its absolute normalization.  A catalog never loads this
+module: the lowest K-types and degrees live in `vz_catalog`.
 """
 
 from __future__ import annotations
@@ -21,17 +23,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import add, mul, neg, sub
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from operator import mul
+from typing import TYPE_CHECKING, NamedTuple
 
-from .partitions import (
-    BoxContext,
-    CapExceededError,
-    OrthoPartition,
-    Partition,
-    boxed,
-    weight,
-)
+from .partitions import CapExceededError
+from .vz_catalog import Weight, _conv_O
 
 if TYPE_CHECKING:  # annotations only: the Dirac bound alone builds a Fraction
     from fractions import Fraction
@@ -42,32 +38,6 @@ WEYL_CAP = 10**6
 CHAMBER_MEMO_SIZE = 64
 
 
-def _conv_O(p: int, q: int) -> str:
-    return f"O-{'even' if p % 2 == 0 else 'odd'}-{'even' if q % 2 == 0 else 'odd'}"
-
-
-class Weight(NamedTuple):
-    """Integer vector in the fixed torus coordinates."""
-
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
-    conv: str  # "U" | "O-even-even" | "O-even-odd" | "O-odd-even" | "O-odd-odd"
-
-    def __add__(self, other: "Weight") -> "Weight":
-        self._check_conv(other)
-        return Weight(tuple(a + b for a, b in zip(self.xs, other.xs)),
-                      tuple(a + b for a, b in zip(self.ys, other.ys)), self.conv)
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        self._check_conv(other)
-        return Weight(tuple(a - b for a, b in zip(self.xs, other.xs)),
-                      tuple(a - b for a, b in zip(self.ys, other.ys)), self.conv)
-
-    def _check_conv(self, other: "Weight") -> None:
-        if self.conv != other.conv:
-            raise ValueError(f"weights in different coordinates: {self.conv} and {other.conv}")
-
-
 class RootSystemData(NamedTuple):
     kind: str
     p: int
@@ -76,135 +46,6 @@ class RootSystemData(NamedTuple):
     rho2: Weight  # 2rho = rho_c2 + rho_n2
     rho_c2: Weight
     rho_n2: Weight
-
-
-# ---------------------------------------------------------------------------
-# K-type highest weights 2rho(u cap p)
-
-
-def ktype_weight_U(lam: Partition, mu: Partition, ctx: BoxContext) -> Weight:
-    """Highest weight of the lowest K-type of A(lam, mu) for U(p, q):
-    sum over boxes of lam of (x_i - y_j) minus the reflected sum over the
-    complement of mu.  Coefficients: x_i -> lam_i + mu_i - q,
-    y_j -> p - lam*_j - mu*_j.  Raises ValueError unless lam <= mu fit in
-    the box.
-    """
-    return _ktype_weight_U(*boxed(ctx.p, ctx.q, lam, mu), ctx.p, ctx.q)
-
-
-def _ktype_weight_U(lam: Partition, mu: Partition, p: int, q: int) -> Weight:
-    """ktype_weight_U for normalized lam, mu in the p x q box."""
-    return _ktype_U(_shape_U(lam, p, q), _shape_U(mu, p, q))
-
-
-def _columns(nu: Partition, q: int) -> tuple[int, ...]:
-    """The q column lengths nu*_1..nu*_q of a normalized nu with parts <= q:
-    the tail sums of one count of its parts by size."""
-    count = [0] * (q + 1)
-    for v in nu:
-        count[v] += 1
-    return tuple(itertools.accumulate(count[:0:-1]))[::-1]
-
-
-class _ShapeU(NamedTuple):
-    """The K-type terms a normalized nu of the p x q box adds as lam,
-    (rows, -cols), and as mu, (rows - q, p - cols), where rows are its p
-    parts, zero-padded, and cols its q column lengths; and its size |nu|.
-    A catalog builds one per partition of a box, not one per pair."""
-
-    x_lam: tuple[int, ...]
-    y_lam: tuple[int, ...]
-    x_mu: tuple[int, ...]
-    y_mu: tuple[int, ...]
-    size: int
-
-
-def _shape_U(nu: Partition, p: int, q: int) -> _ShapeU:
-    cols = _columns(nu, q)
-    rows = nu + (0,) * (p - len(nu))
-    return _ShapeU(rows, tuple(map(neg, cols)), tuple(map(sub, rows, itertools.repeat(q))),
-                   tuple(map(sub, itertools.repeat(p), cols)), sum(nu))
-
-
-def _ktype_U(lam: _ShapeU, mu: _ShapeU) -> Weight:
-    """The lowest K-type of A(lam, mu) from the shapes of lam and mu: the
-    lam term plus the mu term, x_i = lam_i + mu_i - q, y_j = p - lam*_j - mu*_j."""
-    return Weight(tuple(map(add, lam.x_lam, mu.x_mu)), tuple(map(add, lam.y_lam, mu.y_mu)), "U")
-
-
-def ktype_weight_O(orth: OrthoPartition, sign1: Optional[int] = None, sign2: Optional[int] = None) -> Weight:
-    """Highest weight of the lowest K-type of A(lam)(signs) for O(p,q): the
-    sum over the boxes of lam in the reordered eigenbases, in closed form
-    (`_ktype_O`), with x_r negated when sign1 = -1 and y_1 negated when
-    sign2 = -1 (`_sign_variant`).
-
-    sign1 acts on the C^p side (swap of the two central vectors), sign2 on
-    the C^q side; each is only meaningful when the corresponding corner of
-    lam is strict, per the even-type classification.
-    """
-    p, q = orth.ctx.p, orth.ctx.q
-    _check_signs(orth, sign1, sign2)
-    return _sign_variant(_ktype_O(orth.lam, p, q), sign1, sign2)
-
-
-def _ktype_O(lam: Partition, p: int, q: int) -> Weight:
-    """The lowest K-type of A(lam) for a normalized lam of the p x q box with
-    no sign negated.  Row i of C^p carries +x_i for i <= r and -x_{p+1-i}
-    for i > p - r; column j of C^q carries +y_{s+1-j} for j <= s and
-    -y_{j-q+s} for j > q - s; a middle row or column carries 0.  So, with
-    r = p // 2 and s = q // 2,
-
-      x_a = lam_a - lam_{p+1-a}          (a <= r)
-      y_b = lam*_{s+1-b} - lam*_{q-s+b}  (b <= s)."""
-    r, s = p // 2, q // 2
-    rows = lam + (0,) * (p - len(lam))
-    cols = _columns(lam, q)
-    return Weight(tuple(map(sub, rows[:r], reversed(rows))),
-                  tuple(map(sub, cols[:s][::-1], cols[q - s:])), _conv_O(p, q))
-
-
-def _sign_variant(kt: Weight, sign1: Optional[int], sign2: Optional[int]) -> Weight:
-    """The K-type of a sign variant from that of `_ktype_O`: sign1 = -1 swaps
-    the two central basis vectors of C^p, which negates x_r, and sign2 = -1
-    swaps f_1 and bar f_1 of C^q, which negates y_1."""
-    xs, ys = kt.xs, kt.ys
-    if sign1 == -1:
-        xs = xs[:-1] + (-xs[-1],)
-    if sign2 == -1:
-        ys = (-ys[0],) + ys[1:]
-    return Weight(xs, ys, kt.conv)
-
-
-def _check_signs(orth: OrthoPartition, sign1, sign2):
-    allowed1 = orth.parity == "even" and orth.even_type in (1, 3)
-    allowed2 = orth.parity == "even" and orth.even_type in (2, 3)
-    if sign1 not in (None, 1, -1) or sign2 not in (None, 1, -1):
-        raise ValueError("signs must be +1, -1 or None")
-    if sign1 == -1 and not allowed1:
-        raise ValueError(f"sign1 is not meaningful for {orth.lam} (parity {orth.parity}, type {orth.even_type})")
-    if sign2 == -1 and not allowed2:
-        raise ValueError(f"sign2 is not meaningful for {orth.lam} (parity {orth.parity}, type {orth.even_type})")
-
-
-# ---------------------------------------------------------------------------
-# strongly primitive degrees
-
-
-def _degree_U(lam_size: int, mu_size: int, pq: int) -> int:
-    """The degree R = |lam| + |complement(mu)| = |lam| + pq - |mu| =
-    dim(u cap p) of A(lam, mu), from the sizes |lam|, |mu| and the box area pq."""
-    return lam_size + pq - mu_size
-
-
-def degree_O(orth: OrthoPartition) -> int:
-    """R = |lam|; the Levi identity 2R = pq - 2*sum a_j b_j - p0 q0 must agree."""
-    p, q = orth.ctx.p, orth.ctx.q
-    ab = 2 * sum(a * b for a, b in orth.pairs)
-    p0q0 = orth.central[0] * orth.central[1] if orth.central else 0
-    r = weight(orth.lam)
-    if p * q - ab - p0q0 != 2 * r:
-        raise ValueError(f"Levi identity fails for {orth.lam} in ({p}, {q}): {p * q - ab - p0q0} != 2*{r}")
-    return r
 
 
 # ---------------------------------------------------------------------------

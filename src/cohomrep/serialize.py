@@ -47,8 +47,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only: rendering a catalog loads no verdict engine
     from .lefschetz import Verdict
-    from .rootdata import Weight
-    from .vz_catalog import VZModule
+    from .vz_catalog import VZModule, Weight
 
 SCHEMA = "v1"
 

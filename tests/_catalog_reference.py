@@ -3,11 +3,12 @@
 None shares code with the route it checks:
 
 - `ktype_box_sum_U` sums the lowest K-type of A(lam, mu) box by box, where
-  `rootdata.ktype_weight_U` reads it off the column lengths in O(p+q).
+  `vz_catalog.ktype_weight_U` reads it off the column lengths in O(p+q).
 - `ktype_box_sum_O` sums the lowest K-type of A(lam)(signs) box by box, in
-  its own copy of the reordered eigenbases, where `rootdata.ktype_weight_O`
+  its own copy of the reordered eigenbases, where `vz_catalog.ktype_weight_O`
   reads each coordinate off two rows or two column lengths and negates one
-  per sign.  It uses no `rootdata` routine, only the `Weight` record.
+  per sign.  It uses no `vz_catalog` or `rootdata` routine, only the `Weight`
+  record.
 - `brute_count_O` counts the distinct u cap p realized by dominant torus
   elements on a small level grid, independent of the partition and sign
   classification `vz_catalog.catalog("O", ...)` enumerates.
@@ -20,7 +21,7 @@ system: the tests build and check the weights of the live code with them.
 from itertools import product
 
 from cohomrep.partitions import BoxContext, as_partition, complement, part
-from cohomrep.rootdata import Weight
+from cohomrep.vz_catalog import Weight
 
 
 def integer_weight(xs, ys, conv: str) -> Weight:

@@ -26,7 +26,6 @@ from cohomrep import geometry as geo
 from cohomrep import isolation as iso
 from cohomrep import lefschetz as lef
 from cohomrep import partitions as pt
-from cohomrep import rootdata as rd
 from cohomrep import vz_catalog as vz
 from cohomrep.partitions import BoxContext
 
@@ -182,13 +181,13 @@ def test_criterion_5_ktype_weight_formulas():
     for p, q, r in itertools.product(range(1, 5), repeat=3):
         if r > q:
             continue
-        w = rd.ktype_weight_U((r,) * p, (q,) * p, BoxContext(p, q + r))
+        w = vz.ktype_weight_U((r,) * p, (q,) * p, BoxContext(p, q + r))
         assert all(v == 0 for v in w.xs)
         for j in range(q + r):
             assert w.ys[j] == (-p if j < r else (p if j >= q else 0)), (p, q, r)
         orth = pt.ortho_classify((r,) * p, BoxContext(p, q + r))
         s1, s2 = vz.sign_slots(orth)[0]
-        wo = rd.ktype_weight_O(orth, s1, s2)
+        wo = vz.ktype_weight_O(orth, s1, s2)
         beta = (q + r) // 2
         assert all(v == 0 for v in wo.xs)
         for j in range(1, beta + 1):

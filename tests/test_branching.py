@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cohomrep import branching as br
 from cohomrep import partitions as pt
 from cohomrep import rootdata as rd
+from cohomrep import vz_catalog as vz
 from cohomrep.partitions import BoxContext
 from _branching_reference import gl_character_by_cells, restricted_decomposition_by_characters
 from _partitions_reference import contains
@@ -418,7 +419,7 @@ class TestEntryPointsCheckTheBox:
         (lambda: br.kobayashi_admissible("U", 2, 4, 1, (9,), (9,)), "does not fit in 2x4"),
         (lambda: br.kobayashi_admissible("O", 2, 4, 1, (5,)), "does not fit in 2x4"),
         (lambda: br.tensor_contains("O", 0, 2, (1, 1)), "must be >= 1"),
-        (lambda: rd.ktype_weight_U((2,), (1,), BoxContext(2, 2)), "is not contained in"),
+        (lambda: vz.ktype_weight_U((2,), (1,), BoxContext(2, 2)), "is not contained in"),
         (lambda: br.restrict_U_pair_oracle_mult((2,), (1,), BoxContext(1, 2), 1, (), ()), "is not contained in"),
         (lambda: br.restrict_U_pair_oracle_mult((), (2, 2), BoxContext(2, 2), 1, (), (2,)), "does not fit in 2x1"),
     ], ids=["restrict-u", "vanishing-uo", "kobayashi-U", "kobayashi-O", "tensor", "ktype-U",

@@ -411,6 +411,30 @@ class TestLazyLayers:
         """)
         assert out == "[False, False, False] [False, False]\n"
 
+    def test_catalogs_skip_rootdata_and_thresholds_skip_the_verdict_engine(self):
+        # a module's degree and lowest K-type come from vz_catalog itself, so
+        # no catalog loads the Dirac layer; the L2 thresholds are a closed
+        # form of closedforms, so thresholds never runs the lefschetz source
+        out = self.probe("""
+            import contextlib, importlib.util, io, json, sys
+            import cohomrep.vz_catalog
+            rootdata = ["cohomrep.rootdata" in sys.modules]
+            from cohomrep import cli
+            for argv in (["catalog", "--kind", "U", "--p", "2", "--q", "3", "--format", "json"],
+                         ["catalog", "--kind", "O", "--p", "3", "--q", "4", "--format", "md"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                rootdata.append("cohomrep.rootdata" in sys.modules)
+            lazy, middle = [], []
+            for p, q, r in ((2, 5, 1), (1, 3, 1)):
+                with contextlib.redirect_stdout(io.StringIO()) as text:
+                    assert cli.main(["geometry", "thresholds", "--p", str(p), "--q", str(q), "--r", str(r)]) == 0
+                lazy.append(type(sys.modules["cohomrep.lefschetz"]) is importlib.util._LazyModule)
+                middle.append(json.loads(text.getvalue())["data"][0]["l2_middle_injective"])
+            print(rootdata, lazy, middle)
+        """)
+        assert out == "[False, False, False] [True, True] [None, 2]\n"
+
     def test_branching_loads_only_for_a_component_restriction(self):
         # degree, tensor and modular-symbol verdicts never run the source of
         # branching; a component restriction reads its predicates

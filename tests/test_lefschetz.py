@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cohomrep import branching as br
+from cohomrep import closedforms as cf
 from cohomrep import lefschetz as lef
 from cohomrep import vz_catalog as vz
 from cohomrep.partitions import BoxContext, as_partition
@@ -92,14 +93,14 @@ class TestCrossConsistency:
 
 class TestThetaAndL2:
     def test_l2_cup_threshold(self):
-        th = lef.l2_cup_threshold(2, 5, 1)
+        th = cf.l2_cup_threshold(2, 5, 1)
         assert th.iso_max_degree == 2  # k < (5+2-1)/2 = 3
-        th = lef.l2_cup_threshold(1, 4, 1)
+        th = cf.l2_cup_threshold(1, 4, 1)
         assert th.iso_max_degree == 1  # k < (4+1-1)/2 = 2
         assert th.middle_injective is None  # q+r = 5 odd
-        th = lef.l2_cup_threshold(1, 3, 1)
+        th = cf.l2_cup_threshold(1, 3, 1)
         assert th.middle_injective == 2  # q+r = 4 even
-        th = lef.l2_cup_threshold(3, 4, 0)
+        th = cf.l2_cup_threshold(3, 4, 0)
         assert th.iso_max_degree is None and "identity" in th.iso_range
 
     def test_modular_symbol_target(self):
@@ -262,7 +263,7 @@ class TestExplicitPairs:
 
 
 #: one query per anchor of lef.CITATIONS, in replay form ("Thm cohom l2"
-#: comes from l2_cup_threshold)
+#: comes from closedforms.l2_cup_threshold)
 ANCHOR_QUERIES = [
     {"fn": "restriction", "G": "U:2,3", "degree": 1},
     {"fn": "restriction", "G": "O:3,4", "degree": 1},
@@ -306,7 +307,7 @@ def _groups_up_to(G):
 class TestTheoremTable:
     def test_every_citation_is_emitted(self):
         # a CITATIONS entry that no query emits is dead text
-        emitted = {replay(case).anchor for case in ANCHOR_QUERIES} | {lef.l2_cup_threshold(2, 5, 1).anchor}
+        emitted = {replay(case).anchor for case in ANCHOR_QUERIES} | {cf.l2_cup_threshold(2, 5, 1).anchor}
         assert emitted == set(lef.CITATIONS)
 
     def test_every_degree_row_is_reached_on_both_sides(self):

@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from cohomrep import config, isolation as iso, lefschetz as lef, rootdata as rd, vz_catalog as vz
+from cohomrep import closedforms as cf, config, isolation as iso, lefschetz as lef, rootdata as rd
+from cohomrep import vz_catalog as vz
 from cohomrep import serialize as ser
 from cohomrep.partitions import BoxContext, OrthoPartition, enumerate_compatible
 
@@ -19,7 +20,7 @@ REPRS = [
     (lambda: OrthoPartition((2, 2), BoxContext(3, 4), ((1, 2),), None, "even", 2),
      "OrthoPartition(lam=(2, 2), ctx=BoxContext(p=3, q=4), pairs=((1, 2),), central=None,"
      " parity='even', even_type=2)"),
-    (lambda: rd.Weight((-1, -2), (1, 2), "U"), "Weight(xs=(-1, -2), ys=(1, 2), conv='U')"),
+    (lambda: vz.Weight((-1, -2), (1, 2), "U"), "Weight(xs=(-1, -2), ys=(1, 2), conv='U')"),
     (lambda: vz.catalog("U", 2, 2)[1],
      "VZModule(kind='U', p=2, q=2, lam=(), mu=(1,), sign1=None, sign2=None, degree=3,"
      " levi=(('U', 1, 1),), lowest_ktype=Weight(xs=(-1, -2), ys=(1, 2), conv='U'),"
@@ -32,7 +33,7 @@ REPRS = [
     (lambda: lef.restriction_verdict(lef.parse_group("O:3,4"), degree=3),
      "Verdict(status='guaranteed', anchor='Thm opq', threshold='k <= p+q-4: 3 <= 3',"
      " target_component=None, qualifier=None, criterion_value=None)"),
-    (lambda: lef.l2_cup_threshold(2, 5, 1),
+    (lambda: cf.l2_cup_threshold(2, 5, 1),
      "L2CupThresholds(p=2, q=5, r=1, iso_max_degree=2, iso_range='k < (q+pr-1)/2 = 6/2',"
      " middle_injective=None, anchor='Thm cohom l2')"),
     (lambda: config.Config(),
@@ -62,7 +63,7 @@ def test_root_system_record():
 
 def test_fields_differ_records_differ():
     assert BoxContext(2, 3) != BoxContext(3, 2)
-    assert rd.Weight((1,), (0,), "U") != rd.Weight((1,), (0,), "O-odd-odd")
+    assert vz.Weight((1,), (0,), "U") != vz.Weight((1,), (0,), "O-odd-odd")
     assert {BoxContext(2, 3), BoxContext(2, 3)} == {BoxContext(2, 3)}
 
 
@@ -78,8 +79,8 @@ def test_constructor_checks_remain():
 
 
 def test_methods_and_properties_remain():
-    w = rd.Weight((1, 2), (0,), "U")
-    assert w + w == rd.Weight((2, 4), (0,), "U") and w - w == rd.Weight((0, 0), (0,), "U")
+    w = vz.Weight((1, 2), (0,), "U")
+    assert w + w == vz.Weight((2, 4), (0,), "U") and w - w == vz.Weight((0, 0), (0,), "U")
     assert str(lef.parse_group("U:2,3")) == "U(2,3)"
     assert lef.restriction_verdict(lef.parse_group("O:3,4"), degree=3).citation == lef.CITATIONS["Thm opq"]
     assert config.Config(format="md").validate().format == "md"

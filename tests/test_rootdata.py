@@ -38,31 +38,31 @@ class TestKtypeU:
         for (p, q), pairs in compatible_by_box.items():
             ctx = BoxContext(p, q)
             for cp in pairs:
-                w = rd.ktype_weight_U(cp.lam, cp.mu, ctx)
+                w = vz.ktype_weight_U(cp.lam, cp.mu, ctx)
                 assert w == ktype_box_sum_U(cp.lam, cp.mu, ctx)
-                assert rd._ktype_weight_U(cp.lam, cp.mu, p, q) == w
+                assert vz._ktype_weight_U(cp.lam, cp.mu, p, q) == w
                 assert is_dominant(w)
 
     def test_out_of_box_rejected(self):
         with pytest.raises(ValueError, match="does not fit"):
-            rd.ktype_weight_U((3,), (3,), BoxContext(2, 2))
+            vz.ktype_weight_U((3,), (3,), BoxContext(2, 2))
         with pytest.raises(ValueError, match="does not fit"):
-            rd.ktype_weight_U((), (1, 1, 1), BoxContext(2, 2))
+            vz.ktype_weight_U((), (1, 1, 1), BoxContext(2, 2))
 
     def test_ladder_identity(self):
         # lam = (r^p), mu = (q^p) in p x (q+r): weight p * sum(y_{q+j} - y_j)
         for p, q, r in itertools.product(range(1, 5), repeat=3):
             if r > q:
                 continue
-            w = rd.ktype_weight_U((r,) * p, (q,) * p, BoxContext(p, q + r))
+            w = vz.ktype_weight_U((r,) * p, (q,) * p, BoxContext(p, q + r))
             assert all(v == 0 for v in w.xs)
             for j in range(q + r):
                 expect = -p if j < r else (p if j >= q else 0)
                 assert w.ys[j] == expect
 
     def test_trivial_and_one_box(self):
-        assert rd.ktype_weight_U((), (2, 2), BoxContext(2, 2)) == rd.Weight((0, 0), (0, 0), "U")
-        w = rd.ktype_weight_U((1,), (1,), BoxContext(1, 1))
+        assert vz.ktype_weight_U((), (2, 2), BoxContext(2, 2)) == vz.Weight((0, 0), (0, 0), "U")
+        w = vz.ktype_weight_U((1,), (1,), BoxContext(1, 1))
         assert w.xs == (Fraction(1),) and w.ys == (Fraction(-1),)
 
 
@@ -75,7 +75,7 @@ class TestKtypeO:
             orth = pt.ortho_classify((r,) * p, ctx)
             assert orth is not None
             s1, s2 = vz.sign_slots(orth)[0]
-            w = rd.ktype_weight_O(orth, s1, s2)
+            w = vz.ktype_weight_O(orth, s1, s2)
             beta = (q + r) // 2
             assert all(v == 0 for v in w.xs)
             for j in range(1, beta + 1):
@@ -84,18 +84,18 @@ class TestKtypeO:
     def test_sign_dependence_2x2(self):
         ctx = BoxContext(2, 2)
         orth = pt.ortho_classify((1, 1), ctx)
-        plus = rd.ktype_weight_O(orth, None, 1)
-        minus = rd.ktype_weight_O(orth, None, -1)
+        plus = vz.ktype_weight_O(orth, None, 1)
+        minus = vz.ktype_weight_O(orth, None, -1)
         assert plus.ys == (Fraction(2),) and minus.ys == (Fraction(-2),)
         with pytest.raises(ValueError):
-            rd.ktype_weight_O(orth, -1, None)  # sign1 meaningless for type 2
+            vz.ktype_weight_O(orth, -1, None)  # sign1 meaningless for type 2
 
     def test_against_box_sum(self, orthogonal_by_box):
         # every sign slot of every orthogonal partition with p, q <= 6
         for (p, q), orths in orthogonal_by_box.items():
             for o in orths:
                 for s1, s2 in vz.sign_slots(o):
-                    w = rd.ktype_weight_O(o, s1, s2)
+                    w = vz.ktype_weight_O(o, s1, s2)
                     assert w == ktype_box_sum_O(o, s1, s2), (p, q, o.lam, s1, s2)
                     assert {type(v) for v in w.xs + w.ys} <= {int}
 
@@ -104,7 +104,7 @@ class TestKtypeO:
             if p * q > 16:
                 continue
             for o in orths:
-                weights = [rd.ktype_weight_O(o, s1, s2) for s1, s2 in vz.sign_slots(o)]
+                weights = [vz.ktype_weight_O(o, s1, s2) for s1, s2 in vz.sign_slots(o)]
                 assert len({(w.xs, w.ys) for w in weights}) == len(weights)
 
 
@@ -116,13 +116,13 @@ class TestDegrees:
     def test_levi_identity_O(self, orthogonal_by_box):
         for (p, q), orths in orthogonal_by_box.items():
             for o in orths:
-                assert rd.degree_O(o) == pt.weight(o.lam)
+                assert vz.degree_O(o) == pt.weight(o.lam)
 
     def test_column_ladder_O(self):
         for p in range(1, 5):
             for q in range(3, 6):
                 orth = pt.ortho_classify((1,) * p, BoxContext(p, q))
-                assert rd.degree_O(orth) == p
+                assert vz.degree_O(orth) == p
 
 
 def _catalog_ktypes(boxes):
@@ -143,7 +143,7 @@ def _random_integer_weight(rng, kind, p, q):
     nx, ny = (p, q) if kind == "U" else (p // 2, q // 2)
     entry = lambda: rng.randint(-6, 6)
     return integer_weight([entry() for _ in range(nx)], [entry() for _ in range(ny)],
-                          "U" if kind == "U" else rd._conv_O(p, q))
+                          "U" if kind == "U" else vz._conv_O(p, q))
 
 
 class TestDirac:
@@ -171,7 +171,7 @@ class TestDirac:
         with pytest.raises(ValueError, match="not an integer"):
             integer_weight([Fraction(1, 3), Fraction(-5, 3)], [Fraction(2, 3), 0, 1], "U")
         with pytest.raises(ValueError, match="not an integer"):
-            integer_weight([Fraction(4, 3), Fraction(-1, 3)], [Fraction(1, 3), 2], rd._conv_O(5, 4))
+            integer_weight([Fraction(4, 3), Fraction(-1, 3)], [Fraction(1, 3), 2], vz._conv_O(5, 4))
 
     def test_o_chambers_are_the_deduplicated_signed_permutations(self):
         for p, q in itertools.product(range(1, 10), repeat=2):
@@ -199,24 +199,24 @@ class TestDirac:
     def test_entry_must_double_to_an_integer(self):
         # an int64 cast would read the doubled 0.5 as 0, the value at (0; 0)
         with pytest.raises(ValueError, match="weight entry 0.25 "):
-            rd.dirac_bound("U", 1, 1, rd.Weight((0.25,), (0,), "U"))
-        want = ref.dirac_bound("U", 1, 1, rd.Weight((1,), (0,), "U"))
+            rd.dirac_bound("U", 1, 1, vz.Weight((0.25,), (0,), "U"))
+        want = ref.dirac_bound("U", 1, 1, vz.Weight((1,), (0,), "U"))
         for x in (1, np.int64(1)):
-            assert rd.dirac_bound("U", 1, 1, rd.Weight((x,), (0,), "U")) == want
-        half = rd.Weight((Fraction(1, 2),), (0,), "U")
+            assert rd.dirac_bound("U", 1, 1, vz.Weight((x,), (0,), "U")) == want
+        half = vz.Weight((Fraction(1, 2),), (0,), "U")
         assert rd.dirac_bound("U", 1, 1, half) == ref.dirac_bound("U", 1, 1, half) != want
 
     def test_nan_entry_does_not_double_to_an_integer(self):
         with pytest.raises(ValueError, match="weight entry nan does not double to an integer"):
-            rd.dirac_bound("U", 1, 1, rd.Weight((math.nan,), (0,), "U"))
+            rd.dirac_bound("U", 1, 1, vz.Weight((math.nan,), (0,), "U"))
         with pytest.raises(ValueError, match="weight entry nan "):
-            rd.dirac_bound("O", 2, 3, rd.Weight((0,), (math.nan,), rd._conv_O(2, 3)))
+            rd.dirac_bound("O", 2, 3, vz.Weight((0,), (math.nan,), vz._conv_O(2, 3)))
 
     @pytest.mark.parametrize("kind, p, q, chi", [
-        ("U", 0, 2, rd.Weight((), (0, 0), "U")),
-        ("U", 2, 0, rd.Weight((0, 0), (), "U")),
-        ("O", 0, 2, rd.Weight((), (0,), "O-even-even")),
-        ("O", 3, 0, rd.Weight((0,), (), "O-odd-even")),
+        ("U", 0, 2, vz.Weight((), (0, 0), "U")),
+        ("U", 2, 0, vz.Weight((0, 0), (), "U")),
+        ("O", 0, 2, vz.Weight((), (0,), "O-even-even")),
+        ("O", 3, 0, vz.Weight((0,), (), "O-odd-even")),
     ])
     def test_box_without_a_noncompact_root_raises(self, kind, p, q, chi):
         # U(p,0) and O(0,q) are compact: 0 would read as a catalog K-type
@@ -275,7 +275,7 @@ class TestDirac:
                 xs[-1] = -rng.randint(1, 5)
                 if rng.random() < 0.7:
                     ys[0] = -rng.randint(0, 5)
-                chi = integer_weight(xs, ys, rd._conv_O(p, q))
+                chi = integer_weight(xs, ys, vz._conv_O(p, q))
                 assert rd.dirac_bound("O", p, q, chi) == ref.dirac_bound("O", p, q, chi), (p, q, chi)
 
     def test_chambers_are_built_once_per_box(self, small_catalog_ktypes):
@@ -334,7 +334,7 @@ class TestOptimizedMode:
     def test_conv_mismatch_raises_under_O(self):
         src = pathlib.Path(rd.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        code = ("from cohomrep.rootdata import Weight\n"
+        code = ("from cohomrep.vz_catalog import Weight\n"
                 "Weight((1,), (1,), 'U') + Weight((1,), (1,), 'O-even-even')\n")
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 1

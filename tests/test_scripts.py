@@ -1,6 +1,7 @@
 """The scripts under scripts/, each run as its own process on small sizes, so
 that a library refactor cannot break one of them unseen."""
 
+import hashlib
 import os
 import pathlib
 import re
@@ -14,13 +15,17 @@ from cohomrep import vz_catalog as vz
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def script_stdout(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    return proc.stdout
+
+
+def run_script(name, *args):
+    return script_stdout(name, *args).splitlines()
 
 
 def test_catalog_report_counts():
@@ -38,6 +43,16 @@ def test_catalog_report_counts():
         else:
             isolated = sum(iso.is_isolated_O(pt.ortho_classify(m.lam, ctx)) for m in mods)
         assert row.split()[:3] == [f"{kind}({p},{q})", str(len(mods)), str(isolated)], row
+
+
+#: sha256 of `catalog_report.py --max-pq 16` stdout: the module and isolated
+#: counts and degree histograms of every box with p*q <= 16
+CATALOG_REPORT_16_SHA256 = "637326dfebd956703b189a9d20acc821bb6d40bbca375cbbec685b4f0d5a3de6"
+
+
+def test_catalog_report_output_is_pinned():
+    digest = hashlib.sha256(script_stdout("catalog_report.py", "--max-pq", "16").encode()).hexdigest()
+    assert digest == CATALOG_REPORT_16_SHA256, f"catalog_report.py --max-pq 16 now hashes to {digest}"
 
 
 def test_verdict_table_replays_the_golden_rows():
@@ -65,10 +80,13 @@ def test_mc_report_cases():
 
 def test_cold_profile_adds_the_argv_command():
     header, *rows, total = run_script("cold_profile.py", "--reps", "1", "--argv", "catalog --kind U --p 2 --q 3")
-    assert header.split() == ["command", "import", "build_parser", "parse", "run", "process", "peak_rss_mb"]
+    assert header.split() == ["command", "import", "build_parser", "parse", "run", "process", "peak_rss_mb",
+                              "modules_run"]
     readme = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
     assert len(rows) == sum(line.startswith("cohomrep ") for line in readme.splitlines()) + 1
     assert rows[-1].startswith("catalog --kind U --p 2 --q 3 ")
-    peaks = [float(row.split()[-1]) for row in rows]
+    # a catalog runs the enumeration, the catalog and the renderer, and no Dirac layer
+    assert rows[-1].split()[-1].split(",") == ["cli", "config", "partitions", "serialize", "vz_catalog"]
+    peaks = [float(row.split()[-2]) for row in rows]
     assert all(5 < mb < 1000 for mb in peaks)
     assert total.startswith("sum of medians") and float(total.split()[-1]) == max(peaks)

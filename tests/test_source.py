@@ -181,11 +181,13 @@ def test_lefschetz_loads_branching_only_for_component_restrictions():
     assert inside == {"restriction_verdict"}
 
 
-@pytest.mark.parametrize("name", ["cli.py", "serialize.py", "rootdata.py"])
+@pytest.mark.parametrize("name", ["cli.py", "serialize.py", "vz_catalog.py", "closedforms.py", "rootdata.py"])
 def test_cold_modules_defer_json_csv_io_and_fractions(name):
-    # every command loads cli and serialize, and every catalog rootdata:
-    # json, csv and io serve only the csv and md renderers, Fraction only
-    # the Dirac bound, so each is imported inside the function that uses it
+    # every command loads cli and serialize, every catalog vz_catalog, the
+    # closed-form geometry commands closedforms and every Dirac check
+    # rootdata: json, csv and io serve only the csv and md renderers,
+    # Fraction only the Dirac bound, so each is imported inside the function
+    # that uses it
     tree = ast.parse((SRC / name).read_text(), filename=name)
     at_top = {root for node in _run_on_import(tree) for root in _imported_roots(node)}
     assert not at_top & {"json", "csv", "io", "fractions"}, sorted(at_top & {"json", "csv", "io", "fractions"})
@@ -250,10 +252,10 @@ def _imported_modules(tree):
 #: inside a function
 CATALOG_PATH_IMPORTS = {
     "partitions": {"__future__", "operator", "typing"},
-    "vz_catalog": {"__future__", "functools", "typing", ".partitions", ".rootdata"},
+    "vz_catalog": {"__future__", "functools", "itertools", "operator", "typing", ".partitions"},
     "isolation": {"__future__", "typing", ".partitions"},
     "serialize": {"__future__", "itertools", "_json", "operator", "typing", "json",
-                  ".lefschetz", ".rootdata", ".vz_catalog"},
+                  ".lefschetz", ".vz_catalog"},
 }
 
 
@@ -268,17 +270,20 @@ def test_catalog_path_imports_no_new_module(name):
 
 
 def test_o_ktype_oracle_uses_only_the_weight_record_of_rootdata():
-    # ktype_box_sum_O checks rootdata.ktype_weight_O only while it builds the
-    # eigenbases and the sum itself: it may take the Weight record, nothing else
+    # ktype_box_sum_O checks vz_catalog.ktype_weight_O only while it builds
+    # the eigenbases and the sum itself: it may take the Weight record, which
+    # rootdata shares, and no routine of vz_catalog or rootdata
     oracle = ast.parse((ROOT / "tests" / "_catalog_reference.py").read_text())
     seen, names = _reached(oracle, ["ktype_box_sum_O"])
     assert {"_basis_weights_p", "_dual_basis_weights_q"} <= seen
-    from_rootdata = {alias.name for node in ast.walk(oracle) if isinstance(node, ast.ImportFrom)
-                     and node.module in ("cohomrep.rootdata", "rootdata") for alias in node.names}
-    assert from_rootdata == {"Weight"}
-    rootdata = ast.parse((SRC / "rootdata.py").read_text())
-    routines = {node.name for node in rootdata.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    banned = (routines - {"Weight"}) | {"rootdata", "rd"}
+    from_library = {alias.name for node in ast.walk(oracle) if isinstance(node, ast.ImportFrom)
+                    and node.module in ("cohomrep.vz_catalog", "cohomrep.rootdata") for alias in node.names}
+    assert from_library == {"Weight"}
+    routines = {node.name for name in ("vz_catalog", "rootdata")
+                for node in ast.parse((SRC / f"{name}.py").read_text()).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"ktype_weight_O", "_ktype_O", "_sign_variant", "_columns", "dirac_bound"} <= routines
+    banned = (routines - {"Weight"}) | {"vz_catalog", "vz", "rootdata", "rd"}
     assert not names & banned, sorted(names & banned)
 
 
@@ -286,7 +291,7 @@ def test_o_catalog_path_builds_no_conjugate_and_no_eigenbasis():
     # an orthogonal partition is classified, catalogued and tested for
     # isolation from its rows, its column lengths and its row runs: follow
     # every function the four entry points reach across the modules they use
-    modules = ("partitions", "rootdata", "vz_catalog", "isolation")
+    modules = ("partitions", "vz_catalog", "isolation")
     bodies = [ast.parse((SRC / f"{name}.py").read_text()).body for name in modules]
     defs = [node.name for body in bodies for node in body if isinstance(node, ast.FunctionDef)]
     assert len(defs) == len(set(defs)), "a name defined in two modules would hide one of them"

@@ -2,7 +2,6 @@ import pytest
 
 from _catalog_reference import brute_count_O, is_dominant, ktype_box_sum_O, ktype_box_sum_U
 from cohomrep import partitions as pt
-from cohomrep import rootdata as rd
 from cohomrep import vz_catalog as vz
 from cohomrep.partitions import BoxContext, CapExceededError
 
@@ -103,14 +102,14 @@ class TestCatalogAgainstOracles:
                 for m in vz.modules_from_orth(o):
                     variants += 1
                     assert m.lowest_ktype == ktype_box_sum_O(o, m.sign1, m.sign2), m.label
-                    assert m.lowest_ktype == rd.ktype_weight_O(o, m.sign1, m.sign2)
+                    assert m.lowest_ktype == vz.ktype_weight_O(o, m.sign1, m.sign2)
         assert variants == 9386
 
     def test_each_partition_shape_is_built_once_per_box(self, monkeypatch):
         # U(5,5) has 6,090 pairs over the 252 partitions of the 5 x 5 box
         shaped = []
-        shape = rd._shape_U
-        monkeypatch.setattr(rd, "_shape_U", lambda nu, p, q: shaped.append(nu) or shape(nu, p, q))
+        shape = vz._shape_U
+        monkeypatch.setattr(vz, "_shape_U", lambda nu, p, q: shaped.append(nu) or shape(nu, p, q))
         assert len(vz.catalog("U", 5, 5)) == 6090
         assert len(shaped) == len(set(shaped)) == 252
 
